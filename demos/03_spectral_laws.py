@@ -3,31 +3,31 @@
 import numpy as np
 
 from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Y
-from nbspectra.spectra import (arcsine, kesten_mckay, law_density, law_idf,
-                               law_moment, orthogonality_check, semicircle)
+from nbspectra.spectra import (arcsine, kesten_mckay, orthogonality_check,
+                               semicircle)
 
 one = ExactPolynomial((1,))
 sc, ar = semicircle(), arcsine()
 
-print("density values at 0: semicircle", f"{law_density(sc, 0.0):.6f}",
-      "(1/pi), arcsine", f"{law_density(ar, 0.0):.6f}", "(1/2pi)")
+print("density values at 0: semicircle", f"{sc.density(0.0):.6f}",
+      "(1/pi), arcsine", f"{ar.density(0.0):.6f}", "(1/2pi)")
 
 for q in (2.0, 5.0, 50.0):
     law = kesten_mckay(q)
-    mass = law_moment(law, one)
-    moments = [law_moment(law, poly_X(r)) for r in range(5)]
+    mass = law.moment(one)
+    moments = [law.moment(poly_X(r)) for r in range(5)]
     print(f"\nmu_{q:g}: mass {mass:.12f}; X_r moments r=0..4:",
           ["%.6f" % m for m in moments], "(even r give q^{-r/2})")
     print(f"  orthogonality table deviation (n, m <= 8): "
           f"{orthogonality_check(q, 8):.2e}")
 
 print("\nsemicircle moments: x^2 ->",
-      f"{law_moment(sc, ExactPolynomial((0, 0, 1))):.9f},",
-      "x^4 ->", f"{law_moment(sc, ExactPolynomial((0, 0, 0, 0, 1))):.9f},",
-      "Y_2 ->", f"{law_moment(sc, poly_Y(2)):.9f}")
+      f"{sc.moment(ExactPolynomial((0, 0, 1))):.9f},",
+      "x^4 ->", f"{sc.moment(ExactPolynomial((0, 0, 0, 0, 1))):.9f},",
+      "Y_2 ->", f"{sc.moment(poly_Y(2)):.9f}")
 
 print("\narcsine quantiles -2 cos(pi p):",
-      [f"{law_idf(ar, p):+.4f}" for p in (0.1, 1 / 3, 0.5, 0.9)])
+      [f"{ar.idf(p):+.4f}" for p in (0.1, 1 / 3, 0.5, 0.9)])
 
 grid = np.linspace(-2, 2, 9)
 print("\nKesten-McKay densities approach the semicircle as q grows:")

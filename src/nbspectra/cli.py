@@ -117,6 +117,11 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise CliInputError(f"trials must be at least 1, got {trials}")
+
+
 def _target_law(q: int) -> ReferenceLaw:
     return kesten_mckay(float(q)) if q >= 2 else arcsine()
 
@@ -173,6 +178,7 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
     degree = regular_degree(base)
     if degree is None or degree < 2:
         raise CliInputError("lift experiment needs a regular base of degree >= 2")
+    _require_trials(trials)
     q = degree - 1
     target = _target_law(q)
     root = RngStream(seed)
@@ -238,6 +244,7 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
                    seed: int, p_list: list[float], r_max: int) -> dict:
     if len(n_ladder) != len(q_ladder):
         raise CliInputError("n ladder and q ladder must have equal length")
+    _require_trials(trials)
     target = semicircle()
     root = RngStream(seed)
     distance_rows, circuit_rows = [], []

@@ -470,6 +470,8 @@ def walk_census(g: MultiGraph, r_max: int) -> WalkCensus:
     enumeration when r_max is within the brute cap."""
     from . import nbmatrix  # deferred: nbmatrix imports MultiGraph from here
 
+    if r_max < 0:
+        raise GraphError(f"r_max must be nonnegative, got {r_max}")
     d = _require_regular(g)
     q = d - 1
     f = nbmatrix.nb_trace_sequence(g, r_max)

@@ -31,16 +31,16 @@ class ColorError(ValueError):
 
 
 def exact_int_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of nonnegative integer matrices.
+    """Exact product of integer matrices.
 
-    Uses float64 BLAS when inner_dim * max(a) * max(b) < 2^53 (every partial
-    sum of nonnegative terms is then exactly representable); otherwise switches
-    to arbitrary-precision object arrays.
+    Uses float64 BLAS when inner_dim * max|a| * max|b| < 2^53 (every partial
+    sum is then exactly representable); otherwise switches to
+    arbitrary-precision object arrays.
     """
     if a.dtype == object or b.dtype == object:
         return np.dot(a, b)
-    amax = int(a.max(initial=0))
-    bmax = int(b.max(initial=0))
+    amax = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    bmax = max(int(b.max(initial=0)), -int(b.min(initial=0)))
     inner = a.shape[1]
     if inner * amax * bmax < _FLOAT_EXACT_LIMIT:
         prod = a.astype(np.float64) @ b.astype(np.float64)

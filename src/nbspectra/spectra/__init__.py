@@ -1,22 +1,20 @@
-"""Spectral measures, reference laws, quadrature, and Wasserstein distances."""
+"""Spectral measures, closed-form reference laws, and Wasserstein distances."""
 
 from .eigen import (DegeneracyError, EigenError, eigenvalues_hermitian,
                     eigenvalues_symmetric)
-from .laws import (DEFAULT_QUADRATURE, LawError, QuadratureConfig, ReferenceLaw,
-                   arcsine, kesten_mckay, law_cdf, law_density, law_idf,
-                   law_moment, law_table_csv, moment_criterion_report,
-                   orthogonality_check, semicircle)
+from .laws import (LawError, ReferenceLaw, arcsine, kesten_mckay,
+                   law_table_csv, moment_criterion_report, orthogonality_check,
+                   semicircle)
 from .measures import (DiscreteSpectralMeasure, MeasureError,
                        colored_spectral_measure, cycle_spectral_measure,
                        idf_discrete, spectral_measure)
 from .wasserstein import WassersteinError, wasserstein_p
 
 __all__ = [
-    "DEFAULT_QUADRATURE", "DegeneracyError", "DiscreteSpectralMeasure",
-    "EigenError", "LawError", "MeasureError", "QuadratureConfig",
-    "ReferenceLaw", "WassersteinError", "arcsine", "colored_spectral_measure",
-    "cycle_spectral_measure", "eigenvalues_hermitian", "eigenvalues_symmetric",
-    "idf_discrete", "kesten_mckay", "law_cdf", "law_density", "law_idf",
-    "law_moment", "law_table_csv", "moment_criterion_report",
+    "DegeneracyError", "DiscreteSpectralMeasure", "EigenError", "LawError",
+    "MeasureError", "ReferenceLaw", "WassersteinError", "arcsine",
+    "colored_spectral_measure", "cycle_spectral_measure",
+    "eigenvalues_hermitian", "eigenvalues_symmetric", "idf_discrete",
+    "kesten_mckay", "law_table_csv", "moment_criterion_report",
     "orthogonality_check", "semicircle", "spectral_measure", "wasserstein_p",
 ]

@@ -1,4 +1,4 @@
-"""Closed-form reference laws on [-2, 2] and their quadrature machinery.
+"""Closed-form reference laws on [-2, 2].
 
 Three laws cover the limits that sparse regular graphs converge to:
 
@@ -6,18 +6,26 @@ Three laws cover the limits that sparse regular graphs converge to:
 * the arcsine law (the q = 1 member),
 * the semicircle law (the q -> infinity member).
 
-All quadrature substitutes x = 2 cos(theta), which removes the square-root
-endpoint behavior of every density, and then applies fixed Gauss-Legendre
-panels in the angle variable.  Inverse distribution functions come from
-bisection on the quadrature CDF (the arcsine law uses its closed form).
+Everything is elementary in the angle variable x = -2 cos(phi), phi in
+[0, pi] (Kesten 1959; McKay 1981).  The CDFs are
+
+* semicircle:    (phi - sin phi cos phi) / pi,
+* arcsine:       phi / pi,
+* Kesten-McKay:  phi / pi - (q - 1) / (2 pi) * atan2(sin 2phi, q - cos 2phi),
+
+the last being [(q+1) phi - (q-1) atan2((q+1) sin phi, (q-1) cos phi)] / (2 pi)
+with its two angles folded into one, so nothing cancels at large q.  The
+inverse CDF is safeguarded Newton on these CDFs, whose derivatives in the
+angle are the densities times 2 sin phi.  Moments are exact: in the basis X_r
+of ``nbspectra.chebyshev`` the law integrates X_r to q^{-r/2} for even r and
+to 0 for odd r, with q = 1 for the arcsine law and q = infinity (so
+delta_{r0}) for the semicircle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,33 +33,12 @@ from ..chebyshev import ExactPolynomial, eval_X_table
 from .measures import DiscreteSpectralMeasure
 
 IDF_TOL = 1e-10
-_LOCAL_GL = 16  # nodes for within-cell CDF refinement
+_ANGLE_TOL = IDF_TOL / 2.0  # |dx| = 2 sin(phi) |dphi| <= 2 |dphi|
+_NEWTON_MAX_STEPS = 100
 
 
 class LawError(ValueError):
     """Invalid law construction or query."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Fixed Gauss-Legendre quadrature in the angle variable."""
-
-    node_count: int = 4096
-    method: str = "gauss-legendre-2cos-theta"
-
-    def __post_init__(self):
-        if self.node_count < 64:
-            raise LawError(f"node_count must be at least 64, got {self.node_count}")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-@lru_cache(maxsize=32)
-def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 class ReferenceLaw:
@@ -70,7 +57,6 @@ class ReferenceLaw:
             raise LawError(f"{kind} law takes no q parameter")
         self.kind = kind
         self.q = float(q) if q is not None else None
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __repr__(self) -> str:
         return (f"ReferenceLaw({self.kind!r})" if self.q is None
@@ -102,7 +88,7 @@ class ReferenceLaw:
         return out if out.ndim else float(out)
 
     def _angle_weight(self, phi: np.ndarray) -> np.ndarray:
-        """density(-2 cos phi) * 2 sin phi: the CDF integrand in the angle."""
+        """density(-2 cos phi) * 2 sin phi: the derivative of the angle CDF."""
         s = np.sin(phi)
         if self.kind == "semicircle":
             return (2.0 / np.pi) * s * s
@@ -112,86 +98,82 @@ class ReferenceLaw:
         c = np.cos(phi)
         return (self.q + 1.0) * 2.0 * s * s / (np.pi * (s2 - 4.0 * c * c))
 
+    def _angle_cdf(self, phi: np.ndarray) -> np.ndarray:
+        """CDF at x = -2 cos phi, phi in [0, pi]."""
+        if self.kind == "semicircle":
+            return (phi - np.sin(phi) * np.cos(phi)) / np.pi
+        if self.kind == "arcsine":
+            return phi / np.pi
+        q = self.q
+        fold = np.arctan2(np.sin(2.0 * phi), q - np.cos(2.0 * phi))
+        return phi / np.pi - (q - 1.0) / (2.0 * np.pi) * fold
+
     # -- moments -----------------------------------------------------------
 
-    def moment_values(self, fn: Callable[[np.ndarray], np.ndarray],
-                      quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-        """Integral of fn against the law by angle-substituted Gauss-Legendre."""
-        nodes01, weights01 = _gl01(min(quad.node_count, 8192))
-        phi = np.pi * nodes01
-        x = -2.0 * np.cos(phi)
-        return float(np.dot(fn(x) * self._angle_weight(phi), weights01) * np.pi)
+    def _x_moments(self, r_max: int) -> np.ndarray:
+        """Integrals of X_0..X_{r_max} against the law."""
+        r = np.arange(r_max + 1)
+        if self.kind == "semicircle":
+            out = (r == 0).astype(np.float64)
+        else:
+            out = (self.q or 1.0) ** (-r / 2.0)  # the arcsine law has q = 1
+        out[1::2] = 0.0
+        return out
 
-    def moment(self, poly: ExactPolynomial,
-               quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-        return self.moment_values(poly.eval_float, quad)
+    def moment(self, poly: ExactPolynomial) -> float:
+        """Integral of ``poly`` against the law, via its exact X_r expansion.
+
+        x^k = sum_j [C(k, j) - C(k, j-1)] X_{k-2j} for 0 <= j <= k/2.
+        """
+        in_x = [Fraction(0)] * (poly.degree + 1)
+        for k, c in enumerate(poly.coeffs):
+            for j in range(k // 2 + 1):
+                lower = math.comb(k, j - 1) if j else 0
+                in_x[k - 2 * j] += c * (math.comb(k, j) - lower)
+        moments = self._x_moments(poly.degree)
+        return math.fsum(float(b) * m for b, m in zip(in_x, moments))
 
     # -- CDF / IDF ---------------------------------------------------------
 
-    def _table(self, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative CDF at the angle grid phi_j = j pi / M, M = node_count."""
-        m = quad.node_count
-        cached = self._tables.get(m)
-        if cached is not None:
-            return cached
-        phi_edges = np.linspace(0.0, np.pi, m + 1)
-        nodes01, weights01 = _gl01(_LOCAL_GL)
-        width = np.pi / m
-        inner = phi_edges[:-1, None] + width * nodes01[None, :]
-        cell = (self._angle_weight(inner) @ weights01) * width
-        table = np.concatenate(([0.0], np.cumsum(cell)))
-        self._tables[m] = (phi_edges, table)
-        return phi_edges, table
-
-    def cdf(self, x, quad: QuadratureConfig = DEFAULT_QUADRATURE):
-        if self.kind == "arcsine":
-            xs = np.clip(np.asarray(x, dtype=np.float64), -2.0, 2.0)
-            out = np.arccos(-xs / 2.0) / np.pi
-            return out if out.ndim else float(out)
+    def cdf(self, x):
         xs = np.asarray(x, dtype=np.float64)
-        phi_edges, table = self._table(quad)
-        m = quad.node_count
-        width = np.pi / m
-        phi = np.arccos(np.clip(-np.clip(xs, -2.0, 2.0) / 2.0, -1.0, 1.0))
-        out = self._cdf_from_angle(np.atleast_1d(phi), table, width)
-        out = np.where(np.asarray(xs) <= -2.0, 0.0, out)
-        out = np.where(np.asarray(xs) >= 2.0, table[-1], out)
-        return out if np.ndim(x) else float(out[0] if out.ndim else out)
+        out = self._angle_cdf(np.arccos(np.clip(-xs / 2.0, -1.0, 1.0)))
+        return out if out.ndim else float(out)
 
-    def _cdf_from_angle(self, phi: np.ndarray, table: np.ndarray, width: float) -> np.ndarray:
-        j = np.minimum((phi / width).astype(np.int64), table.size - 2)
-        lo = j * width
-        span = phi - lo
-        nodes01, weights01 = _gl01(_LOCAL_GL)
-        inner = lo[..., None] + span[..., None] * nodes01
-        local = (self._angle_weight(inner) @ weights01) * span
-        return table[j] + local
+    def idf(self, p):
+        """Inverse CDF to IDF_TOL in x, by safeguarded Newton in the angle.
 
-    def idf(self, p, quad: QuadratureConfig = DEFAULT_QUADRATURE):
-        """Inverse CDF by bisection on the quadrature CDF, to IDF_TOL in x."""
+        Each point solves F(phi) = min(p, 1 - p) on [0, pi/2]; the symmetry
+        idf(p) = -idf(1 - p) gives the upper half, where 1 - F would carry
+        too few digits for Newton to converge.
+        """
         ps = np.asarray(p, dtype=np.float64)
-        if np.any(ps <= 0.0) or np.any(ps >= 1.0):
+        if not np.all((ps > 0.0) & (ps < 1.0)):
             raise LawError("idf argument must lie strictly inside (0, 1)")
-        if self.kind == "arcsine":
-            out = -2.0 * np.cos(np.pi * ps)
-            return out if out.ndim else float(out)
-        flat = np.atleast_1d(ps)
-        phi_edges, table = self._table(quad)
-        width = np.pi / quad.node_count
-        clipped = np.minimum(flat, table[-1])
-        k = np.searchsorted(table, clipped)
-        k = np.clip(k, 1, table.size - 1)
-        lo = phi_edges[k - 1]
-        hi = phi_edges[k]
-        iters = max(1, int(math.ceil(math.log2(max(2.0 * width / IDF_TOL, 2.0)))))
-        for _ in range(iters):
-            mid = (lo + hi) / 2.0
-            val = self._cdf_from_angle(mid, table, width)
-            take_hi = val >= flat
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        out = -2.0 * np.cos((lo + hi) / 2.0)
-        return out if np.ndim(p) else float(out[0])
+        phi = self._angle_quantile(np.minimum(ps, 1.0 - ps).ravel())
+        out = np.sign(ps - 0.5) * 2.0 * np.cos(phi.reshape(ps.shape))
+        return out if out.ndim else float(out)
+
+    def _angle_quantile(self, m: np.ndarray) -> np.ndarray:
+        """Angles phi in (0, pi/2] with F(phi) = m, for m in (0, 1/2]."""
+        lo = np.zeros_like(m)
+        hi = np.full_like(m, np.pi / 2.0)
+        phi = np.pi * m  # the arcsine root
+        todo = np.arange(m.size)
+        for _ in range(_NEWTON_MAX_STEPS):
+            if not todo.size:
+                return phi
+            cur = phi[todo]
+            gap = self._angle_cdf(cur) - m[todo]
+            above = gap > 0.0
+            lo_t = np.where(above, lo[todo], cur)
+            hi_t = np.where(above, cur, hi[todo])
+            with np.errstate(divide="ignore"):  # the weight tends to 0 with phi
+                new = cur - gap / self._angle_weight(cur)
+            new = np.where((new < lo_t) | (new > hi_t), (lo_t + hi_t) / 2.0, new)
+            lo[todo], hi[todo], phi[todo] = lo_t, hi_t, new
+            todo = todo[np.abs(new - cur) > _ANGLE_TOL]
+        raise RuntimeError(f"{self!r}: IDF Newton iteration did not converge")
 
     def support(self) -> tuple[float, float]:
         return (-2.0, 2.0)
@@ -209,58 +191,37 @@ def semicircle() -> ReferenceLaw:
     return ReferenceLaw("semicircle")
 
 
-def law_density(law: ReferenceLaw, x):
-    return law.density(x)
-
-
-def law_cdf(law: ReferenceLaw, x, quad: QuadratureConfig = DEFAULT_QUADRATURE):
-    return law.cdf(x, quad)
-
-
-def law_idf(law: ReferenceLaw, p, quad: QuadratureConfig = DEFAULT_QUADRATURE):
-    return law.idf(p, quad)
-
-
-def law_moment(law: ReferenceLaw, poly: ExactPolynomial,
-               quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    return law.moment(poly, quad)
-
-
-def law_table_csv(law: ReferenceLaw, grid: np.ndarray,
-                  quad: QuadratureConfig = DEFAULT_QUADRATURE) -> str:
+def law_table_csv(law: ReferenceLaw, grid: np.ndarray) -> str:
     xs = np.asarray(grid, dtype=np.float64)
     dens = np.asarray(law.density(xs))
-    cdfs = np.atleast_1d(law.cdf(xs, quad))
+    cdfs = np.atleast_1d(law.cdf(xs))
     lines = ["x,density,cdf"]
     for x, d, c in zip(xs, dens, cdfs):
         lines.append(f"{format(x, '.17g')},{format(d, '.17g')},{format(c, '.17g')}")
     return "\n".join(lines) + "\n"
 
 
-def orthogonality_check(q: float, n_max: int,
-                        quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Max deviation of <X_{n,q}, X_{m,q}> under mu_q from {0, 1, 1 + 1/q}."""
+def orthogonality_check(q: float, n_max: int) -> float:
+    """Max deviation of <X_{n,q}, X_{m,q}> under mu_q from {0, 1, 1 + 1/q}.
+
+    Exact moments and X_n X_m = sum_{k <= min(n, m)} X_{n+m-2k} give the Gram
+    matrix of the X_r; X_{n,q} = X_n - X_{n-2} / q maps it to the family's.
+    """
     if not q > 1.0:
         raise LawError(f"orthogonality table needs q > 1, got {q}")
-    law = kesten_mckay(q)
-    nodes01, weights01 = _gl01(min(quad.node_count, 8192))
-    phi = np.pi * nodes01
-    x = -2.0 * np.cos(phi)
-    table = eval_X_table(n_max, x)
-    fam = table.copy()
-    if n_max >= 2:
-        fam[2:] = table[2:] - table[:-2] / q
-    weights = law._angle_weight(phi) * weights01 * np.pi
-    gram = (fam * weights) @ fam.T
-    expected = np.zeros_like(gram)
-    for n in range(n_max + 1):
-        expected[n, n] = 1.0 if n == 0 else 1.0 + 1.0 / q
+    moments = kesten_mckay(q)._x_moments(2 * n_max)
+    idx = np.arange(n_max + 1)
+    gram_x = np.array([[moments[n + m - 2 * np.arange(min(n, m) + 1)].sum()
+                        for m in idx] for n in idx])
+    to_family = np.eye(n_max + 1)
+    to_family[idx[2:], idx[:-2]] = -1.0 / q
+    gram = to_family @ gram_x @ to_family.T
+    expected = np.diag(np.where(idx == 0, 1.0, 1.0 + 1.0 / q))
     return float(np.abs(gram - expected).max())
 
 
 def moment_criterion_report(mu: DiscreteSpectralMeasure, target: ReferenceLaw,
-                            r_max: int,
-                            quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
+                            r_max: int) -> np.ndarray:
     """Residuals of the test statistics that certify convergence to ``target``.
 
     For a Kesten-McKay target the statistics are the X_{r,q} moments (these
@@ -283,17 +244,13 @@ def moment_criterion_report(mu: DiscreteSpectralMeasure, target: ReferenceLaw,
     else:
         qval = 1.0  # Y_r family; measure q only affects its own normalization
 
-    def family(xs: np.ndarray) -> np.ndarray:
-        table = eval_X_table(r_max, xs)
-        out = table.copy()
-        if r_max >= 2:
-            out[2:] = table[2:] - table[:-2] / qval
-        return out
-
-    mu_stats = family(mu.points).mean(axis=1)
-    nodes01, weights01 = _gl01(min(quad.node_count, 8192))
-    phi = np.pi * nodes01
-    x = -2.0 * np.cos(phi)
-    w = target._angle_weight(phi) * weights01 * np.pi
-    law_stats = family(x) @ w
-    return (mu_stats - law_stats)[1:]
+    table = eval_X_table(r_max, mu.points)
+    family = table.copy()
+    if r_max >= 2:
+        family[2:] = table[2:] - table[:-2] / qval
+    residuals = family.mean(axis=1)[1:]
+    # Every statistic integrates to 0 under its target law, except
+    # int Y_2 = int X_2 - int X_0 = -1 under the semicircle.
+    if target.kind == "semicircle" and r_max >= 2:
+        residuals[1] += 1.0
+    return residuals

@@ -5,10 +5,12 @@ inverse distribution functions, so the engine works entirely in quantile
 space:
 
 * discrete vs discrete: exact piecewise evaluation over merged breakpoints;
-* discrete vs law and law vs law: composite Gauss-Legendre panels between
-  breakpoints, split where the law IDF crosses an atom (the |.|^p kink) and
-  geometrically graded toward p = 0 and p = 1 where the IDF derivative of an
-  endpoint-vanishing density blows up;
+* discrete vs law and law vs law: composite 32-node Gauss-Legendre panels
+  between breakpoints, split where the law IDF crosses an atom (the |.|^p
+  kink, located with the closed-form law CDF) and geometrically graded toward
+  p = 0 and p = 1 where the IDF derivative of an endpoint-vanishing density
+  blows up; the law IDF at the nodes is the closed-form Newton solve of
+  ``laws``;
 * p = infinity: exact supremum over the step partition against the monotone
   law IDF, or a dense graded grid for two laws.
 """
@@ -16,10 +18,11 @@ space:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .laws import DEFAULT_QUADRATURE, QuadratureConfig, ReferenceLaw, _gl01
+from .laws import ReferenceLaw
 from .measures import DiscreteSpectralMeasure
 
 _PANEL_GL = 32
@@ -29,6 +32,13 @@ _GRADE_LEVELS = 16
 
 class WassersteinError(ValueError):
     """Invalid distance computation input."""
+
+
+@lru_cache(maxsize=4)
+def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def _validate_p(p) -> float:
@@ -71,46 +81,44 @@ def _discrete_discrete(a: DiscreteSpectralMeasure, b: DiscreteSpectralMeasure, p
     return float((np.sum(diff ** p * np.diff(edges))) ** (1.0 / p))
 
 
-def _discrete_law_edges(mu: DiscreteSpectralMeasure, law: ReferenceLaw,
-                        quad: QuadratureConfig) -> np.ndarray:
+def _discrete_law_edges(mu: DiscreteSpectralMeasure, law: ReferenceLaw) -> np.ndarray:
     m = mu.size
     splits = max(1, -(-_TARGET_PANELS // m))
     base = np.linspace(0.0, 1.0, m * splits + 1)
-    crossings = np.atleast_1d(law.cdf(mu.points, quad))
+    crossings = np.atleast_1d(law.cdf(mu.points))
     k = np.arange(m)
     inside = (crossings > k / m) & (crossings < (k + 1) / m)
     edges = np.unique(np.concatenate([base, crossings[inside]]))
     return _graded(edges)
 
 
-def _discrete_law(mu: DiscreteSpectralMeasure, law: ReferenceLaw, p,
-                  quad: QuadratureConfig):
+def _discrete_law(mu: DiscreteSpectralMeasure, law: ReferenceLaw, p):
     if p == math.inf:
         interior = np.arange(1, mu.size) / mu.size
-        inner = (np.atleast_1d(law.idf(interior, quad)) if interior.size
+        inner = (np.atleast_1d(law.idf(interior)) if interior.size
                  else np.empty(0))
         lo_end, hi_end = law.support()
         vals = np.concatenate(([lo_end], inner, [hi_end]))
         lo_cand = np.abs(vals[:-1] - mu.points)
         hi_cand = np.abs(vals[1:] - mu.points)
         return float(max(lo_cand.max(), hi_cand.max()))
-    edges = _discrete_law_edges(mu, law, quad)
-    return _panel_integral(lambda q_: np.asarray(law.idf(q_, quad)),
+    edges = _discrete_law_edges(mu, law)
+    return _panel_integral(lambda q_: np.asarray(law.idf(q_)),
                            lambda q_: np.asarray(mu.idf(q_)), p, edges)
 
 
-def _law_law(a: ReferenceLaw, b: ReferenceLaw, p, quad: QuadratureConfig):
+def _law_law(a: ReferenceLaw, b: ReferenceLaw, p):
     if p == math.inf:
         edges = _graded(np.linspace(0.0, 1.0, 4097))
         pts = (edges[:-1] + edges[1:]) / 2.0
-        diff = np.abs(np.asarray(a.idf(pts, quad)) - np.asarray(b.idf(pts, quad)))
+        diff = np.abs(np.asarray(a.idf(pts)) - np.asarray(b.idf(pts)))
         return float(diff.max())
     edges = _graded(np.linspace(0.0, 1.0, _TARGET_PANELS + 1))
-    return _panel_integral(lambda q_: np.asarray(a.idf(q_, quad)),
-                           lambda q_: np.asarray(b.idf(q_, quad)), p, edges)
+    return _panel_integral(lambda q_: np.asarray(a.idf(q_)),
+                           lambda q_: np.asarray(b.idf(q_)), p, edges)
 
 
-def wasserstein_p(a, b, p, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def wasserstein_p(a, b, p) -> float:
     """W_p distance between discrete measures and/or reference laws.
 
     ``p`` may be any real >= 1 or ``math.inf``.
@@ -126,7 +134,7 @@ def wasserstein_p(a, b, p, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float
     if a_disc and b_disc:
         return _discrete_discrete(a, b, p)
     if a_disc and b_law:
-        return _discrete_law(a, b, p, quad)
+        return _discrete_law(a, b, p)
     if a_law and b_disc:
-        return _discrete_law(b, a, p, quad)
-    return _law_law(a, b, p, quad)
+        return _discrete_law(b, a, p)
+    return _law_law(a, b, p)

@@ -118,6 +118,21 @@ def test_grow_parity_error_exit_code(capsys):
                  "--trials", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lift", "{k4}", "--N", "2", "--trials", "0"], "trials must be at least 1"),
+    (["grow", "--n", "16", "--schedule", "fixed", "--q", "2", "--trials", "0"],
+     "trials must be at least 1"),
+    (["census", "{k4}", "--rmax", "-1"], "r_max must be nonnegative"),
+    (["colored", "{k4}", "--rmax", "-1"], "r_max must be nonnegative"),
+    (["lift", "{k4}", "--N", "2", "--trials", "1", "--rmax", "0"],
+     "r_max must be at least 1"),
+])
+def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
+    argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_fold_one_lift_distance_is_deterministic_base_distance():
     from nbspectra.spectra import kesten_mckay, spectral_measure, wasserstein_p
     base = complete_graph(4)

@@ -1,0 +1,186 @@
+"""Independent oracles for the closed-form law engine.
+
+* CDFs, moments and the orthogonality Gram matrix against composite
+  Gauss-Legendre quadrature in the angle variable x = -2 cos(t), with the
+  angle weights written out here from the textbook densities;
+* the IDF against bisection on the CDF to machine precision;
+* W_1 to a law against int |F_mu - F| dx, whose pieces between atoms and
+  crossings are elementary.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Xrq, poly_Y
+from nbspectra.multigraph import complete_graph
+from nbspectra.random_models import RngStream, sample_lift
+from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, arcsine,
+                               kesten_mckay, orthogonality_check, semicircle,
+                               spectral_measure, wasserstein_p)
+from nbspectra.spectra.laws import IDF_TOL
+
+KM_Q = (1.5, 2.0, 3.0, 7.0, 50.0)
+LAWS = [semicircle(), arcsine()] + [kesten_mckay(q) for q in KM_Q]
+LAW_IDS = [repr(law) for law in LAWS]
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_PANELS = 256
+
+
+def angle_weight(law, t):
+    """density(-2 cos t) * 2 sin t, simplified by hand for each law."""
+    s, c = np.sin(t), np.cos(t)
+    if law.kind == "semicircle":
+        return 2.0 * s * s / np.pi
+    if law.kind == "arcsine":
+        return np.full_like(t, 1.0 / np.pi)
+    q = law.q
+    return 2.0 * q * (q + 1.0) * s * s / (np.pi * ((q + 1.0) ** 2 - 4.0 * q * c * c))
+
+
+def angle_integral(law, fn, upper):
+    """int_0^upper fn(-2 cos t) angle_weight(t) dt for each entry of ``upper``,
+    by 20-node Gauss-Legendre on 256 equal panels."""
+    upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
+    edges = np.linspace(0.0, 1.0, _PANELS + 1)
+    width = 1.0 / _PANELS
+    unit = (edges[:-1, None] + width * (_GL_NODES[None, :] + 1.0) / 2.0).ravel()
+    weights = np.tile(_GL_WEIGHTS * width / 2.0, _PANELS)
+    t = upper[:, None] * unit[None, :]
+    vals = fn(-2.0 * np.cos(t)) * angle_weight(law, t)
+    return (vals @ weights) * upper
+
+
+def bisect_idf(law, ps):
+    """Smallest x with cdf(x) >= p, by 200 bisection halvings of [-2, 2]."""
+    ps = np.asarray(ps, dtype=np.float64)
+    lo, hi = np.full_like(ps, -2.0), np.full_like(ps, 2.0)
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        up = np.asarray(law.cdf(mid)) >= ps
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_angle_weight_matches_density(law):
+    t = np.linspace(0.05, math.pi - 0.05, 41)
+    expect = np.asarray(law.density(-2.0 * np.cos(t))) * 2.0 * np.sin(t)
+    assert np.allclose(angle_weight(law, t), expect, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_cdf_matches_quadrature(law):
+    xs = np.concatenate([np.linspace(-2.0, 2.0, 201),
+                         [-2.0 + 1e-9, -1.999999, 1.999999, 2.0 - 1e-9]])
+    oracle = angle_integral(law, np.ones_like, np.arccos(-xs / 2.0))
+    assert np.abs(np.asarray(law.cdf(xs)) - oracle).max() <= 1e-13
+    assert law.cdf(-2.5) == 0.0 and law.cdf(2.5) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_moments_match_quadrature(law):
+    polys = ([ExactPolynomial((0,) * k + (1,)) for k in range(11)]
+             + [poly_X(r) for r in range(13)] + [poly_Y(r) for r in range(1, 9)]
+             + [poly_X(3) * poly_Y(5), ExactPolynomial((2, -1, 0, 3))])
+    for poly in polys:
+        oracle = float(angle_integral(law, poly.eval_float, math.pi)[0])
+        assert law.moment(poly) == pytest.approx(oracle, rel=1e-12, abs=1e-13), poly
+    assert law.moment(ExactPolynomial(())) == 0.0
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_orthogonality_gram_matches_quadrature(q):
+    law = kesten_mckay(float(q))
+    n_max = 8
+    family = [poly_Xrq(n, q) for n in range(n_max + 1)]
+    for n in range(n_max + 1):
+        for m in range(n, n_max + 1):
+            prod = family[n] * family[m]
+            oracle = float(angle_integral(law, prod.eval_float, math.pi)[0])
+            expect = (0.0 if n != m else 1.0 if n == 0 else 1.0 + 1.0 / q)
+            assert oracle == pytest.approx(expect, abs=1e-12), (n, m)
+            assert law.moment(prod) == pytest.approx(oracle, abs=1e-12), (n, m)
+    assert orthogonality_check(float(q), 12) <= 1e-13
+
+
+IDF_GRID = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 0.99, 99),
+                           [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]])
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_idf_matches_bisection_oracle(law):
+    got = np.asarray(law.idf(IDF_GRID))
+    assert np.abs(got - bisect_idf(law, IDF_GRID)).max() <= IDF_TOL
+    assert (np.diff(got) >= 0.0).all()
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_idf_is_exactly_antisymmetric(law):
+    ps = np.concatenate([np.arange(1, 1024) / 1024.0, [2.0 ** -40]])
+    assert np.array_equal(np.asarray(law.idf(ps)), -np.asarray(law.idf(1.0 - ps)))
+    assert law.idf(0.5) == 0.0
+
+
+def test_idf_scalar_and_invalid_input():
+    law = kesten_mckay(3.0)
+    assert isinstance(law.idf(0.3), float)
+    assert np.asarray(law.idf([[0.2, 0.7]])).shape == (1, 2)
+    for bad in (0.0, 1.0, -0.5, 1.5, math.nan, [0.5, 1.0]):
+        with pytest.raises(LawError):
+            law.idf(bad)
+
+
+def partial_mean(law, x):
+    """int_{-2}^x t dF(t): elementary in s = sin(phi), x = -2 cos(phi)."""
+    s = np.sin(np.arccos(np.clip(-np.asarray(x) / 2.0, -1.0, 1.0)))
+    if law.kind == "semicircle":
+        return -4.0 * s ** 3 / (3.0 * np.pi)
+    if law.kind == "arcsine":
+        return -2.0 * s / np.pi
+    q = law.q
+    root = math.sqrt(q)
+    return -(q + 1.0) / np.pi * (s - (q - 1.0) / (2.0 * root)
+                                 * np.arctan(2.0 * root * s / (q - 1.0)))
+
+
+def cdf_integral(law, x):
+    """int_{-inf}^x F(t) dt = x F(x) - int_{-2}^x t dF(t) on [-2, 2]."""
+    x = np.asarray(x, dtype=np.float64)
+    xc = np.clip(x, -2.0, 2.0)
+    return xc * np.asarray(law.cdf(xc)) - partial_mean(law, xc) + np.maximum(x - 2.0, 0.0)
+
+
+def w1_oracle(points, law):
+    """int |F_mu - F| dx, exact on each piece between atoms and crossings."""
+    atoms = np.sort(np.asarray(points, dtype=np.float64))
+    levels = np.arange(1, atoms.size) / atoms.size
+    knots = np.unique(np.concatenate([atoms, [-2.0, 2.0], bisect_idf(law, levels)]))
+    a, b = knots[:-1], knots[1:]
+    c = np.searchsorted(atoms, (a + b) / 2.0, side="right") / atoms.size
+    pieces = c * (b - a) - (cdf_integral(law, b) - cdf_integral(law, a))
+    return math.fsum(np.abs(pieces))
+
+
+def test_w1_oracle_closed_forms():
+    assert w1_oracle([0.0], semicircle()) == pytest.approx(8 / (3 * math.pi), abs=1e-14)
+    assert w1_oracle([0.0], arcsine()) == pytest.approx(4 / math.pi, abs=1e-14)
+    for law in LAWS:
+        assert cdf_integral(law, 2.0) == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_w1_matches_cdf_difference_oracle(law):
+    rng = np.random.default_rng(404)
+    measures = [rng.uniform(-2.5, 2.5, size=rng.integers(1, 40)) for _ in range(8)]
+    measures.append(rng.uniform(-1.0, 1.0, size=200))
+    if law.kind == "kesten-mckay" and law.q == 2.0:
+        _, lifted = sample_lift(complete_graph(4), 32, RngStream(8))
+        measures.append(spectral_measure(lifted).points)
+    for points in measures:
+        got = wasserstein_p(DiscreteSpectralMeasure(points), law, 1)
+        assert got == pytest.approx(w1_oracle(points, law), abs=1e-12)

@@ -64,6 +64,16 @@ def test_exact_dot_object_fallback_matches_small_case():
     assert exact[0, 0] == 3 * (2 ** 40) ** 2
 
 
+def test_exact_dot_bounds_negative_entries():
+    # max(a) = 1 and max(b) = 2^30 + 3 would admit float BLAS, but the
+    # product reaches -2^60, beyond the 2^53 range of exact float64 integers
+    a = np.array([[1, -(2 ** 30 + 1)]], dtype=np.int64)
+    b = np.array([[2 ** 30 + 3], [2 ** 30 + 1]], dtype=np.int64)
+    exact = exact_int_dot(a, b)
+    assert exact.dtype == object
+    assert exact[0, 0] == (2 ** 30 + 3) - (2 ** 30 + 1) ** 2
+
+
 # -- non-backtracking sequences ----------------------------------------------------
 
 def test_nb_sequence_base_relations(k4):

@@ -13,11 +13,10 @@ from nbspectra.multigraph import (build_from_edge_list, complete_graph,
 from nbspectra.nbmatrix import ColorAssignment, adjacency
 from nbspectra.random_models import RngStream, permutation_color, sample_lift
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
-                               QuadratureConfig, arcsine,
-                               colored_spectral_measure, cycle_spectral_measure,
-                               eigenvalues_hermitian, eigenvalues_symmetric,
-                               idf_discrete, kesten_mckay, law_cdf, law_density,
-                               law_idf, law_moment, law_table_csv,
+                               arcsine, colored_spectral_measure,
+                               cycle_spectral_measure, eigenvalues_hermitian,
+                               eigenvalues_symmetric, idf_discrete,
+                               kesten_mckay, law_table_csv,
                                moment_criterion_report, orthogonality_check,
                                semicircle, spectral_measure)
 from nbspectra.spectra.eigen import EigenError
@@ -177,10 +176,10 @@ def test_measure_csv():
 # -- reference laws -----------------------------------------------------------------
 
 def test_density_point_values():
-    assert law_density(semicircle(), 0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
-    assert law_density(arcsine(), 0.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
-    assert law_density(semicircle(), 2.5) == 0.0
-    assert law_density(kesten_mckay(3.0), -2.5) == 0.0
+    assert semicircle().density(0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert arcsine().density(0.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
+    assert semicircle().density(2.5) == 0.0
+    assert kesten_mckay(3.0).density(-2.5) == 0.0
 
 
 def test_kesten_mckay_requires_q_above_one():
@@ -194,7 +193,7 @@ def test_kesten_mckay_requires_q_above_one():
 def test_densities_integrate_to_one():
     laws = [semicircle(), arcsine()] + [kesten_mckay(q) for q in (2, 3, 5, 50)]
     for law in laws:
-        assert law_moment(law, ONE) == pytest.approx(1.0, abs=1e-10)
+        assert law.moment(ONE) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_density_gap_bound_to_semicircle():
@@ -205,19 +204,19 @@ def test_density_gap_bound_to_semicircle():
 
 
 def test_cdf_idf_basics():
-    assert law_cdf(semicircle(), 0.0) == pytest.approx(0.5, abs=1e-12)
-    assert law_idf(arcsine(), 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert law_idf(arcsine(), 1.0 / 3.0) == pytest.approx(-1.0, abs=1e-14)
+    assert semicircle().cdf(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert arcsine().idf(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert arcsine().idf(1.0 / 3.0) == pytest.approx(-1.0, abs=1e-14)
     with pytest.raises(LawError):
-        law_idf(semicircle(), 0.0)
+        semicircle().idf(0.0)
     with pytest.raises(LawError):
-        law_idf(semicircle(), 1.0)
+        semicircle().idf(1.0)
 
 
 def test_cdf_monotone_on_grid():
     xs = np.linspace(-2.2, 2.2, 10001)
     for law in (semicircle(), arcsine(), kesten_mckay(2.0), kesten_mckay(35.5)):
-        vals = np.atleast_1d(law_cdf(law, xs))
+        vals = np.atleast_1d(law.cdf(xs))
         assert (np.diff(vals) >= -1e-14).all()
         assert vals[0] == 0.0 and vals[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -225,8 +224,8 @@ def test_cdf_monotone_on_grid():
 def test_idf_cdf_identity():
     ps = np.linspace(0.01, 0.99, 99)
     for law in (semicircle(), kesten_mckay(3.0), arcsine()):
-        xs = np.atleast_1d(law_idf(law, ps))
-        back = np.atleast_1d(law_cdf(law, xs))
+        xs = np.atleast_1d(law.idf(ps))
+        back = np.atleast_1d(law.cdf(xs))
         assert np.abs(back - ps).max() <= 1e-8
 
 
@@ -234,49 +233,43 @@ def test_moments_of_x_family_under_km():
     for q in (2.0, 3.0, 5.0, 50.0):
         law = kesten_mckay(q)
         for r in range(13):
-            val = law_moment(law, poly_X(r))
+            val = law.moment(poly_X(r))
             expect = q ** (-r / 2.0) if r % 2 == 0 else 0.0
             assert val == pytest.approx(expect, abs=1e-8)
 
 
 def test_specific_moment_values():
-    assert law_moment(kesten_mckay(3.0), poly_X(4)) == pytest.approx(1 / 9, abs=1e-10)
+    assert kesten_mckay(3.0).moment(poly_X(4)) == pytest.approx(1 / 9, abs=1e-10)
     sc = semicircle()
     x2 = ExactPolynomial((0, 0, 1))
     x4 = ExactPolynomial((0, 0, 0, 0, 1))
-    assert law_moment(sc, x2) == pytest.approx(1.0, abs=1e-10)
-    assert law_moment(sc, x4) == pytest.approx(2.0, abs=1e-10)
-    assert law_moment(sc, poly_Y(2)) == pytest.approx(-1.0, abs=1e-10)
+    assert sc.moment(x2) == pytest.approx(1.0, abs=1e-10)
+    assert sc.moment(x4) == pytest.approx(2.0, abs=1e-10)
+    assert sc.moment(poly_Y(2)) == pytest.approx(-1.0, abs=1e-10)
     for r in range(9):
-        assert law_moment(sc, poly_X(r)) == pytest.approx(
+        assert sc.moment(poly_X(r)) == pytest.approx(
             1.0 if r == 0 else 0.0, abs=1e-10)
         if r >= 3:
-            assert law_moment(sc, poly_Y(r)) == pytest.approx(0.0, abs=1e-10)
+            assert sc.moment(poly_Y(r)) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_arcsine_y_moments_vanish():
     ar = arcsine()
     for r in range(1, 9):
-        assert law_moment(ar, poly_Y(r)) == pytest.approx(0.0, abs=1e-10)
+        assert ar.moment(poly_Y(r)) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_orthogonality_table():
     for q in (2.0, 3.0, 5.0):
         assert orthogonality_check(q, 10) <= 1e-8
-    assert law_moment(kesten_mckay(3.0), poly_Xrq(2, 3) * poly_Xrq(2, 3)) == \
+    assert kesten_mckay(3.0).moment(poly_Xrq(2, 3) * poly_Xrq(2, 3)) == \
         pytest.approx(4.0 / 3.0, abs=1e-8)
-    assert law_moment(kesten_mckay(2.0), poly_Xrq(0, 2) * poly_Xrq(5, 2)) == \
+    assert kesten_mckay(2.0).moment(poly_Xrq(0, 2) * poly_Xrq(5, 2)) == \
         pytest.approx(0.0, abs=1e-8)
-    assert law_moment(kesten_mckay(5.0), poly_Xrq(0, 5) * poly_Xrq(0, 5)) == \
+    assert kesten_mckay(5.0).moment(poly_Xrq(0, 5) * poly_Xrq(0, 5)) == \
         pytest.approx(1.0, abs=1e-8)
     with pytest.raises(LawError):
         orthogonality_check(1.0, 4)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(LawError):
-        QuadratureConfig(node_count=32)
-    assert QuadratureConfig(node_count=128).node_count == 128
 
 
 def test_law_table_csv():
