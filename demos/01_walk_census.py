@@ -4,10 +4,9 @@ Builds a few named graphs, runs the exact census, and shows the combinatorial
 identities tying the three counts together on regular graphs.
 """
 
-from nbspectra.multigraph import (build_from_edge_list, census_to_csv,
-                                  complete_graph, count_closed_nbw_brute,
-                                  cycle_graph, girth, petersen_graph,
-                                  walk_census)
+from nbspectra.multigraph import (brute_walk_counts, build_from_edge_list,
+                                  census_to_csv, complete_graph, cycle_graph,
+                                  girth, petersen_graph, walk_census)
 
 for name, g in [("K4", complete_graph(4)), ("C4", cycle_graph(4)),
                 ("Petersen", petersen_graph())]:
@@ -19,7 +18,7 @@ for name, g in [("K4", complete_graph(4)), ("C4", cycle_graph(4)),
     print(f"identities exact for r <= 8: {ok}\n")
 
 print("brute-force cross-check on C4: f_4 =",
-      count_closed_nbw_brute(cycle_graph(4), 4), "(census:",
+      brute_walk_counts(cycle_graph(4), 4)[0][4], "(census:",
       walk_census(cycle_graph(4), 4).f[4], ")")
 
 loop = build_from_edge_list([(0, 0)], 1)

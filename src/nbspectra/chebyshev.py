@@ -122,32 +122,15 @@ def poly_Xrq(r: int, q: RationalLike) -> ExactPolynomial:
 
 def poly_Y(r: int) -> ExactPolynomial:
     """Y_r = X_r - X_{r-2} (the q = 1 member of the X_{r,q} family)."""
-    return poly_X(r) - poly_X(r - 2)
-
-
-def eval_X_stable(r: int, x) -> np.ndarray | float:
-    """Evaluate X_r(x) by the forward three-term recurrence.
-
-    Accepts scalars or arrays.  On [-2, 2] the values satisfy |X_r| <= r + 1,
-    so the recurrence does not amplify rounding the way the binomial sum does.
-    """
-    xs = np.asarray(x, dtype=np.float64)
-    if r < 0:
-        out = np.zeros_like(xs)
-        return out if out.ndim else 0.0
-    prev = np.ones_like(xs)
-    if r == 0:
-        return prev if prev.ndim else 1.0
-    cur = xs.copy()
-    for _ in range(r - 1):
-        prev, cur = cur, xs * cur - prev
-    return cur if cur.ndim else float(cur)
+    return poly_Xrq(r, 1)
 
 
 def eval_X_table(r_max: int, x) -> np.ndarray:
-    """Stacked values X_0(x)..X_{r_max}(x) via one recurrence pass.
+    """Stacked values X_0(x)..X_{r_max}(x) via one forward recurrence pass.
 
-    Returns an array of shape (r_max + 1,) + shape(x).
+    Returns an array of shape (r_max + 1,) + shape(x).  On [-2, 2] the values
+    satisfy |X_r| <= r + 1, so the recurrence does not amplify rounding the
+    way the explicit binomial sum does.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty((r_max + 1,) + xs.shape)
@@ -159,17 +142,15 @@ def eval_X_table(r_max: int, x) -> np.ndarray:
     return out
 
 
-def eval_Xrq_stable(r: int, q: float, x) -> np.ndarray | float:
-    """X_{r,q}(x) = X_r(x) - X_{r-2}(x)/q via the stable recurrence."""
-    if q <= 0:
-        raise PolynomialError(f"branching parameter q must be positive, got {q}")
-    val = eval_X_stable(r, x) - np.asarray(eval_X_stable(r - 2, x)) / q
-    return val if np.ndim(val) else float(val)
+def xrq_from_x(table: np.ndarray, q: float) -> np.ndarray:
+    """Map a stacked table of X_r values to X_{r,q} = X_r - X_{r-2} / q.
 
-
-def eval_Y_stable(r: int, x) -> np.ndarray | float:
-    val = np.asarray(eval_X_stable(r, x)) - np.asarray(eval_X_stable(r - 2, x))
-    return val if np.ndim(val) else float(val)
+    ``table[r]`` holds X_r at any stack of points, traces or matrices, for
+    r = 0..r_max; the result has the same shape (q = 1 gives Y_r).
+    """
+    family = np.array(table)
+    family[2:] -= table[:-2] / q
+    return family
 
 
 def generating_function_residual(r_max: int, x: float, t: float, q: RationalLike) -> float:
@@ -185,12 +166,10 @@ def generating_function_residual(r_max: int, x: float, t: float, q: RationalLike
         raise PolynomialError(f"|t| must be below 1/3, got {t}")
     if abs(x) > 2.0:
         raise PolynomialError(f"|x| must be at most 2, got {x}")
-    xvals = eval_X_table(r_max, np.array([x]))[:, 0]
     partial = 0.0
     tpow = 1.0
-    for r in range(r_max + 1):
-        xr2 = xvals[r - 2] if r >= 2 else 0.0
-        partial += (xvals[r] - xr2 / qf) * tpow
+    for value in xrq_from_x(eval_X_table(r_max, x)[:, 0], qf):
+        partial += value * tpow
         tpow *= t
     closed = (1.0 - t * t / qf) / (1.0 - x * t + t * t)
     return abs(partial - closed)

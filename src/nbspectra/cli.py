@@ -25,18 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chebyshev import eval_X_table
-from .multigraph import (GraphError, MultiGraph, census_to_csv,
-                         enumerate_circles, girth, load_graph_file,
-                         regular_degree, walk_census)
+from .multigraph import (MultiGraph, census_to_csv, enumerate_circles, girth,
+                         load_graph_file, regular_degree, walk_census)
 from .nbmatrix import ColorAssignment
-from .random_models import (RngStream, SamplerError, haar_unitary_color,
-                            permutation_color, sample_lift,
-                            sample_regular_graph)
-from .spectra import (DiscreteSpectralMeasure, ReferenceLaw, arcsine,
-                      colored_spectral_measure, cycle_spectral_measure,
-                      kesten_mckay, moment_criterion_report, semicircle,
-                      spectral_measure, wasserstein_p)
+from .random_models import (RngStream, haar_unitary_color, permutation_color,
+                            sample_lift, sample_regular_graph)
+from .spectra import (ReferenceLaw, arcsine, colored_spectral_measure,
+                      cycle_spectral_measure, kesten_mckay,
+                      moment_criterion_report, semicircle, spectral_measure,
+                      wasserstein_p)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -124,15 +121,6 @@ def _require_trials(trials: int) -> None:
 
 def _target_law(q: int) -> ReferenceLaw:
     return kesten_mckay(float(q)) if q >= 2 else arcsine()
-
-
-def _y_moments(mu: DiscreteSpectralMeasure, r_max: int) -> np.ndarray:
-    """Integrals of Y_1..Y_{r_max} against a discrete measure."""
-    table = eval_X_table(r_max, mu.points)
-    fam = table.copy()
-    if r_max >= 2:
-        fam[2:] = table[2:] - table[:-2]
-    return fam.mean(axis=-1)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +217,8 @@ def run_lift(args) -> int:
 # growing degree
 
 def schedule_branching(tag: str, n: int, q_fixed: int | None) -> int:
+    if n < 1:
+        raise CliInputError(f"vertex count n must be at least 1, got {n}")
     if tag == "log":
         return min(7, max(1, int(math.log2(n))))
     if tag == "loglog":
@@ -245,6 +235,8 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
     if len(n_ladder) != len(q_ladder):
         raise CliInputError("n ladder and q ladder must have equal length")
     _require_trials(trials)
+    if r_max < 0:
+        raise CliInputError(f"r_max must be nonnegative, got {r_max}")
     target = semicircle()
     root = RngStream(seed)
     distance_rows, circuit_rows = [], []
@@ -267,7 +259,7 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
             mu = spectral_measure(g)
             for p in p_list:
                 dists[p].append(wasserstein_p(mu, target, p))
-            y = _y_moments(mu, r_max)
+            y = mu.family_moments(r_max, 1.0)[1:]
             for r in range(1, r_max + 1):
                 corr = (q - 1) * q ** (-r / 2.0) if (r % 2 == 0 and r >= 2) else 0.0
                 stats[trial, r - 1] = y[r - 1] + corr
@@ -357,6 +349,8 @@ def colored_experiment(base: MultiGraph, kind: str, fold: int, seed: int,
     degree = regular_degree(base)
     if degree is None or degree < 2:
         raise CliInputError("colored experiment needs a regular base of degree >= 2")
+    if fold < 1:
+        raise CliInputError(f"block dimension N must be at least 1, got {fold}")
     q = degree - 1
     target = _target_law(q)
     stream = RngStream(seed).child(fold).child(0)
@@ -401,13 +395,23 @@ def run_colored(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _AppendOrDefault(argparse.Action):
+    """``append`` whose first use replaces the default list instead of
+    extending it, so ``--N 2`` means the ladder [2]."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        current = getattr(namespace, self.dest)
+        items = [] if current is self.default else current
+        setattr(namespace, self.dest, items + [values])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbspectra",
         description="Walk censuses and spectral-measure convergence experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, trials=None, rmax=None, plist=False):
+    def common(p, seed=True, trials=None, rmax=None, plist=None):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed:
@@ -416,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=trials)
         if rmax is not None:
             p.add_argument("--rmax", type=int, default=rmax)
-        if plist:
-            p.add_argument("--p", type=float, action="append",
-                           help="Wasserstein order (repeatable)")
+        if plist is not None:
+            p.add_argument("--p", type=float, action=_AppendOrDefault,
+                           default=plist, help="Wasserstein order (repeatable)")
 
     p = sub.add_parser("census", help="exact walk census + identity checks")
     p.add_argument("graph")
@@ -429,52 +433,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="random N-lift convergence to Kesten-McKay")
     p.add_argument("graph")
-    p.add_argument("--N", type=int, action="append", help="fold (repeatable)")
-    common(p, trials=50, rmax=6, plist=True)
-    p.set_defaults(func=run_lift, default_N=[2, 8, 32, 128], default_p=[1.0, 2.0])
+    p.add_argument("--N", type=int, action=_AppendOrDefault,
+                   default=[2, 8, 32, 128], help="fold (repeatable)")
+    common(p, trials=50, rmax=6, plist=[1.0, 2.0])
+    p.set_defaults(func=run_lift)
 
     p = sub.add_parser("grow", help="growing-degree convergence to semicircle")
-    p.add_argument("--n", type=int, action="append", help="vertex count (repeatable)")
+    p.add_argument("--n", type=int, action=_AppendOrDefault,
+                   default=[64, 256, 1024], help="vertex count (repeatable)")
     p.add_argument("--schedule", choices=("log", "loglog", "fixed"), default="log")
     p.add_argument("--q", type=int, default=None, help="branching for fixed schedule")
-    common(p, trials=30, rmax=4, plist=True)
-    p.set_defaults(func=run_grow, default_n=[64, 256, 1024], default_p=[2.0])
+    common(p, trials=30, rmax=4, plist=[2.0])
+    p.set_defaults(func=run_grow)
 
     p = sub.add_parser("laws", help="closed-form law comparisons")
-    p.add_argument("--q", type=float, action="append", help="branching (repeatable)")
-    p.add_argument("--m", type=int, action="append", help="cycle size (repeatable)")
+    p.add_argument("--q", type=float, action=_AppendOrDefault,
+                   default=[5.0, 10.0, 50.0, 200.0], help="branching (repeatable)")
+    p.add_argument("--m", type=int, action=_AppendOrDefault,
+                   default=[10, 53, 200], help="cycle size (repeatable)")
     common(p, seed=False)
-    p.set_defaults(func=run_laws, default_q=[5.0, 10.0, 50.0, 200.0],
-                   default_m=[10, 53, 200])
+    p.set_defaults(func=run_laws)
 
     p = sub.add_parser("colored", help="colored spectral measure distances")
     p.add_argument("graph")
     p.add_argument("--color", choices=("trivial", "permutation", "haar"),
                    default="permutation")
     p.add_argument("--N", type=int, default=2, help="block dimension / fold")
-    common(p, rmax=6, plist=True)
-    p.set_defaults(func=run_colored, default_p=[1.0, 2.0])
+    common(p, rmax=6, plist=[1.0, 2.0])
+    p.set_defaults(func=run_colored)
 
     return parser
-
-
-def _apply_defaults(args) -> None:
-    if hasattr(args, "default_N") and not getattr(args, "N", None):
-        args.N = args.default_N
-    if hasattr(args, "default_n") and not getattr(args, "n", None):
-        args.n = args.default_n
-    if hasattr(args, "default_q") and not getattr(args, "q", None):
-        args.q = args.default_q
-    if hasattr(args, "default_m") and not getattr(args, "m", None):
-        args.m = args.default_m
-    if hasattr(args, "default_p") and getattr(args, "p", None) is None:
-        args.p = args.default_p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_defaults(args)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# Caps for the brute-force enumeration oracles.
+# Caps for the brute-force walk oracle and the circle enumeration.
 BRUTE_R_CAP = 14
 BRUTE_VERTEX_CAP = 64
 
@@ -42,7 +42,7 @@ class CapExceededError(GraphError):
     """Brute-force enumeration request above the safety caps."""
 
 
-class CensusInvariantError(GraphError):
+class CensusInvariantError(RuntimeError):
     """A census failed one of its combinatorial identities (internal bug trap)."""
 
 
@@ -265,53 +265,7 @@ def girth(g: MultiGraph):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles (exhaustive dart enumeration)
-
-def _check_brute_caps(g: MultiGraph, r: int) -> None:
-    if r < 0:
-        raise GraphError("walk length must be nonnegative")
-    if r > BRUTE_R_CAP:
-        raise CapExceededError(f"brute-force length {r} above cap {BRUTE_R_CAP}")
-    if g.n_vertices > BRUTE_VERTEX_CAP:
-        raise CapExceededError(
-            f"brute-force enumeration capped at {BRUTE_VERTEX_CAP} vertices, got {g.n_vertices}")
-
-
-def _count_closed_dfs(g: MultiGraph, r: int, circuits: bool) -> int:
-    nxt_flat, nxt_off = g._nbw_csr
-    head = g.head
-    origin = g.origin
-    total = 0
-    for d0 in range(g.n_darts):
-        target = origin[d0]
-        forbidden_last = d0 ^ 1 if circuits else -1
-        stack = [(d0, 1)]
-        while stack:
-            d, depth = stack.pop()
-            if depth == r:
-                if head[d] == target and d != forbidden_last:
-                    total += 1
-                continue
-            for d2 in nxt_flat[nxt_off[d]:nxt_off[d + 1]]:
-                stack.append((int(d2), depth + 1))
-    return total
-
-
-def count_closed_nbw_brute(g: MultiGraph, r: int) -> int:
-    """Exact number of closed NBWs of length r by depth-first dart enumeration."""
-    _check_brute_caps(g, r)
-    if r == 0:
-        return g.n_vertices
-    return _count_closed_dfs(g, r, circuits=False)
-
-
-def count_circuits_brute(g: MultiGraph, r: int) -> int:
-    """Exact circuit count of length r (closed NBW with non-backtracking closure)."""
-    _check_brute_caps(g, r)
-    if r == 0:
-        return 0
-    return _count_closed_dfs(g, r, circuits=True)
-
+# brute-force oracle (exhaustive dart enumeration)
 
 def _expand_csr(flat: np.ndarray, off: np.ndarray, cur: np.ndarray):
     """Gather flat[off[c]:off[c+1]] for every c in cur; also return repeat counts."""
@@ -326,12 +280,20 @@ def _expand_csr(flat: np.ndarray, off: np.ndarray, cur: np.ndarray):
 
 
 def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
-    """Exact (f, c) for r = 0..r_max by layered exhaustive dart-path enumeration.
+    """Exact (f, c) for r = 0..r_max by exhaustive dart-path enumeration.
 
-    Same enumeration tree as the recursive oracle, materialized level by level
-    so large sweeps stay fast; independent of the matrix census path.
+    f_r counts closed non-backtracking walks of length r, c_r those whose
+    closing step does not backtrack either (circuits).  Paths are materialized
+    level by level so large sweeps stay fast; the oracle is independent of the
+    matrix census path.
     """
-    _check_brute_caps(g, r_max)
+    if r_max < 0:
+        raise GraphError("walk length must be nonnegative")
+    if r_max > BRUTE_R_CAP:
+        raise CapExceededError(f"brute-force length {r_max} above cap {BRUTE_R_CAP}")
+    if g.n_vertices > BRUTE_VERTEX_CAP:
+        raise CapExceededError(
+            f"brute-force enumeration capped at {BRUTE_VERTEX_CAP} vertices, got {g.n_vertices}")
     f = [0] * (r_max + 1)
     c = [0] * (r_max + 1)
     f[0] = g.n_vertices

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .chebyshev import xrq_from_x
 from .multigraph import MultiGraph, _require_regular
 
 _FLOAT_EXACT_LIMIT = 2 ** 53
@@ -22,12 +23,13 @@ UNITARY_TOL = 1e-12
 COLOR_IDENTITY_TOL = 1e-8
 
 
-class MatrixError(ValueError):
-    """Invalid matrix-level operation input."""
-
-
 class ColorError(ValueError):
     """Invalid unitary color assignment."""
+
+
+class ColorInvariantError(RuntimeError):
+    """A colored matrix broke an identity its construction guarantees
+    (internal bug trap)."""
 
 
 def exact_int_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,24 +57,24 @@ def adjacency(g: MultiGraph) -> np.ndarray:
     return a
 
 
-def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
-    """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph.
-
-    A_0 = I, A_1 = A, A_2 = A^2 - (q+1) I, and
-    A_r = A_{r-1} A - q A_{r-2} for r >= 3.
-    """
-    d = _require_regular(g)
-    q = d - 1
-    n = g.n_vertices
-    a = adjacency(g)
-    seq = [np.eye(n, dtype=np.int64)]
+def _nb_recurrence(a: np.ndarray, q: int, r_max: int, dot) -> list[np.ndarray]:
+    """A_0..A_{r_max} from A_0 = I, A_1 = A, A_2 = A^2 - (q+1) I and
+    A_r = A_{r-1} A - q A_{r-2} for r >= 3, with products taken by ``dot``."""
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    seq = [eye]
     if r_max >= 1:
         seq.append(a.copy())
     if r_max >= 2:
-        seq.append(exact_int_dot(a, a) - (q + 1) * np.eye(n, dtype=np.int64))
+        seq.append(dot(a, a) - (q + 1) * eye)
     for _ in range(3, r_max + 1):
-        seq.append(exact_int_dot(seq[-1], a) - q * seq[-2])
+        seq.append(dot(seq[-1], a) - q * seq[-2])
     return seq
+
+
+def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
+    """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph."""
+    d = _require_regular(g)
+    return _nb_recurrence(adjacency(g), d - 1, r_max, exact_int_dot)
 
 
 def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
@@ -103,35 +105,37 @@ def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
     return c
 
 
-def _chebyshev_matrix_table(m: np.ndarray, r_max: int) -> list[np.ndarray]:
-    """Float X_0(M)..X_{r_max}(M) via the matrix three-term recurrence."""
-    n = m.shape[0]
-    table = [np.eye(n)]
+def _chebyshev_matrix_table(m: np.ndarray, r_max: int) -> np.ndarray:
+    """Stacked float X_0(M)..X_{r_max}(M) via the matrix three-term recurrence."""
+    table = np.empty((r_max + 1,) + m.shape, dtype=m.dtype)
+    table[0] = np.eye(m.shape[0])
     if r_max >= 1:
-        table.append(m.copy())
-    for _ in range(2, r_max + 1):
-        table.append(m @ table[-1] - table[-2])
+        table[1] = m
+    for r in range(2, r_max + 1):
+        table[r] = m @ table[r - 1] - table[r - 2]
     return table
 
 
-def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:
-    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over r <= r_max.
+def _friedman_deviation(a: np.ndarray, q: int, seq: list[np.ndarray]) -> float:
+    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over the sequence.
 
     The left side is evaluated in floating point through the polynomial
-    recurrence; the right side is the exact integer matrix.
+    recurrence; the right side is the sequence built by ``_nb_recurrence``.
     """
-    d = _require_regular(g)
-    q = d - 1
-    exact = nb_matrix_sequence(g, r_max)
-    m = adjacency(g).astype(np.float64) / math.sqrt(q)
-    table = _chebyshev_matrix_table(m, r_max)
+    family = xrq_from_x(_chebyshev_matrix_table(a / math.sqrt(q), len(seq) - 1), q)
     worst = 0.0
-    for r in range(r_max + 1):
-        poly = table[r] - table[r - 2] / q if r >= 2 else table[r]
-        approx = q ** (r / 2.0) * poly
-        dev = float(np.abs(approx - exact[r].astype(np.float64)).max())
+    for r, exact in enumerate(seq):
+        approx = q ** (r / 2.0) * family[r]
+        dev = float(np.abs(approx - np.asarray(exact, dtype=family.dtype)).max())
         worst = max(worst, dev)
     return worst
+
+
+def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:
+    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over r <= r_max,
+    against the exact integer matrices A_r."""
+    q = _require_regular(g) - 1
+    return _friedman_deviation(adjacency(g), q, nb_matrix_sequence(g, r_max))
 
 
 @dataclass(frozen=True)
@@ -160,18 +164,19 @@ def trace_identities_report(g: MultiGraph, r_max: int,
     if census is None or census.r_max < r_max:
         census = walk_census(g, r_max)
     m = adjacency(g).astype(np.float64) / math.sqrt(q)
-    traces = [float(np.trace(t)) for t in _chebyshev_matrix_table(m, r_max)]
+    traces = np.trace(_chebyshev_matrix_table(m, r_max), axis1=1, axis2=2)
+    t_xrq = xrq_from_x(traces, q)
+    t_y = xrq_from_x(traces, 1.0)
 
     dev_nbw, dev_geo, dev_circ = [], [], []
     for r in range(r_max + 1):
-        t_xrq = traces[r] - traces[r - 2] / q if r >= 2 else traces[r]
-        dev_nbw.append(abs(t_xrq - q ** (-r / 2.0) * census.f[r]))
+        scale = q ** (-r / 2.0)
+        dev_nbw.append(abs(t_xrq[r] - scale * census.f[r]))
         approx_sum = sum(census.f[r - 2 * k] for k in range(r // 2 + 1))
-        dev_geo.append(abs(traces[r] - q ** (-r / 2.0) * approx_sum))
+        dev_geo.append(abs(traces[r] - scale * approx_sum))
         if r >= 1:
-            t_y = traces[r] - (traces[r - 2] if r >= 2 else 0.0)
-            correction = (q - 1) * q ** (-r / 2.0) * n if (r % 2 == 0 and r >= 2) else 0.0
-            dev_circ.append(abs(t_y - (q ** (-r / 2.0) * census.c[r] - correction)))
+            correction = (q - 1) * scale * n if (r % 2 == 0 and r >= 2) else 0.0
+            dev_circ.append(abs(t_y[r] - (scale * census.c[r] - correction)))
     return TraceIdentityReport(r_max=r_max, q=q, dev_nbw=tuple(dev_nbw),
                                dev_geometric=tuple(dev_geo), dev_circuit=tuple(dev_circ))
 
@@ -226,7 +231,7 @@ def colored_adjacency(g: MultiGraph, color: ColorAssignment) -> np.ndarray:
         out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += color.sigma(dart)
     dev = float(np.abs(out - out.conj().T).max())
     if dev > HERMITIAN_TOL:
-        raise ColorError(f"colored adjacency deviates from Hermitian by {dev:.3e}")
+        raise ColorInvariantError(f"colored adjacency deviates from Hermitian by {dev:.3e}")
     return (out + out.conj().T) / 2.0
 
 
@@ -235,57 +240,14 @@ def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int,
     """Colored non-backtracking matrices A_r^sigma with the polynomial check.
 
     Returns (sequence, max polynomial deviation).  The sequence follows the
-    colored recurrence A_2^s = (A^s)^2 - (q+1) I and
-    A_r^s = A_{r-1}^s A^s - q A_{r-2}^s; each term is compared against
-    q^{r/2} X_{r,q}(A^s / sqrt(q)) and the run rejects past ``identity_tol``.
+    non-backtracking recurrence on the colored adjacency A^s; each term is
+    compared against q^{r/2} X_{r,q}(A^s / sqrt(q)) and the run rejects past
+    ``identity_tol``.
     """
-    d = _require_regular(g)
-    q = d - 1
+    q = _require_regular(g) - 1
     a_sigma = colored_adjacency(g, color)
-    size = a_sigma.shape[0]
-    eye = np.eye(size, dtype=np.complex128)
-    seq = [eye.copy()]
-    if r_max >= 1:
-        seq.append(a_sigma.copy())
-    if r_max >= 2:
-        seq.append(a_sigma @ a_sigma - (q + 1) * eye)
-    for _ in range(3, r_max + 1):
-        seq.append(seq[-1] @ a_sigma - q * seq[-2])
-
-    m = a_sigma / math.sqrt(q)
-    table = _chebyshev_matrix_table(m, r_max)
-    worst = 0.0
-    for r in range(r_max + 1):
-        poly = table[r] - table[r - 2] / q if r >= 2 else table[r]
-        dev = float(np.abs(q ** (r / 2.0) * poly - seq[r]).max())
-        worst = max(worst, dev)
+    seq = _nb_recurrence(a_sigma, q, r_max, np.matmul)
+    worst = _friedman_deviation(a_sigma, q, seq)
     if worst > identity_tol:
-        raise ColorError(f"colored polynomial identity deviates by {worst:.3e}")
+        raise ColorInvariantError(f"colored polynomial identity deviates by {worst:.3e}")
     return seq, worst
-
-
-# ---------------------------------------------------------------------------
-# debug fixture format: order on the first line, then row-major entries
-
-def dump_matrix(m: np.ndarray) -> str:
-    arr = np.asarray(m)
-    lines = [str(arr.shape[0])]
-    if np.iscomplexobj(arr):
-        entries = [f"{float(v.real)!r},{float(v.imag)!r}" for v in arr.ravel()]
-    else:
-        entries = [repr(float(v)) for v in arr.astype(np.float64).ravel()]
-    lines.extend(entries)
-    return "\n".join(lines) + "\n"
-
-
-def load_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    order = int(lines[0])
-    vals = lines[1:]
-    if len(vals) != order * order:
-        raise MatrixError(f"expected {order * order} entries, found {len(vals)}")
-    if vals and "," in vals[0]:
-        data = [complex(float(a), float(b)) for a, b in
-                (v.split(",") for v in vals)]
-        return np.array(data, dtype=np.complex128).reshape(order, order)
-    return np.array([float(v) for v in vals]).reshape(order, order)

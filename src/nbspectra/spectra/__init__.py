@@ -1,20 +1,19 @@
-"""Spectral measures, closed-form reference laws, and Wasserstein distances."""
+"""Eigensolvers, spectral measures, closed-form reference laws, and Wasserstein
+distances."""
 
-from .eigen import (DegeneracyError, EigenError, eigenvalues_hermitian,
-                    eigenvalues_symmetric)
+from .eigen import EigenError, eigenvalues_hermitian, eigenvalues_symmetric
 from .laws import (LawError, ReferenceLaw, arcsine, kesten_mckay,
                    law_table_csv, moment_criterion_report, orthogonality_check,
                    semicircle)
 from .measures import (DiscreteSpectralMeasure, MeasureError,
                        colored_spectral_measure, cycle_spectral_measure,
-                       idf_discrete, spectral_measure)
+                       spectral_measure)
 from .wasserstein import WassersteinError, wasserstein_p
 
 __all__ = [
-    "DegeneracyError", "DiscreteSpectralMeasure", "EigenError", "LawError",
-    "MeasureError", "ReferenceLaw", "WassersteinError", "arcsine",
-    "colored_spectral_measure", "cycle_spectral_measure",
-    "eigenvalues_hermitian", "eigenvalues_symmetric", "idf_discrete",
+    "DiscreteSpectralMeasure", "EigenError", "LawError", "MeasureError",
+    "ReferenceLaw", "WassersteinError", "arcsine", "colored_spectral_measure",
+    "cycle_spectral_measure", "eigenvalues_hermitian", "eigenvalues_symmetric",
     "kesten_mckay", "law_table_csv", "moment_criterion_report",
     "orthogonality_check", "semicircle", "spectral_measure", "wasserstein_p",
 ]

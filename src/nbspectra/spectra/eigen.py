@@ -6,15 +6,10 @@ import numpy as np
 
 SYMMETRY_RTOL = 1e-10
 HERMITIAN_ATOL = 1e-10
-PAIRING_TOL = 1e-7
 
 
 class EigenError(ValueError):
     """Invalid eigensolver input."""
-
-
-class DegeneracyError(EigenError):
-    """Doubled-spectrum pairing failed beyond the allowed tolerance."""
 
 
 def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
@@ -30,24 +25,11 @@ def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues_hermitian(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix via the real 2N embedding.
-
-    For H = X + iY the real symmetric matrix [[X, -Y], [Y, X]] carries the
-    spectrum of H with every eigenvalue doubled; sorted pairs are averaged and
-    the call rejects if any pair splits by more than ``PAIRING_TOL``.
-    """
+    """All eigenvalues of a complex Hermitian matrix, ascending with multiplicity."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise EigenError(f"expected a square matrix, got shape {h.shape}")
     dev = float(np.abs(h - h.conj().T).max(initial=0.0))
     if dev > HERMITIAN_ATOL:
         raise EigenError(f"matrix deviates from Hermitian by {dev:.3e}")
-    x, y = h.real, h.imag
-    embedded = np.block([[x, -y], [y, x]])
-    doubled = eigenvalues_symmetric(embedded)
-    first, second = doubled[0::2], doubled[1::2]
-    split = float(np.abs(first - second).max(initial=0.0))
-    if split > PAIRING_TOL:
-        raise DegeneracyError(
-            f"doubled-spectrum pairing split {split:.3e} exceeds {PAIRING_TOL:g}")
-    return (first + second) / 2.0
+    return np.linalg.eigvalsh(h)

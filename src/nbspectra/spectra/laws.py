@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..chebyshev import ExactPolynomial, eval_X_table
+from ..chebyshev import ExactPolynomial, xrq_from_x
 from .measures import DiscreteSpectralMeasure
 
 IDF_TOL = 1e-10
@@ -50,9 +50,10 @@ class ReferenceLaw:
         if kind not in self.KINDS:
             raise LawError(f"unknown law kind {kind!r}")
         if kind == "kesten-mckay":
-            if q is None or not (q > 1.0):
-                raise LawError(f"Kesten-McKay needs real q > 1, got {q!r} "
-                               "(the arcsine law covers q = 1)")
+            if q is None or not 1.0 < q < math.inf:
+                raise LawError(f"Kesten-McKay needs finite real q > 1, got {q!r} "
+                               "(the arcsine law covers q = 1, the semicircle "
+                               "q = infinity)")
         elif q is not None:
             raise LawError(f"{kind} law takes no q parameter")
         self.kind = kind
@@ -82,8 +83,8 @@ class ReferenceLaw:
             with np.errstate(divide="ignore"):
                 vals = np.where(root > 0.0, 1.0 / (np.pi * root), np.inf)
         else:
-            s2 = (self.q ** -0.5 + self.q ** 0.5) ** 2
-            vals = (self.q + 1.0) * root / (2.0 * np.pi * (s2 - xc * xc))
+            q1, s2, scale = self._km_scaled()
+            vals = q1 * root / (2.0 * np.pi * (s2 - xc * xc * scale))
         out = np.where(inside, vals, 0.0)
         return out if out.ndim else float(out)
 
@@ -94,9 +95,21 @@ class ReferenceLaw:
             return (2.0 / np.pi) * s * s
         if self.kind == "arcsine":
             return np.full_like(phi, 1.0 / np.pi)
-        s2 = (self.q ** -0.5 + self.q ** 0.5) ** 2
+        q1, s2, scale = self._km_scaled()
         c = np.cos(phi)
-        return (self.q + 1.0) * 2.0 * s * s / (np.pi * (s2 - 4.0 * c * c))
+        return q1 * 2.0 * s * s / (np.pi * (s2 - 4.0 * c * c * scale))
+
+    def _km_scaled(self) -> tuple[float, float, float]:
+        """q + 1, (q^{-1/2} + q^{1/2})^2 and 1, each times scale = 4^-k ~ 1/q.
+
+        The Kesten-McKay density and angle weight are ratios of terms of size
+        q, which overflow as q nears the float range.  Dividing both sides by
+        a power of two is exact in binary floating point, so it changes no
+        value where the unscaled ratio is finite.
+        """
+        half = 2.0 ** -(math.frexp(self.q)[1] // 2)
+        s2 = ((self.q ** -0.5 + self.q ** 0.5) * half) ** 2
+        return (self.q + 1.0) * half * half, s2, half * half
 
     def _angle_cdf(self, phi: np.ndarray) -> np.ndarray:
         """CDF at x = -2 cos phi, phi in [0, pi]."""
@@ -205,7 +218,8 @@ def orthogonality_check(q: float, n_max: int) -> float:
     """Max deviation of <X_{n,q}, X_{m,q}> under mu_q from {0, 1, 1 + 1/q}.
 
     Exact moments and X_n X_m = sum_{k <= min(n, m)} X_{n+m-2k} give the Gram
-    matrix of the X_r; X_{n,q} = X_n - X_{n-2} / q maps it to the family's.
+    matrix of the X_r; X_{n,q} = X_n - X_{n-2} / q, applied to its rows and
+    then to its columns, maps it to the family's.
     """
     if not q > 1.0:
         raise LawError(f"orthogonality table needs q > 1, got {q}")
@@ -213,9 +227,7 @@ def orthogonality_check(q: float, n_max: int) -> float:
     idx = np.arange(n_max + 1)
     gram_x = np.array([[moments[n + m - 2 * np.arange(min(n, m) + 1)].sum()
                         for m in idx] for n in idx])
-    to_family = np.eye(n_max + 1)
-    to_family[idx[2:], idx[:-2]] = -1.0 / q
-    gram = to_family @ gram_x @ to_family.T
+    gram = xrq_from_x(xrq_from_x(gram_x, q).T, q)
     expected = np.diag(np.where(idx == 0, 1.0, 1.0 + 1.0 / q))
     return float(np.abs(gram - expected).max())
 
@@ -244,11 +256,7 @@ def moment_criterion_report(mu: DiscreteSpectralMeasure, target: ReferenceLaw,
     else:
         qval = 1.0  # Y_r family; measure q only affects its own normalization
 
-    table = eval_X_table(r_max, mu.points)
-    family = table.copy()
-    if r_max >= 2:
-        family[2:] = table[2:] - table[:-2] / qval
-    residuals = family.mean(axis=1)[1:]
+    residuals = mu.family_moments(r_max, qval)[1:]
     # Every statistic integrates to 0 under its target law, except
     # int Y_2 = int X_2 - int X_0 = -1 under the semicircle.
     if target.kind == "semicircle" and r_max >= 2:

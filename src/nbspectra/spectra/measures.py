@@ -8,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..chebyshev import eval_X_table, xrq_from_x
 from ..multigraph import MultiGraph, _require_regular
 from ..nbmatrix import ColorAssignment, adjacency, colored_adjacency
 from .eigen import eigenvalues_hermitian, eigenvalues_symmetric
@@ -58,14 +59,14 @@ class DiscreteSpectralMeasure:
         """Mean of a function over the atoms (the measure integral)."""
         return float(np.mean(values(self.points)))
 
+    def family_moments(self, r_max: int, q: float) -> np.ndarray:
+        """Means of X_{0,q}..X_{r_max,q} over the atoms (q = 1 gives Y_r)."""
+        return xrq_from_x(eval_X_table(r_max, self.points), q).mean(axis=1)
+
     def to_csv(self) -> str:
         lines = ["index,point"]
         lines += [f"{i},{format(x, '.17g')}" for i, x in enumerate(self.points)]
         return "\n".join(lines) + "\n"
-
-
-def idf_discrete(mu: DiscreteSpectralMeasure, p):
-    return mu.idf(p)
 
 
 def spectral_measure(g: MultiGraph) -> DiscreteSpectralMeasure:

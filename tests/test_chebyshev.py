@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbspectra.chebyshev import (ExactPolynomial, PolynomialError,
-                                 coefficients_csv, eval_X_stable, eval_X_table,
-                                 eval_Xrq_stable, eval_Y_stable,
+                                 coefficients_csv, eval_X_table,
                                  generating_function_residual, poly_X,
-                                 poly_X_binomial, poly_Xrq, poly_Y)
+                                 poly_X_binomial, poly_Xrq, poly_Y, xrq_from_x)
 
 
 def test_base_cases():
@@ -72,7 +71,7 @@ def test_y_is_rescaled_cosine(r, theta):
 @pytest.mark.parametrize("theta", [0.3, 1.1, 2.9])
 @pytest.mark.parametrize("r", [15, 40])
 def test_y_stable_eval_is_rescaled_cosine(r, theta):
-    val = eval_Y_stable(r, 2.0 * math.cos(theta))
+    val = xrq_from_x(eval_X_table(r, 2.0 * math.cos(theta)), 1.0)[r][0]
     assert val == pytest.approx(2.0 * math.cos(r * theta), abs=1e-12)
 
 
@@ -88,18 +87,18 @@ def test_inversion_identity_exact():
 
 def test_eval_stable_boundary_pattern():
     for r in range(11):
-        assert eval_X_stable(r, 2.0) == r + 1
+        assert eval_X_table(r, 2.0)[r][0] == r + 1
 
 
 def test_eval_stable_parity():
-    assert eval_X_stable(5, 0.0) == 0.0
-    assert eval_X_stable(4, 0.0) == 1.0
+    assert eval_X_table(5, 0.0)[5][0] == 0.0
+    assert eval_X_table(4, 0.0)[4][0] == 1.0
 
 
 def test_eval_stable_bound_on_window():
     xs = np.linspace(-2.0, 2.0, 2001)
     for r in (10, 50, 200):
-        vals = eval_X_stable(r, xs)
+        vals = eval_X_table(r, xs)[r]
         assert np.abs(vals).max() <= (r + 1) * (1.0 + 1e-9)
 
 
@@ -109,7 +108,7 @@ def test_eval_stable_matches_exact_rational():
         poly = poly_X(r)
         for x in points:
             exact = float(poly(x))
-            approx = eval_X_stable(r, float(x))
+            approx = eval_X_table(r, float(x))[r][0]
             assert approx == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
 
@@ -117,14 +116,15 @@ def test_eval_table_consistency():
     xs = np.linspace(-2, 2, 17)
     table = eval_X_table(8, xs)
     for r in range(9):
-        assert np.allclose(table[r], eval_X_stable(r, xs), rtol=0, atol=1e-12)
+        assert np.allclose(table[r], eval_X_table(r, xs)[r], rtol=0, atol=1e-12)
 
 
 def test_eval_family_helpers():
     xs = np.linspace(-2, 2, 9)
-    assert np.allclose(eval_Xrq_stable(4, 3.0, xs),
+    table = eval_X_table(4, xs)
+    assert np.allclose(xrq_from_x(table, 3.0)[4],
                        poly_Xrq(4, 3).eval_float(xs), atol=1e-12)
-    assert np.allclose(eval_Y_stable(4, xs), poly_Y(4).eval_float(xs), atol=1e-12)
+    assert np.allclose(xrq_from_x(table, 1.0)[4], poly_Y(4).eval_float(xs), atol=1e-12)
 
 
 def test_generating_function_residual_decay():

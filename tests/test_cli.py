@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nbspectra.cli import (CliInputError, ExperimentManifest, colored_experiment,
-                           growing_degree, lift_convergence, main,
-                           schedule_branching)
-from nbspectra.multigraph import (build_from_edge_list, complete_graph,
-                                  save_graph_file)
+from nbspectra.cli import (CliInputError, ExperimentManifest, build_parser,
+                           colored_experiment, growing_degree,
+                           lift_convergence, main, schedule_branching)
+from nbspectra.multigraph import (CensusInvariantError, WalkCensus,
+                                  build_from_edge_list, complete_graph,
+                                  cycle_graph, save_graph_file)
+from nbspectra.nbmatrix import ColorAssignment
 
 
 @pytest.fixture()
@@ -101,6 +109,16 @@ def test_json_format_output(tmp_path, k4_file):
                                "colored_distance", "base_distance"}
 
 
+def test_repeatable_options_replace_their_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["lift", "k4.txt"])
+    assert args.N == [2, 8, 32, 128] and args.p == [1.0, 2.0]
+    args = parser.parse_args(["lift", "k4.txt", "--N", "2", "--p", "3"])
+    assert args.N == [2] and args.p == [3.0]
+    args = parser.parse_args(["laws", "--m", "5", "--m", "7"])
+    assert args.m == [5, 7] and args.q == [5.0, 10.0, 50.0, 200.0]
+    assert parser.parse_args(["grow"]).n == [64, 256, 1024]
+
 def test_grow_schedule_validation():
     assert schedule_branching("log", 64, None) == 6
     assert schedule_branching("log", 1 << 20, None) == 7
@@ -126,12 +144,40 @@ def test_grow_parity_error_exit_code(capsys):
     (["colored", "{k4}", "--rmax", "-1"], "r_max must be nonnegative"),
     (["lift", "{k4}", "--N", "2", "--trials", "1", "--rmax", "0"],
      "r_max must be at least 1"),
+    (["grow", "--n", "16", "--schedule", "fixed", "--q", "2", "--trials", "1",
+      "--rmax", "-1"], "r_max must be nonnegative"),
+    (["grow", "--n", "0", "--trials", "1"], "vertex count n must be at least 1"),
+    (["grow", "--n", "0", "--schedule", "loglog", "--trials", "1"],
+     "vertex count n must be at least 1"),
+    (["laws", "--q", "inf", "--m", "10"], "finite real q > 1"),
+    (["colored", "{k4}", "--N", "0"], "block dimension N must be at least 1"),
 ])
 def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
     argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
 
+
+def test_laws_at_huge_q_write_finite_values(tmp_path):
+    # the bound 2/(q-2) lies below float rounding there, so the check may fail
+    assert main(["laws", "--q", "1e308", "--m", "10", "--out", str(tmp_path)]) in (0, 1)
+    assert "nan" not in (tmp_path / "laws_density.csv").read_text()
+
+
+@pytest.mark.parametrize("argv, owner, attr, broken", [
+    (["census", "{k4}"], WalkCensus, "identity_nbw_circuit", lambda self, r: False),
+    # twins no longer carry adjoints, which ColorAssignment guarantees
+    (["colored", "{k4}", "--color", "haar"], ColorAssignment, "sigma",
+     lambda self, dart: self._blocks[dart // 2]),
+])
+def test_internal_invariant_failures_exit_1(argv, owner, attr, broken, k4_file,
+                                            tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(owner, attr, broken)
+    argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "runtime error" in capsys.readouterr().err
+    assert issubclass(CensusInvariantError, RuntimeError)
+    assert not issubclass(CensusInvariantError, ValueError)
 
 def test_fold_one_lift_distance_is_deterministic_base_distance():
     from nbspectra.spectra import kesten_mckay, spectral_measure, wasserstein_p
@@ -211,3 +257,91 @@ def test_grow_reports_zero_short_circles(tmp_path):
     result = growing_degree([32], [3], trials=4, seed=7, p_list=[2.0], r_max=2)
     for row in result["distance_rows"]:
         assert row[-1] == 0  # nonsimple_samples column
+
+
+# -- property: exit codes over generated argument lists ---------------------------
+
+GRAPHS = {"k4": complete_graph(4), "c4": cycle_graph(4),
+          "path": build_from_edge_list([(0, 1), (1, 2)], 3)}
+ORDERS = st.lists(st.sampled_from(["0.5", "1", "2", "3.5", "inf", "nan"]), max_size=2)
+COUNTS = st.integers(0, 2)
+RMAX = st.integers(-2, 8)
+
+
+def _repeat(flag, values):
+    return [a for v in values for a in (flag, str(v))]
+
+
+def _orders_ok(orders):
+    return all(float(p) >= 1.0 for p in orders)
+
+
+def _grow_degree(schedule, n, q):
+    if schedule == "fixed":
+        return q + 1
+    if schedule == "log":
+        return min(7, max(1, int(math.log2(n)))) + 1
+    return min(7, max(2, int(math.log2(max(2.0, math.log2(n)))) + 2)) + 1
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv with {graph} placeholders, whether the input is valid)."""
+    command = draw(st.sampled_from(["census", "lift", "grow", "laws", "colored"]))
+    graph = draw(st.sampled_from(sorted(GRAPHS)))
+    rmax = draw(RMAX)
+    orders = draw(ORDERS)
+    if command == "census":
+        return ["census", f"{{{graph}}}", "--rmax", str(rmax)], graph != "path" and rmax >= 0
+    if command == "lift":
+        folds = draw(st.lists(st.integers(-1, 8), min_size=1, max_size=2))
+        trials = draw(COUNTS)
+        argv = (["lift", f"{{{graph}}}", "--trials", str(trials), "--rmax", str(rmax)]
+                + _repeat("--N", folds) + _repeat("--p", orders))
+        valid = (graph != "path" and min(folds) >= 1 and trials >= 1
+                 and rmax >= 1 and _orders_ok(orders))
+        return argv, valid
+    if command == "grow":
+        schedule = draw(st.sampled_from(["log", "loglog", "fixed"]))
+        ns = draw(st.lists(st.integers(-2, 24), min_size=1, max_size=2))
+        q = draw(st.integers(-1, 3))
+        trials = draw(COUNTS)
+        argv = (["grow", "--schedule", schedule, "--q", str(q), "--trials", str(trials),
+                 "--rmax", str(rmax)] + _repeat("--n", ns) + _repeat("--p", orders))
+        valid = (min(ns) >= 1 and trials >= 1 and rmax >= 0 and _orders_ok(orders)
+                 and all(2 <= _grow_degree(schedule, n, q) < n
+                         and n * _grow_degree(schedule, n, q) % 2 == 0
+                         for n in ns))
+        return argv, valid
+    if command == "laws":
+        qs = draw(st.lists(st.sampled_from(
+            ["-1", "1", "2", "2.5", "50", "1e308", "inf", "nan"]), max_size=2))
+        ms = draw(st.lists(st.integers(-2, 200), max_size=2))
+        argv = ["laws"] + _repeat("--q", qs) + _repeat("--m", ms)
+        valid = all(2.0 < float(q) < math.inf for q in qs) and all(m >= 3 for m in ms)
+        return argv, valid
+    fold = draw(st.integers(-1, 8))
+    color = draw(st.sampled_from(["trivial", "permutation", "haar"]))
+    argv = (["colored", f"{{{graph}}}", "--color", color, "--N", str(fold),
+             "--rmax", str(rmax)] + _repeat("--p", orders))
+    return argv, graph != "path" and fold >= 1 and rmax >= 0 and _orders_ok(orders)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cli_cases())
+def test_exit_codes_follow_the_input_contract(case):
+    argv, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, g in GRAPHS.items():
+            paths[name] = Path(tmp) / f"{name}.txt"
+            save_graph_file(g, paths[name])
+        argv = [a.format(**paths) for a in argv] + ["--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if valid:
+        assert code in (0, 1), (argv, err.getvalue())
+    else:
+        assert code == 2, (argv, err.getvalue())
+        assert err.getvalue().startswith("error: "), argv

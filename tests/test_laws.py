@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ def test_idf_scalar_and_invalid_input():
         with pytest.raises(LawError):
             law.idf(bad)
 
+
+
+def test_kesten_mckay_rejects_non_finite_q():
+    for bad in (math.inf, math.nan, 1.0, 0.5, None):
+        with pytest.raises(LawError):
+            kesten_mckay(bad)
+
+
+@pytest.mark.parametrize("q", [1e308, sys.float_info.max])
+def test_kesten_mckay_at_huge_q_is_the_semicircle(q):
+    law, sc = kesten_mckay(q), semicircle()
+    xs = np.linspace(-2.0, 2.0, 401)
+    assert np.abs(np.asarray(law.density(xs)) - np.asarray(sc.density(xs))).max() <= 1e-15
+    assert np.abs(np.asarray(law.cdf(xs)) - np.asarray(sc.cdf(xs))).max() <= 1e-15
+    got = np.asarray(law.idf(IDF_GRID))
+    assert np.abs(got - np.asarray(sc.idf(IDF_GRID))).max() <= 2 * IDF_TOL
 
 def partial_mean(law, x):
     """int_{-2}^x t dF(t): elementary in s = sin(phi), x = -2 cos(phi)."""

@@ -10,11 +10,11 @@ import pytest
 from nbspectra.multigraph import (BRUTE_R_CAP, CapExceededError, GraphError,
                                   GraphFormatError, MultiGraph, RegularityError,
                                   build_from_edge_list, brute_walk_counts,
-                                  census_to_csv, complete_graph,
-                                  count_circuits_brute, count_closed_nbw_brute,
-                                  cycle_graph, enumerate_circles,
+                                  census_to_csv, complete_graph, cycle_graph,
+                                  enumerate_circles,
                                   format_graph_text, girth, parse_graph_text,
                                   petersen_graph, regular_degree, walk_census)
+from nbspectra.nbmatrix import circuit_count_sequence
 from nbspectra.random_models import RngStream, sample_regular_graph
 
 
@@ -140,38 +140,39 @@ def test_girth(graph, expected):
 # -- brute oracles ------------------------------------------------------------
 
 def test_closed_nbw_counts_named():
-    assert count_closed_nbw_brute(cycle_graph(4), 4) == 8
-    assert count_closed_nbw_brute(complete_graph(4), 0) == 4
-    assert count_closed_nbw_brute(complete_graph(4), 3) == 24
+    assert brute_walk_counts(cycle_graph(4), 4)[0][4] == 8
+    assert brute_walk_counts(complete_graph(4), 0)[0][0] == 4
+    assert brute_walk_counts(complete_graph(4), 3)[0][3] == 24
 
 
 def test_circuit_counts_named():
-    assert count_circuits_brute(cycle_graph(4), 4) == 8
-    assert count_circuits_brute(complete_graph(4), 3) == 24
-    assert count_circuits_brute(petersen_graph(), 1) == 0
-    assert count_circuits_brute(complete_graph(4), 0) == 0
+    assert brute_walk_counts(cycle_graph(4), 4)[1][4] == 8
+    assert brute_walk_counts(complete_graph(4), 3)[1][3] == 24
+    assert brute_walk_counts(petersen_graph(), 1)[1][1] == 0
+    assert brute_walk_counts(complete_graph(4), 0)[1][0] == 0
 
 
 def test_brute_cap_rejections():
     with pytest.raises(CapExceededError):
-        count_closed_nbw_brute(complete_graph(4), BRUTE_R_CAP + 1)
+        brute_walk_counts(complete_graph(4), BRUTE_R_CAP + 1)
     big = sample_regular_graph(66, 3, RngStream(5))
     with pytest.raises(CapExceededError):
-        count_closed_nbw_brute(big, 3)
+        brute_walk_counts(big, 3)
 
 
-def test_layered_enumeration_matches_recursive_dfs():
-    graphs = [
-        complete_graph(4),
-        cycle_graph(5),
-        build_from_edge_list([(0, 0), (0, 1), (1, 2), (2, 0)], 3),
-        build_from_edge_list([(0, 1), (0, 1), (1, 2), (2, 0)], 3),
-    ]
-    for g in graphs:
-        f, c = brute_walk_counts(g, 6)
-        for r in range(7):
-            assert f[r] == count_closed_nbw_brute(g, r)
-            assert c[r] == count_circuits_brute(g, r)
+def test_brute_counts_match_matrix_paths_on_multigraphs():
+    # regular, with two loops and a double edge: both counts against the census
+    g = build_from_edge_list([(0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 3)], 4)
+    census = walk_census(g, 6)
+    f, c = brute_walk_counts(g, 6)
+    assert f == list(census.f)
+    assert c == list(census.c)
+    assert census.z[1] == 2 and census.z[2] == 1
+    # not regular (no census): circuits against the dart matrix
+    for g in (build_from_edge_list([(0, 0), (0, 1), (1, 2), (2, 0)], 3),
+              build_from_edge_list([(0, 1), (0, 1), (1, 2), (2, 0)], 3)):
+        _, c = brute_walk_counts(g, 6)
+        assert c == circuit_count_sequence(g, 6)
 
 
 # -- circle enumeration --------------------------------------------------------

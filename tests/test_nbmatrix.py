@@ -7,15 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from nbspectra.multigraph import (RegularityError, build_from_edge_list,
-                                  complete_graph, count_circuits_brute,
-                                  count_closed_nbw_brute, cycle_graph,
-                                  petersen_graph, walk_census)
-from nbspectra.nbmatrix import (ColorAssignment, ColorError, adjacency,
+from nbspectra.multigraph import (RegularityError, brute_walk_counts,
+                                  build_from_edge_list, complete_graph,
+                                  cycle_graph, petersen_graph, walk_census)
+from nbspectra.nbmatrix import (ColorAssignment, ColorError,
+                                ColorInvariantError, adjacency,
                                 circuit_count_sequence, colored_adjacency,
-                                colored_nb_sequence, dump_matrix, exact_int_dot,
-                                hashimoto_matrix, load_matrix,
-                                nb_matrix_sequence, nb_trace_sequence,
+                                colored_nb_sequence, exact_int_dot,
+                                hashimoto_matrix, nb_matrix_sequence,
+                                nb_trace_sequence,
                                 trace_identities_report,
                                 verify_friedman_identity)
 from nbspectra.random_models import (RngStream, haar_unitary_color,
@@ -89,8 +89,9 @@ def test_nb_traces_equal_brute(k4, c4):
     assert int(np.trace(nb_matrix_sequence(c4, 4)[4])) == 8
     for g in (k4, c4, petersen_graph()):
         traces = nb_trace_sequence(g, 7)
+        f, _ = brute_walk_counts(g, 7)
         for r in range(8):
-            assert traces[r] == count_closed_nbw_brute(g, r)
+            assert traces[r] == f[r]
 
 
 def test_nb_sequence_symmetric_nonnegative(petersen):
@@ -132,8 +133,9 @@ def test_hashimoto_matches_brute_on_samples():
     for seed in range(4):
         g = sample_regular_graph(12, 3, RngStream(400 + seed))
         c = circuit_count_sequence(g, 6)
+        _, brute = brute_walk_counts(g, 6)
         for r in range(7):
-            assert c[r] == count_circuits_brute(g, r)
+            assert c[r] == brute[r]
 
 
 # -- Friedman identity ------------------------------------------------------------------
@@ -258,10 +260,18 @@ def test_colored_rejects_non_regular():
         colored_nb_sequence(path, color, 3)
 
 
-# -- debug dump format -----------------------------------------------------------------------
+def test_colored_identity_failure_is_an_internal_error(k4):
+    color = ColorAssignment.trivial(k4)
+    with pytest.raises(ColorInvariantError, match="polynomial identity"):
+        colored_nb_sequence(k4, color, 4, identity_tol=-1.0)
+    assert issubclass(ColorInvariantError, RuntimeError)
+    assert not issubclass(ColorInvariantError, ValueError)
 
-def test_matrix_dump_round_trip():
-    real = np.array([[1.5, -2.0], [0.25, 3.0]])
-    assert np.array_equal(load_matrix(dump_matrix(real)), real)
-    cplx = np.array([[0.0 + 1j, 2.0 - 0.5j], [-1.0 + 0j, 0.125 + 2j]])
-    assert np.array_equal(load_matrix(dump_matrix(cplx)), cplx)
+
+def test_non_hermitian_colored_adjacency_is_an_internal_error(k4, monkeypatch):
+    color = haar_unitary_color(k4, 2, RngStream(3))
+    # twins no longer carry adjoints, which ColorAssignment guarantees
+    monkeypatch.setattr(ColorAssignment, "sigma",
+                        lambda self, dart: self._blocks[dart // 2])
+    with pytest.raises(ColorInvariantError, match="Hermitian"):
+        colored_adjacency(k4, color)

@@ -15,7 +15,7 @@ from nbspectra.random_models import RngStream, permutation_color, sample_lift
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
                                arcsine, colored_spectral_measure,
                                cycle_spectral_measure, eigenvalues_hermitian,
-                               eigenvalues_symmetric, idf_discrete,
+                               eigenvalues_symmetric,
                                kesten_mckay, law_table_csv,
                                moment_criterion_report, orthogonality_check,
                                semicircle, spectral_measure)
@@ -68,6 +68,10 @@ def test_hermitian_eigs_cases():
     assert math.fsum(eigs) == pytest.approx(float(np.trace(h).real), abs=1e-8)
     assert math.fsum(e * e for e in eigs) == pytest.approx(
         float(np.sum(np.abs(h) ** 2)), rel=1e-8)
+    # oracle: [[X, -Y], [Y, X]] carries the spectrum of X + iY, each doubled
+    doubled = eigenvalues_symmetric(np.block([[h.real, -h.imag], [h.imag, h.real]]))
+    assert np.abs(doubled[0::2] - eigs).max() <= 1e-12
+    assert np.abs(doubled[1::2] - eigs).max() <= 1e-12
     # real symmetric input agrees with the symmetric path
     s = (rng.standard_normal((6, 6)))
     s = (s + s.T) / 2.0
@@ -146,10 +150,10 @@ def test_cycle_measure_closed_form():
 
 def test_idf_discrete_two_point():
     mu = DiscreteSpectralMeasure(np.array([-1.0, 1.0]))
-    assert idf_discrete(mu, 0.25) == -1.0
-    assert idf_discrete(mu, 0.5) == -1.0
-    assert idf_discrete(mu, 0.75) == 1.0
-    assert idf_discrete(mu, 1.0) == 1.0
+    assert mu.idf(0.25) == -1.0
+    assert mu.idf(0.5) == -1.0
+    assert mu.idf(0.75) == 1.0
+    assert mu.idf(1.0) == 1.0
     with pytest.raises(MeasureError):
         mu.idf(0.0)
     with pytest.raises(MeasureError):
