@@ -173,14 +173,3 @@ def generating_function_residual(r_max: int, x: float, t: float, q: RationalLike
         tpow *= t
     closed = (1.0 - t * t / qf) / (1.0 - x * t + t * t)
     return abs(partial - closed)
-
-
-def coefficients_csv(r_max: int, q: RationalLike | None = None) -> str:
-    """CSV dump 'r,k,coefficient' of X_r (or X_{r,q} when q is given)."""
-    lines = ["r,k,coefficient"]
-    for r in range(r_max + 1):
-        poly = poly_X(r) if q is None else poly_Xrq(r, q)
-        for k, c in enumerate(poly.coeffs):
-            if c != 0:
-                lines.append(f"{r},{k},{c}")
-    return "\n".join(lines) + "\n"

@@ -3,8 +3,7 @@ distances."""
 
 from .eigen import EigenError, eigenvalues_hermitian, eigenvalues_symmetric
 from .laws import (LawError, ReferenceLaw, arcsine, kesten_mckay,
-                   law_table_csv, moment_criterion_report, orthogonality_check,
-                   semicircle)
+                   moment_criterion_report, orthogonality_check, semicircle)
 from .measures import (DiscreteSpectralMeasure, MeasureError,
                        colored_spectral_measure, cycle_spectral_measure,
                        spectral_measure)
@@ -14,6 +13,6 @@ __all__ = [
     "DiscreteSpectralMeasure", "EigenError", "LawError", "MeasureError",
     "ReferenceLaw", "WassersteinError", "arcsine", "colored_spectral_measure",
     "cycle_spectral_measure", "eigenvalues_hermitian", "eigenvalues_symmetric",
-    "kesten_mckay", "law_table_csv", "moment_criterion_report",
-    "orthogonality_check", "semicircle", "spectral_measure", "wasserstein_p",
+    "kesten_mckay", "moment_criterion_report", "orthogonality_check",
+    "semicircle", "spectral_measure", "wasserstein_p",
 ]

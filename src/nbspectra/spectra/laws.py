@@ -14,12 +14,15 @@ Everything is elementary in the angle variable x = -2 cos(phi), phi in
 * Kesten-McKay:  phi / pi - (q - 1) / (2 pi) * atan2(sin 2phi, q - cos 2phi),
 
 the last being [(q+1) phi - (q-1) atan2((q+1) sin phi, (q-1) cos phi)] / (2 pi)
-with its two angles folded into one, so nothing cancels at large q.  The
-inverse CDF is safeguarded Newton on these CDFs, whose derivatives in the
-angle are the densities times 2 sin phi.  Moments are exact: in the basis X_r
-of ``nbspectra.chebyshev`` the law integrates X_r to q^{-r/2} for even r and
-to 0 for odd r, with q = 1 for the arcsine law and q = infinity (so
-delta_{r0}) for the semicircle.
+with its two angles folded into one, so nothing cancels at large q.  Their
+derivatives in the angle, the densities times 2 sin phi (``angle_weight``),
+are bounded and smooth on [0, pi], which lets ``wasserstein`` integrate in
+the angle.  The angle quantile and the inverse CDF solve F(phi) =
+min(p, 1 - p) on (0, pi/2] by safeguarded Newton and reflect the upper half,
+so idf(p) = -idf(1 - p) exactly.  Moments are exact: in the basis X_r of
+``nbspectra.chebyshev`` the law integrates X_r to q^{-r/2} for even r and to
+0 for odd r, with q = 1 for the arcsine law and q = infinity (so delta_{r0})
+for the semicircle.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from ..chebyshev import ExactPolynomial, xrq_from_x
 from .measures import DiscreteSpectralMeasure
 
 IDF_TOL = 1e-10
-_ANGLE_TOL = IDF_TOL / 2.0  # |dx| = 2 sin(phi) |dphi| <= 2 |dphi|
 _NEWTON_MAX_STEPS = 100
 
 
@@ -88,8 +90,9 @@ class ReferenceLaw:
         out = np.where(inside, vals, 0.0)
         return out if out.ndim else float(out)
 
-    def _angle_weight(self, phi: np.ndarray) -> np.ndarray:
-        """density(-2 cos phi) * 2 sin phi: the derivative of the angle CDF."""
+    def angle_weight(self, phi: np.ndarray) -> np.ndarray:
+        """density(-2 cos phi) * 2 sin phi: the derivative of the CDF in the
+        angle, bounded and smooth on [0, pi]."""
         s = np.sin(phi)
         if self.kind == "semicircle":
             return (2.0 / np.pi) * s * s
@@ -154,42 +157,52 @@ class ReferenceLaw:
         return out if out.ndim else float(out)
 
     def idf(self, p):
-        """Inverse CDF to IDF_TOL in x, by safeguarded Newton in the angle.
+        """Inverse CDF to IDF_TOL in x; idf(p) = -idf(1 - p) exactly."""
+        ps, phi = self._half_angles(p)
+        out = np.sign(ps - 0.5) * 2.0 * np.cos(phi)
+        return out if out.ndim else float(out)
 
-        Each point solves F(phi) = min(p, 1 - p) on [0, pi/2]; the symmetry
-        idf(p) = -idf(1 - p) gives the upper half, where 1 - F would carry
-        too few digits for Newton to converge.
+    def angle_quantile(self, p) -> np.ndarray:
+        """Angles phi in (0, pi) with cdf(-2 cos phi) = p, for p in (0, 1).
+
+        Above 1/2 this is pi - phi(1 - p), so no solve sees the digits that
+        1 - F loses near pi.
+        """
+        ps, phi = self._half_angles(p)
+        return np.where(ps > 0.5, np.pi - phi, phi)
+
+    def _half_angles(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """p as an array, and the angles phi in (0, pi/2] with
+        F(phi) = min(p, 1 - p).
+
+        Safeguarded Newton: a step leaving the bracket bisects it instead.  A
+        point stops once its step moves x = -2 cos(phi) by at most IDF_TOL;
+        a stop in phi would never come near phi = 0, where the CDF cancels to
+        noise and Newton's steps in phi stay at noise size while x has long
+        converged.
         """
         ps = np.asarray(p, dtype=np.float64)
         if not np.all((ps > 0.0) & (ps < 1.0)):
-            raise LawError("idf argument must lie strictly inside (0, 1)")
-        phi = self._angle_quantile(np.minimum(ps, 1.0 - ps).ravel())
-        out = np.sign(ps - 0.5) * 2.0 * np.cos(phi.reshape(ps.shape))
-        return out if out.ndim else float(out)
-
-    def _angle_quantile(self, m: np.ndarray) -> np.ndarray:
-        """Angles phi in (0, pi/2] with F(phi) = m, for m in (0, 1/2]."""
+            raise LawError("quantile level must lie strictly inside (0, 1)")
+        m = np.minimum(ps, 1.0 - ps).ravel()
         lo = np.zeros_like(m)
         hi = np.full_like(m, np.pi / 2.0)
         phi = np.pi * m  # the arcsine root
         todo = np.arange(m.size)
         for _ in range(_NEWTON_MAX_STEPS):
             if not todo.size:
-                return phi
+                return ps, phi.reshape(ps.shape)
             cur = phi[todo]
             gap = self._angle_cdf(cur) - m[todo]
             above = gap > 0.0
             lo_t = np.where(above, lo[todo], cur)
             hi_t = np.where(above, cur, hi[todo])
             with np.errstate(divide="ignore"):  # the weight tends to 0 with phi
-                new = cur - gap / self._angle_weight(cur)
+                new = cur - gap / self.angle_weight(cur)
             new = np.where((new < lo_t) | (new > hi_t), (lo_t + hi_t) / 2.0, new)
             lo[todo], hi[todo], phi[todo] = lo_t, hi_t, new
-            todo = todo[np.abs(new - cur) > _ANGLE_TOL]
+            todo = todo[2.0 * np.abs(np.cos(new) - np.cos(cur)) > IDF_TOL]
         raise RuntimeError(f"{self!r}: IDF Newton iteration did not converge")
-
-    def support(self) -> tuple[float, float]:
-        return (-2.0, 2.0)
 
 
 def kesten_mckay(q: float) -> ReferenceLaw:
@@ -202,16 +215,6 @@ def arcsine() -> ReferenceLaw:
 
 def semicircle() -> ReferenceLaw:
     return ReferenceLaw("semicircle")
-
-
-def law_table_csv(law: ReferenceLaw, grid: np.ndarray) -> str:
-    xs = np.asarray(grid, dtype=np.float64)
-    dens = np.asarray(law.density(xs))
-    cdfs = np.atleast_1d(law.cdf(xs))
-    lines = ["x,density,cdf"]
-    for x, d, c in zip(xs, dens, cdfs):
-        lines.append(f"{format(x, '.17g')},{format(d, '.17g')},{format(c, '.17g')}")
-    return "\n".join(lines) + "\n"
 
 
 def orthogonality_check(q: float, n_max: int) -> float:

@@ -63,11 +63,6 @@ class DiscreteSpectralMeasure:
         """Means of X_{0,q}..X_{r_max,q} over the atoms (q = 1 gives Y_r)."""
         return xrq_from_x(eval_X_table(r_max, self.points), q).mean(axis=1)
 
-    def to_csv(self) -> str:
-        lines = ["index,point"]
-        lines += [f"{i},{format(x, '.17g')}" for i, x in enumerate(self.points)]
-        return "\n".join(lines) + "\n"
-
 
 def spectral_measure(g: MultiGraph) -> DiscreteSpectralMeasure:
     """Atoms at q^{-1/2} * eigenvalues of the adjacency matrix."""

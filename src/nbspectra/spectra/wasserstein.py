@@ -1,18 +1,23 @@
 """p-Wasserstein distances between spectral measures and reference laws.
 
 On the real line W_p is the L^p[0, 1] norm of the difference of generalized
-inverse distribution functions, so the engine works entirely in quantile
-space:
+inverse distribution functions.  Between two discrete measures it is summed
+exactly over the merged breakpoints.  Against a law the engine works in the
+law's angle x = -2 cos(phi), where u = F(x) has the bounded, smooth derivative
+w(phi) = density * 2 sin(phi) (``ReferenceLaw.angle_weight``):
 
-* discrete vs discrete: exact piecewise evaluation over merged breakpoints;
-* discrete vs law and law vs law: composite 32-node Gauss-Legendre panels
-  between breakpoints, split where the law IDF crosses an atom (the |.|^p
-  kink, located with the closed-form law CDF) and geometrically graded toward
-  p = 0 and p = 1 where the IDF derivative of an endpoint-vanishing density
-  blows up; the law IDF at the nodes is the closed-form Newton solve of
-  ``laws``;
-* p = infinity: exact supremum over the step partition against the monotone
-  law IDF, or a dense graded grid for two laws.
+* discrete vs law: for sorted atoms x_k, k < m,
+  W_p^p = sum_k int_{phi_k}^{phi_{k+1}} |-2 cos(phi) - x_k|^p w(phi) dphi,
+  with phi_k the law's angle quantile at k/m (phi_0 = 0, phi_m = pi).  Each
+  piece is cut into ceil(256 / m) equal panels and at its |.|^p kink, the
+  closed-form angle arccos(-x_k / 2) clipped into it, and each panel gets
+  32-node Gauss-Legendre; the integrand is smooth in phi up to both ends, so
+  nothing is graded.  W_inf is the largest |-2 cos(phi_j) - x_k| over the
+  ends j = k, k + 1 of the pieces.
+* law vs law: 256 such panels on [0, pi/2], which carries half the integral
+  since both laws are symmetric, in the angle of a law other than the arcsine
+  law: its CDF F_a vanishes like phi^3, so the other law's angle quantile at
+  F_a(phi) stays smooth at both ends.  W_inf is the maximum over the nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .measures import DiscreteSpectralMeasure
 
 _PANEL_GL = 32
 _TARGET_PANELS = 256
-_GRADE_LEVELS = 16
 
 
 class WassersteinError(ValueError):
@@ -50,27 +54,6 @@ def _validate_p(p) -> float:
     return pf
 
 
-def _graded(edges: np.ndarray, levels: int = _GRADE_LEVELS) -> np.ndarray:
-    """Insert geometric refinements of the first and last cells toward 0 and 1."""
-    first, last = edges[1], edges[-2] if edges.size > 2 else edges[1]
-    lo = first * 2.0 ** -np.arange(1, levels + 1)
-    hi = 1.0 - (1.0 - last) * 2.0 ** -np.arange(1, levels + 1)
-    return np.unique(np.concatenate([edges, lo, hi]))
-
-
-def _panel_integral(values_a, values_b, p: float, edges: np.ndarray) -> float:
-    widths = np.diff(edges)
-    keep = widths > 0.0
-    nodes01, w01 = _gl01(_PANEL_GL)
-    pts = edges[:-1][keep, None] + widths[keep, None] * nodes01[None, :]
-    # rounding in sliver panels can land nodes exactly on 0 or 1
-    pts = np.clip(pts, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    diff = np.abs(values_a(pts.ravel()).reshape(pts.shape)
-                  - values_b(pts.ravel()).reshape(pts.shape))
-    total = float(((diff ** p) @ w01 * widths[keep]).sum())
-    return total ** (1.0 / p)
-
-
 def _discrete_discrete(a: DiscreteSpectralMeasure, b: DiscreteSpectralMeasure, p):
     edges = np.union1d(np.arange(1, a.size) / a.size, np.arange(1, b.size) / b.size)
     edges = np.concatenate(([0.0], edges, [1.0]))
@@ -81,41 +64,37 @@ def _discrete_discrete(a: DiscreteSpectralMeasure, b: DiscreteSpectralMeasure, p
     return float((np.sum(diff ** p * np.diff(edges))) ** (1.0 / p))
 
 
-def _discrete_law_edges(mu: DiscreteSpectralMeasure, law: ReferenceLaw) -> np.ndarray:
-    m = mu.size
-    splits = max(1, -(-_TARGET_PANELS // m))
-    base = np.linspace(0.0, 1.0, m * splits + 1)
-    crossings = np.atleast_1d(law.cdf(mu.points))
-    k = np.arange(m)
-    inside = (crossings > k / m) & (crossings < (k + 1) / m)
-    edges = np.unique(np.concatenate([base, crossings[inside]]))
-    return _graded(edges)
-
-
 def _discrete_law(mu: DiscreteSpectralMeasure, law: ReferenceLaw, p):
+    m = mu.size
+    phi = np.concatenate(([0.0], law.angle_quantile(np.arange(1, m) / m), [np.pi]))
     if p == math.inf:
-        interior = np.arange(1, mu.size) / mu.size
-        inner = (np.atleast_1d(law.idf(interior)) if interior.size
-                 else np.empty(0))
-        lo_end, hi_end = law.support()
-        vals = np.concatenate(([lo_end], inner, [hi_end]))
-        lo_cand = np.abs(vals[:-1] - mu.points)
-        hi_cand = np.abs(vals[1:] - mu.points)
-        return float(max(lo_cand.max(), hi_cand.max()))
-    edges = _discrete_law_edges(mu, law)
-    return _panel_integral(lambda q_: np.asarray(law.idf(q_)),
-                           lambda q_: np.asarray(mu.idf(q_)), p, edges)
+        ends = -2.0 * np.cos(phi)
+        return float(max(np.abs(ends[:-1] - mu.points).max(),
+                         np.abs(ends[1:] - mu.points).max()))
+    splits = max(1, -(-_TARGET_PANELS // m))
+    kink = np.arccos(np.clip(-mu.points / 2.0, -1.0, 1.0))
+    edges = np.sort(np.column_stack([
+        np.linspace(phi[:-1], phi[1:], splits + 1, axis=1),
+        np.clip(kink, phi[:-1], phi[1:])]), axis=1)
+    widths = np.diff(edges, axis=1)
+    nodes01, w01 = _gl01(_PANEL_GL)
+    t = edges[:, :-1, None] + widths[:, :, None] * nodes01
+    vals = np.abs(-2.0 * np.cos(t) - mu.points[:, None, None]) ** p * law.angle_weight(t)
+    return float(((vals @ w01) * widths).sum() ** (1.0 / p))
 
 
 def _law_law(a: ReferenceLaw, b: ReferenceLaw, p):
+    if a.kind == "arcsine":
+        a, b = b, a
+    width = np.pi / 2.0 / _TARGET_PANELS
+    nodes01, w01 = _gl01(_PANEL_GL)
+    phi = (np.arange(_TARGET_PANELS)[:, None] + nodes01) * width
+    other = b.angle_quantile(a.cdf(-2.0 * np.cos(phi)))
+    diff = 2.0 * np.abs(np.cos(other) - np.cos(phi))
     if p == math.inf:
-        edges = _graded(np.linspace(0.0, 1.0, 4097))
-        pts = (edges[:-1] + edges[1:]) / 2.0
-        diff = np.abs(np.asarray(a.idf(pts)) - np.asarray(b.idf(pts)))
         return float(diff.max())
-    edges = _graded(np.linspace(0.0, 1.0, _TARGET_PANELS + 1))
-    return _panel_integral(lambda q_: np.asarray(a.idf(q_)),
-                           lambda q_: np.asarray(b.idf(q_)), p, edges)
+    total = 2.0 * width * ((diff ** p * a.angle_weight(phi)) @ w01).sum()
+    return float(total ** (1.0 / p))
 
 
 def wasserstein_p(a, b, p) -> float:

@@ -51,6 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .multigraph import _expand_csr
+
 
 class SwitchingInvariantError(RuntimeError):
     """A switching count broke its bound or a switching left its class."""
@@ -174,11 +176,8 @@ class _Adjacency:
 
     def expand(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every (position in frontier, neighbour) pair."""
-        counts = self.degree[frontier]
-        owner = np.repeat(np.arange(frontier.size), counts)
-        first = np.cumsum(counts) - counts
-        pos = np.repeat(self.indptr[frontier] - first, counts) + np.arange(owner.size)
-        return owner, self.indices[pos]
+        nbr, counts = _expand_csr(self.indices, self.indptr, frontier)
+        return np.repeat(np.arange(frontier.size), counts), nbr
 
     @cached_property
     def members(self) -> _Multiset:

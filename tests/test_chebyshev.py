@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbspectra.chebyshev import (ExactPolynomial, PolynomialError,
-                                 coefficients_csv, eval_X_table,
-                                 generating_function_residual, poly_X,
-                                 poly_X_binomial, poly_Xrq, poly_Y, xrq_from_x)
+                                 eval_X_table, generating_function_residual,
+                                 poly_X, poly_X_binomial, poly_Xrq, poly_Y,
+                                 xrq_from_x)
 
 
 def test_base_cases():
@@ -21,6 +21,8 @@ def test_base_cases():
     assert poly_X(1).coeffs == (Fraction(0), Fraction(1))
     assert poly_X(-1).coeffs == ()
     assert poly_X(2).coeffs == (Fraction(-1), Fraction(0), Fraction(1))
+    # X_4 = x^4 - 3x^2 + 1: constant term (-1)^2 binom(2, 2), x^2 term -binom(3, 1)
+    assert poly_X(4).coeffs == tuple(map(Fraction, (1, 0, -3, 0, 1)))
 
 
 def test_binomial_equals_recurrence_up_to_64():
@@ -162,13 +164,6 @@ def test_xrq_definition_exact(r, qnum, qden):
     lhs = poly_Xrq(r, q)
     rhs = poly_X(r) - poly_X(r - 2).scale(1 / q)
     assert lhs.coeffs == rhs.coeffs
-
-
-def test_coefficient_csv_contains_binomials():
-    text = coefficients_csv(4)
-    assert text.splitlines()[0] == "r,k,coefficient"
-    assert "4,0,1" in text  # X_4 constant term (-1)^2 binom(2,2)
-    assert "4,2,-3" in text
 
 
 def test_polynomial_arithmetic():

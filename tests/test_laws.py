@@ -5,7 +5,9 @@
   angle weights written out here from the textbook densities;
 * the IDF against bisection on the CDF to machine precision;
 * W_1 to a law against int |F_mu - F| dx, whose pieces between atoms and
-  crossings are elementary.
+  crossings are elementary;
+* W_2 to a law against partial moments of the law between its quantiles at
+  k/m, which are elementary in the angle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 
 from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Xrq, poly_Y
 from nbspectra.multigraph import complete_graph
-from nbspectra.random_models import RngStream, sample_lift
+from nbspectra.random_models import RngStream, sample_lift, sample_regular_graph
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, arcsine,
                                kesten_mckay, orthogonality_check, semicircle,
                                spectral_measure, wasserstein_p)
@@ -72,6 +74,7 @@ def test_angle_weight_matches_density(law):
     t = np.linspace(0.05, math.pi - 0.05, 41)
     expect = np.asarray(law.density(-2.0 * np.cos(t))) * 2.0 * np.sin(t)
     assert np.allclose(angle_weight(law, t), expect, rtol=1e-12, atol=0.0)
+    assert np.allclose(law.angle_weight(t), angle_weight(law, t), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
@@ -116,8 +119,19 @@ IDF_GRID = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 0.99, 99
 @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
 def test_idf_matches_bisection_oracle(law):
     got = np.asarray(law.idf(IDF_GRID))
-    assert np.abs(got - bisect_idf(law, IDF_GRID)).max() <= IDF_TOL
+    oracle = bisect_idf(law, IDF_GRID)
+    assert np.abs(got - oracle).max() <= IDF_TOL
     assert (np.diff(got) >= 0.0).all()
+    from_angle = -2.0 * np.cos(law.angle_quantile(IDF_GRID))
+    assert np.abs(from_angle - oracle).max() <= IDF_TOL
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_idf_where_the_cdf_cancels_to_noise(law):
+    # p ~ 1e-24 puts phi near 1e-8, where phi - sin(phi) cos(phi) has no digits
+    # left; the Newton steps in phi stay at noise size while x has converged.
+    ps = np.linspace(1e-24, 1.1e-24, 200)
+    assert np.abs(np.asarray(law.idf(ps)) - bisect_idf(law, ps)).max() <= IDF_TOL
 
 
 @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
@@ -201,3 +215,49 @@ def test_w1_matches_cdf_difference_oracle(law):
     for points in measures:
         got = wasserstein_p(DiscreteSpectralMeasure(points), law, 1)
         assert got == pytest.approx(w1_oracle(points, law), abs=1e-12)
+
+
+def partial_square(law, x):
+    """int_{-2}^x t^2 dF(t): elementary in phi, x = -2 cos(phi)."""
+    phi = np.arccos(np.clip(-np.asarray(x) / 2.0, -1.0, 1.0))
+    sc = np.sin(phi) * np.cos(phi)
+    if law.kind == "semicircle":
+        return (phi - np.sin(4.0 * phi) / 4.0) / np.pi
+    if law.kind == "arcsine":
+        return 2.0 * (phi + sc) / np.pi
+    q = law.q
+    return (q + 2.0 + 1.0 / q) * np.asarray(law.cdf(x)) - (q + 1.0) * (phi - sc) / np.pi
+
+
+def w2_oracle(points, law):
+    """W_2 from the partial moments of the law between its quantiles at k/m:
+    W_2^2 = sum_k [dM2 - 2 x_k dM1 + x_k^2 dM0] over the sorted atoms x_k."""
+    atoms = np.sort(np.asarray(points, dtype=np.float64))
+    m = atoms.size
+    knots = np.concatenate([[-2.0], bisect_idf(law, np.arange(1, m) / m), [2.0]])
+    d0, d1, d2 = (np.diff(np.asarray(v)) for v in
+                  (law.cdf(knots), partial_mean(law, knots), partial_square(law, knots)))
+    return math.sqrt(math.fsum(d2 - 2.0 * atoms * d1 + atoms * atoms * d0))
+
+
+def test_w2_oracle_closed_forms():
+    assert w2_oracle([0.0], semicircle()) == pytest.approx(1.0, abs=1e-15)
+    assert w2_oracle([0.0], arcsine()) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    for q in KM_Q:  # int x^2 dmu_q = 1 + 1/q
+        assert w2_oracle([0.0], kesten_mckay(q)) == pytest.approx(
+            math.sqrt(1.0 + 1.0 / q), abs=1e-14)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_w2_matches_partial_moment_oracle(law):
+    rng = np.random.default_rng(405)
+    measures = [rng.uniform(-2.5, 2.5, size=rng.integers(1, 40)) for _ in range(8)]
+    measures.append(rng.uniform(-1.0, 1.0, size=200))
+    if law.kind == "kesten-mckay" and law.q == 2.0:
+        _, lifted = sample_lift(complete_graph(4), 128, RngStream(8))
+        measures.append(spectral_measure(lifted).points)
+    if law.kind == "semicircle":
+        measures.append(spectral_measure(sample_regular_graph(1024, 6, RngStream(9))).points)
+    for points in measures:
+        got = wasserstein_p(DiscreteSpectralMeasure(points), law, 2)
+        assert got == pytest.approx(w2_oracle(points, law), abs=1e-12)

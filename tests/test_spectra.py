@@ -15,8 +15,7 @@ from nbspectra.random_models import RngStream, permutation_color, sample_lift
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
                                arcsine, colored_spectral_measure,
                                cycle_spectral_measure, eigenvalues_hermitian,
-                               eigenvalues_symmetric,
-                               kesten_mckay, law_table_csv,
+                               eigenvalues_symmetric, kesten_mckay,
                                moment_criterion_report, orthogonality_check,
                                semicircle, spectral_measure)
 from nbspectra.spectra.eigen import EigenError
@@ -170,13 +169,6 @@ def test_cycle_idf_matches_closed_form_steps(m):
         assert mu.idf(p) == pytest.approx(cycle_idf_closed_form(m, p), abs=1e-10)
 
 
-def test_measure_csv():
-    mu = DiscreteSpectralMeasure(np.array([0.5, -0.25]))
-    text = mu.to_csv()
-    assert text.splitlines()[0] == "index,point"
-    assert text.splitlines()[1] == "0,-0.25"
-
-
 # -- reference laws -----------------------------------------------------------------
 
 def test_density_point_values():
@@ -274,16 +266,6 @@ def test_orthogonality_table():
         pytest.approx(1.0, abs=1e-8)
     with pytest.raises(LawError):
         orthogonality_check(1.0, 4)
-
-
-def test_law_table_csv():
-    text = law_table_csv(semicircle(), np.linspace(-2, 2, 5))
-    lines = text.splitlines()
-    assert lines[0] == "x,density,cdf"
-    assert len(lines) == 6
-    mid = lines[3].split(",")
-    assert float(mid[1]) == pytest.approx(1.0 / math.pi, abs=1e-12)
-    assert float(mid[2]) == pytest.approx(0.5, abs=1e-10)
 
 
 # -- moment criterion ------------------------------------------------------------------
