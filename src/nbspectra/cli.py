@@ -8,7 +8,10 @@ replayed byte-for-byte from the manifest alone.  Subcommands:
 * ``lift``     Kesten-McKay convergence of random N-lifts along an N ladder
 * ``grow``     semicircle convergence of random regular graphs of growing degree
 * ``laws``     closed-form law comparisons (density gaps, cycle IDF bounds)
-* ``colored``  colored spectral measures against the uncolored NBW statistic
+
+``lift --color`` picks the unitary coloring of the base graph's edges:
+``permutation`` (a random N-lift), ``haar`` (Haar-unitary N x N blocks) or
+``trivial`` (identity blocks, i.e. N disjoint copies of the base).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from . import __version__
 from .multigraph import (MultiGraph, census_to_csv, enumerate_circles, girth,
                          load_graph_file, regular_degree, walk_census)
 from .nbmatrix import ColorAssignment
-from .random_models import (RngStream, haar_unitary_color, permutation_color,
-                            sample_lift, sample_regular_graph)
+from .random_models import (RngStream, haar_unitary_color, sample_lift,
+                            sample_regular_graph)
 from .spectra import (ReferenceLaw, arcsine, colored_spectral_measure,
                       cycle_spectral_measure, kesten_mckay,
                       moment_criterion_report, semicircle, spectral_measure,
@@ -161,12 +164,39 @@ def run_census(args) -> int:
 # ---------------------------------------------------------------------------
 # lift convergence
 
+_COLORS = ("permutation", "haar", "trivial")
+
+
+def _colored_measure(base: MultiGraph, fold: int, color: str,
+                     stream: RngStream):
+    """Spectral measure of one random ``color`` coloring of ``base``."""
+    if color == "permutation":
+        _, lifted = sample_lift(base, fold, stream)
+        return spectral_measure(lifted)
+    if color == "haar":
+        sigma = haar_unitary_color(base, fold, stream)
+    else:
+        sigma = ColorAssignment.trivial(base, fold)
+    return colored_spectral_measure(base, sigma)
+
+
 def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
-                     r_max: int, p_list: list[float]) -> dict:
+                     r_max: int, p_list: list[float],
+                     color: str = "permutation") -> dict:
+    """Distances to the law and moment residuals of ``trials`` colorings per
+    fold.  The residual means are the normalized colored non-backtracking
+    traces q^{-r/2} tr(A_r^sigma) / (nN)."""
     degree = regular_degree(base)
     if degree is None or degree < 2:
         raise CliInputError("lift experiment needs a regular base of degree >= 2")
     _require_trials(trials)
+    if r_max < 1:
+        raise CliInputError(f"r_max must be at least 1, got {r_max}")
+    if color not in _COLORS:
+        raise CliInputError(f"unknown color kind {color!r}")
+    for fold in folds:
+        if fold < 1:
+            raise CliInputError(f"block dimension N must be at least 1, got {fold}")
     q = degree - 1
     target = _target_law(q)
     root = RngStream(seed)
@@ -177,8 +207,7 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
         dists = {p: [] for p in p_list}
         residuals = np.zeros((trials, r_max))
         for trial in range(trials):
-            _, lifted = sample_lift(base, fold, cell.child(trial))
-            mu = spectral_measure(lifted)
+            mu = _colored_measure(base, fold, color, cell.child(trial))
             for p in p_list:
                 dists[p].append(wasserstein_p(mu, target, p))
             residuals[trial] = moment_criterion_report(mu, target, r_max)
@@ -197,10 +226,11 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
 def run_lift(args) -> int:
     base = load_graph_file(args.graph)
     result = lift_convergence(base, args.N, args.trials, args.seed,
-                              args.rmax, args.p)
+                              args.rmax, args.p, args.color)
     manifest = ExperimentManifest(
-        "lift", {"graph": Path(args.graph).name, "N": args.N,
-                 "trials": args.trials, "r_max": args.rmax, "p": args.p},
+        "lift", {"graph": Path(args.graph).name, "color": args.color,
+                 "N": args.N, "trials": args.trials, "r_max": args.rmax,
+                 "p": args.p},
         args.seed)
     paths = write_outputs(args.out, "lift_distances",
                           ["N", "p", "mean_distance", "stderr", "trials"],
@@ -308,10 +338,15 @@ def law_convergence(q_ladder: list[float], m_ladder: list[int]) -> dict:
         if not q > 2.0:
             raise CliInputError(f"density bound needs q > 2, got {q}")
         km = kesten_mckay(q)
-        gap = float(np.max(np.abs(km.density(grid) - sc_density)))
+        km_density = km.density(grid)
+        gap = float(np.max(np.abs(km_density - sc_density)))
         bound = 2.0 / (q - 2.0)
+        # Each density is only correct to a few ulps, so two correct
+        # densities can differ by that much; at q = 1e18 the bound is 2e-18
+        # but one ulp of the peak density 1/pi is 5.6e-17.
+        allowance = 4.0 * float(np.spacing(max(km_density.max(), sc_density.max())))
         winf = wasserstein_p(km, sc, math.inf)
-        q_rows.append([q, gap, bound, gap <= bound, winf])
+        q_rows.append([q, gap, bound, gap <= bound + allowance, winf])
     ar = arcsine()
     for m in m_ladder:
         if m < 3:
@@ -335,61 +370,11 @@ def run_laws(args) -> int:
                   result["m_rows"], manifest, args.format)
     print(f"wrote {paths[0]}")
     for q, gap, bound, ok, _ in result["q_rows"]:
-        print(f"{'PASS' if ok else 'FAIL'}  sup|rho_{q:g} - rho_inf| = {gap:.6g} <= {bound:.6g}")
+        slack = " + rounding" if gap > bound else ""
+        print(f"{'PASS' if ok else 'FAIL'}  sup|rho_{q:g} - rho_inf| = {gap:.6g} <= {bound:.6g}{slack}")
     for m, winf, bound, ok in result["m_rows"]:
         print(f"{'PASS' if ok else 'FAIL'}  W_inf(mu(C_{m}), arcsine) = {winf:.6g} <= {bound:.6g}")
     return EXIT_OK if result["all_pass"] else EXIT_RUNTIME
-
-
-# ---------------------------------------------------------------------------
-# colored measures
-
-def colored_experiment(base: MultiGraph, kind: str, fold: int, seed: int,
-                       p_list: list[float], r_max: int) -> dict:
-    degree = regular_degree(base)
-    if degree is None or degree < 2:
-        raise CliInputError("colored experiment needs a regular base of degree >= 2")
-    if fold < 1:
-        raise CliInputError(f"block dimension N must be at least 1, got {fold}")
-    q = degree - 1
-    target = _target_law(q)
-    stream = RngStream(seed).child(fold).child(0)
-    if kind == "trivial":
-        color = ColorAssignment.trivial(base, fold)
-    elif kind == "permutation":
-        spec, _ = sample_lift(base, fold, stream)
-        color = permutation_color(spec)
-    elif kind == "haar":
-        color = haar_unitary_color(base, fold, stream)
-    else:
-        raise CliInputError(f"unknown color kind {kind!r}")
-    mu_colored = colored_spectral_measure(base, color)
-    mu_base = spectral_measure(base)
-    rows = [[kind, fold, p,
-             wasserstein_p(mu_colored, target, p),
-             wasserstein_p(mu_base, target, p)] for p in p_list]
-    census = walk_census(base, r_max)
-    stat_rows = [[kind, fold, r,
-                  q ** (-r / 2.0) * census.f[r] / base.n_vertices]
-                 for r in range(1, r_max + 1)]
-    return {"rows": rows, "stat_rows": stat_rows, "measure": mu_colored, "q": q}
-
-
-def run_colored(args) -> int:
-    base = load_graph_file(args.graph)
-    result = colored_experiment(base, args.color, args.N, args.seed,
-                                args.p, args.rmax)
-    manifest = ExperimentManifest(
-        "colored", {"graph": Path(args.graph).name, "color": args.color,
-                    "N": args.N, "r_max": args.rmax, "p": args.p}, args.seed)
-    paths = write_outputs(args.out, "colored_distances",
-                          ["color", "N", "p", "colored_distance", "base_distance"],
-                          result["rows"], manifest, args.format)
-    write_outputs(args.out, "colored_nbw_statistic",
-                  ["color", "N", "r", "normalized_f"],
-                  result["stat_rows"], manifest, args.format)
-    print(f"wrote {paths[0]}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="random N-lift convergence to Kesten-McKay")
     p.add_argument("graph")
+    p.add_argument("--color", choices=_COLORS, default="permutation",
+                   help="unitary edge coloring of the base graph")
     p.add_argument("--N", type=int, action=_AppendOrDefault,
                    default=[2, 8, 32, 128], help="fold (repeatable)")
     common(p, trials=50, rmax=6, plist=[1.0, 2.0])
@@ -453,14 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[10, 53, 200], help="cycle size (repeatable)")
     common(p, seed=False)
     p.set_defaults(func=run_laws)
-
-    p = sub.add_parser("colored", help="colored spectral measure distances")
-    p.add_argument("graph")
-    p.add_argument("--color", choices=("trivial", "permutation", "haar"),
-                   default="permutation")
-    p.add_argument("--N", type=int, default=2, help="block dimension / fold")
-    common(p, rmax=6, plist=[1.0, 2.0])
-    p.set_defaults(func=run_colored)
 
     return parser
 

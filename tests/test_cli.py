@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -15,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbspectra.cli import (CliInputError, ExperimentManifest, build_parser,
-                           colored_experiment, growing_degree,
-                           lift_convergence, main, schedule_branching)
+                           growing_degree, lift_convergence, main,
+                           schedule_branching)
 from nbspectra.multigraph import (CensusInvariantError, WalkCensus,
                                   build_from_edge_list, complete_graph,
-                                  cycle_graph, save_graph_file)
-from nbspectra.nbmatrix import ColorAssignment
+                                  cycle_graph, save_graph_file, walk_census)
+from nbspectra.nbmatrix import ColorAssignment, colored_nb_sequence
+from nbspectra.random_models import RngStream, haar_unitary_color
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -100,13 +104,13 @@ def test_replay_is_byte_identical(tmp_path):
 
 
 def test_json_format_output(tmp_path, k4_file):
-    assert main(["colored", str(k4_file), "--color", "trivial", "--N", "2",
-                 "--out", str(tmp_path), "--format", "json",
+    assert main(["lift", str(k4_file), "--color", "trivial", "--N", "2",
+                 "--trials", "1", "--out", str(tmp_path), "--format", "json",
                  "--rmax", "4"]) == 0
-    records = json.loads((tmp_path / "colored_distances.json").read_text())
+    records = json.loads((tmp_path / "lift_distances.json").read_text())
     assert isinstance(records, list) and records
-    assert set(records[0]) >= {"manifest_hash", "color", "N", "p",
-                               "colored_distance", "base_distance"}
+    assert set(records[0]) >= {"manifest_hash", "N", "p", "mean_distance",
+                               "stderr", "trials"}
 
 
 def test_repeatable_options_replace_their_defaults():
@@ -141,7 +145,8 @@ def test_grow_parity_error_exit_code(capsys):
     (["grow", "--n", "16", "--schedule", "fixed", "--q", "2", "--trials", "0"],
      "trials must be at least 1"),
     (["census", "{k4}", "--rmax", "-1"], "r_max must be nonnegative"),
-    (["colored", "{k4}", "--rmax", "-1"], "r_max must be nonnegative"),
+    (["lift", "{k4}", "--color", "haar", "--N", "2", "--trials", "1",
+      "--rmax", "-1"], "r_max must be at least 1"),
     (["lift", "{k4}", "--N", "2", "--trials", "1", "--rmax", "0"],
      "r_max must be at least 1"),
     (["grow", "--n", "16", "--schedule", "fixed", "--q", "2", "--trials", "1",
@@ -150,7 +155,10 @@ def test_grow_parity_error_exit_code(capsys):
     (["grow", "--n", "0", "--schedule", "loglog", "--trials", "1"],
      "vertex count n must be at least 1"),
     (["laws", "--q", "inf", "--m", "10"], "finite real q > 1"),
-    (["colored", "{k4}", "--N", "0"], "block dimension N must be at least 1"),
+    (["lift", "{k4}", "--color", "trivial", "--N", "0"],
+     "block dimension N must be at least 1"),
+    (["lift", "{k4}", "--N", "2", "--N", "0"],
+     "block dimension N must be at least 1"),
 ])
 def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
     argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
@@ -159,15 +167,20 @@ def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
 
 
 def test_laws_at_huge_q_write_finite_values(tmp_path):
-    # the bound 2/(q-2) lies below float rounding there, so the check may fail
-    assert main(["laws", "--q", "1e308", "--m", "10", "--out", str(tmp_path)]) in (0, 1)
-    assert "nan" not in (tmp_path / "laws_density.csv").read_text()
+    # the bound 2/(q-2) lies below one ulp of the densities there; the check
+    # allows for that rounding instead of failing correct densities
+    assert main(["laws", "--q", "1e18", "--q", "1e308", "--m", "10",
+                 "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "laws_density.csv").read_text().splitlines()[1:]
+    assert "nan" not in "".join(rows)
+    assert [row.split(",")[4] for row in rows] == ["true", "true"]
 
 
 @pytest.mark.parametrize("argv, owner, attr, broken", [
     (["census", "{k4}"], WalkCensus, "identity_nbw_circuit", lambda self, r: False),
     # twins no longer carry adjoints, which ColorAssignment guarantees
-    (["colored", "{k4}", "--color", "haar"], ColorAssignment, "sigma",
+    (["lift", "{k4}", "--color", "haar", "--N", "2", "--trials", "1"],
+     ColorAssignment, "sigma",
      lambda self, dart: self._blocks[dart // 2]),
 ])
 def test_internal_invariant_failures_exit_1(argv, owner, attr, broken, k4_file,
@@ -200,31 +213,67 @@ def test_lift_with_cycle_base_uses_arcsine_target():
 
 
 def test_manifest_document_records_stream_policy(tmp_path, k4_file):
-    assert main(["colored", str(k4_file), "--color", "trivial", "--N", "1",
-                 "--out", str(tmp_path), "--rmax", "2"]) == 0
-    doc = json.loads((tmp_path / "colored_distances_manifest.json").read_text())
+    assert main(["lift", str(k4_file), "--color", "trivial", "--N", "1",
+                 "--trials", "1", "--out", str(tmp_path), "--rmax", "2"]) == 0
+    doc = json.loads((tmp_path / "lift_distances_manifest.json").read_text())
     assert "pcg64" in doc["stream_policy"]
     assert doc["package_version"]
+    assert doc["parameters"]["color"] == "trivial"
 
 
-def test_trivial_color_matches_uncolored(k4_file):
+def test_trivial_color_matches_uncolored():
     base = complete_graph(4)
-    result = colored_experiment(base, "trivial", 3, 0, [1.0, 2.0], 4)
-    for row in result["rows"]:
-        assert row[3] == pytest.approx(row[4], abs=1e-9)
+    colored = lift_convergence(base, [3], trials=1, seed=0, r_max=4,
+                               p_list=[1.0, 2.0], color="trivial")
+    uncolored = lift_convergence(base, [1], trials=1, seed=0, r_max=4,
+                                 p_list=[1.0, 2.0])
+    for row, base_row in zip(colored["distance_rows"],
+                             uncolored["distance_rows"]):
+        assert row[1] == base_row[1]
+        assert row[2] == pytest.approx(base_row[2], abs=1e-9)
 
 
-def test_colored_permutation_matches_lift_cell():
+def _residuals(result):
+    return [mean for _, _, mean in result["residual_rows"]]
+
+
+def test_haar_residuals_are_normalized_colored_traces():
+    base, fold, seed, r_max = complete_graph(4), 16, 5, 4
+    result = lift_convergence(base, [fold], trials=1, seed=seed, r_max=r_max,
+                              p_list=[1.0], color="haar")
+    # the stream of trial 0 of the fold's cell
+    color = haar_unitary_color(base, fold, RngStream(seed).child(fold).child(0))
+    seq, _ = colored_nb_sequence(base, color, r_max)
+    q, n = 2, base.n_vertices
+    for r, got in enumerate(_residuals(result), start=1):
+        want = q ** (-r / 2.0) * np.trace(seq[r]).real / (n * fold)
+        assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_trivial_residuals_are_the_base_census():
+    base, r_max = complete_graph(4), 4
+    result = lift_convergence(base, [16], trials=1, seed=5, r_max=r_max,
+                              p_list=[1.0], color="trivial")
+    census = walk_census(base, r_max)
+    for r, got in enumerate(_residuals(result), start=1):
+        want = 2 ** (-r / 2.0) * census.f[r] / base.n_vertices
+        assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_haar_and_trivial_residuals_differ_past_girth():
     base = complete_graph(4)
-    seed, fold = 9, 4
-    lift_result = lift_convergence(base, [fold], trials=1, seed=seed,
-                                   r_max=3, p_list=[1.0, 2.0])
-    colored_result = colored_experiment(base, "permutation", fold, seed,
-                                        [1.0, 2.0], 3)
-    for (_, p1, mean, _, _), (_, _, p2, dist, _) in zip(
-            lift_result["distance_rows"], colored_result["rows"]):
-        assert p1 == p2
-        assert mean == pytest.approx(dist, abs=1e-9)
+    haar, trivial = (
+        _residuals(lift_convergence(base, [16], trials=1, seed=5, r_max=3,
+                                    p_list=[1.0], color=color))
+        for color in ("haar", "trivial"))
+    assert abs(haar[2] - trivial[2]) > 1e-3
+
+
+def test_haar_lift_convergence_trend():
+    result = lift_convergence(complete_graph(4), [2, 8, 32], trials=10,
+                              seed=2024, r_max=2, p_list=[1.0], color="haar")
+    means = result["means"][1.0]
+    assert all(a > b for a, b in zip(means, means[1:])), means
 
 
 def test_lift_residuals_vanish_below_girth():
@@ -287,7 +336,7 @@ def _grow_degree(schedule, n, q):
 @st.composite
 def cli_cases(draw):
     """(argv with {graph} placeholders, whether the input is valid)."""
-    command = draw(st.sampled_from(["census", "lift", "grow", "laws", "colored"]))
+    command = draw(st.sampled_from(["census", "lift", "grow", "laws"]))
     graph = draw(st.sampled_from(sorted(GRAPHS)))
     rmax = draw(RMAX)
     orders = draw(ORDERS)
@@ -296,8 +345,9 @@ def cli_cases(draw):
     if command == "lift":
         folds = draw(st.lists(st.integers(-1, 8), min_size=1, max_size=2))
         trials = draw(COUNTS)
-        argv = (["lift", f"{{{graph}}}", "--trials", str(trials), "--rmax", str(rmax)]
-                + _repeat("--N", folds) + _repeat("--p", orders))
+        color = draw(st.sampled_from(["trivial", "permutation", "haar"]))
+        argv = (["lift", f"{{{graph}}}", "--color", color, "--trials", str(trials),
+                 "--rmax", str(rmax)] + _repeat("--N", folds) + _repeat("--p", orders))
         valid = (graph != "path" and min(folds) >= 1 and trials >= 1
                  and rmax >= 1 and _orders_ok(orders))
         return argv, valid
@@ -313,18 +363,12 @@ def cli_cases(draw):
                          and n * _grow_degree(schedule, n, q) % 2 == 0
                          for n in ns))
         return argv, valid
-    if command == "laws":
-        qs = draw(st.lists(st.sampled_from(
-            ["-1", "1", "2", "2.5", "50", "1e308", "inf", "nan"]), max_size=2))
-        ms = draw(st.lists(st.integers(-2, 200), max_size=2))
-        argv = ["laws"] + _repeat("--q", qs) + _repeat("--m", ms)
-        valid = all(2.0 < float(q) < math.inf for q in qs) and all(m >= 3 for m in ms)
-        return argv, valid
-    fold = draw(st.integers(-1, 8))
-    color = draw(st.sampled_from(["trivial", "permutation", "haar"]))
-    argv = (["colored", f"{{{graph}}}", "--color", color, "--N", str(fold),
-             "--rmax", str(rmax)] + _repeat("--p", orders))
-    return argv, graph != "path" and fold >= 1 and rmax >= 0 and _orders_ok(orders)
+    qs = draw(st.lists(st.sampled_from(
+        ["-1", "1", "2", "2.5", "50", "1e18", "1e308", "inf", "nan"]), max_size=2))
+    ms = draw(st.lists(st.integers(-2, 200), max_size=2))
+    argv = ["laws"] + _repeat("--q", qs) + _repeat("--m", ms)
+    valid = all(2.0 < float(q) < math.inf for q in qs) and all(m >= 3 for m in ms)
+    return argv, valid
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,3 +389,15 @@ def test_exit_codes_follow_the_input_contract(case):
     else:
         assert code == 2, (argv, err.getvalue())
         assert err.getvalue().startswith("error: "), argv
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in lines if line.startswith("nbspectra ")]
+    assert len(commands) == 5
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
