@@ -3,7 +3,7 @@ and Wasserstein convergence experiments for regular multigraphs."""
 
 __version__ = "0.1.0"
 
-from . import chebyshev, cli, multigraph, nbmatrix, random_models, spectra
+from . import chebyshev, multigraph, nbmatrix, random_models, spectra
 
-__all__ = ["chebyshev", "cli", "multigraph", "nbmatrix", "random_models",
-           "spectra", "__version__"]
+__all__ = ["chebyshev", "multigraph", "nbmatrix", "random_models", "spectra",
+           "__version__"]

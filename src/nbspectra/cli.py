@@ -207,7 +207,8 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
         dists = {p: [] for p in p_list}
         residuals = np.zeros((trials, r_max))
         for trial in range(trials):
-            mu = _colored_measure(base, fold, color, cell.child(trial))
+            if trial == 0 or color != "trivial":  # the trivial coloring draws nothing
+                mu = _colored_measure(base, fold, color, cell.child(trial))
             for p in p_list:
                 dists[p].append(wasserstein_p(mu, target, p))
             residuals[trial] = moment_criterion_report(mu, target, r_max)

@@ -1,8 +1,9 @@
 """Non-backtracking matrices, the dart (Hashimoto) matrix, and unitary colors.
 
-Exact integer arithmetic backs every count: products route through BLAS when a
-rigorous bound keeps all intermediates below 2^53 (where float64 arithmetic on
-integers is exact) and fall back to Python-int object arrays otherwise.
+Exact integer arithmetic backs every count. Every product the census takes is
+by A or by the dart matrix, which have few nonzeros per column, so a product
+sums over the nonzeros of its right factor: in int64 when a bound on every
+term and partial sum stays below 2^63, in Python-int object arrays otherwise.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 
 from .chebyshev import xrq_from_x
 from .multigraph import MultiGraph, _require_regular
-
-_FLOAT_EXACT_LIMIT = 2 ** 53
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -33,21 +32,24 @@ class ColorInvariantError(RuntimeError):
 
 
 def exact_int_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of integer matrices.
+    """Exact product of integer (int64 or object) matrices.
 
-    Uses float64 BLAS when inner_dim * max|a| * max|b| < 2^53 (every partial
-    sum is then exactly representable); otherwise switches to
-    arbitrary-precision object arrays.
+    Column j sums a[:, k] * b[k, j] over the nonzeros of column j of ``b``, in
+    int64 when both inputs are int64 and max_i sum_k |a_ik| * max|b| < 2^63
+    (this bounds every term and partial sum), else in Python-int objects.
     """
-    if a.dtype == object or b.dtype == object:
-        return np.dot(a, b)
-    amax = max(int(a.max(initial=0)), -int(a.min(initial=0)))
-    bmax = max(int(b.max(initial=0)), -int(b.min(initial=0)))
-    inner = a.shape[1]
-    if inner * amax * bmax < _FLOAT_EXACT_LIMIT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.rint(prod).astype(np.int64)
-    return np.dot(a.astype(object), b.astype(object))
+    fits = a.dtype != object and b.dtype != object
+    if fits:  # |a| as uint64 (abs maps int64 min to 2^63), row-summed in 32-bit halves
+        u = np.abs(a).view(np.uint64)
+        rows = ((u >> 32).sum(axis=1).astype(object) << 32) + (u & 0xFFFFFFFF).sum(axis=1)
+        fits = rows.max(initial=0) * max(int(b.max(initial=0)), -int(b.min(initial=0))) < 2 ** 63
+    dtype = np.int64 if fits else object
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
+    cols, ks = np.nonzero(b.T)
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    terms = a[:, ks].astype(dtype) * b[ks, cols].astype(dtype)
+    out[:, cols[starts]] = np.add.reduceat(terms, starts, axis=1)
+    return out
 
 
 def adjacency(g: MultiGraph) -> np.ndarray:
@@ -67,7 +69,8 @@ def _nb_recurrence(a: np.ndarray, q: int, r_max: int, dot) -> list[np.ndarray]:
     if r_max >= 2:
         seq.append(dot(a, a) - (q + 1) * eye)
     for _ in range(3, r_max + 1):
-        seq.append(dot(seq[-1], a) - q * seq[-2])
+        prod = dot(seq[-1], a)  # q * A_{r-2} may pass int64 once prod is object
+        seq.append(prod - q * seq[-2].astype(prod.dtype))
     return seq
 
 
@@ -79,7 +82,7 @@ def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
 
 def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
     """Closed-NBW counts f_0..f_{r_max} as traces of the A_r sequence."""
-    return [int(np.trace(m)) for m in nb_matrix_sequence(g, r_max)]
+    return [int(np.trace(m, dtype=object)) for m in nb_matrix_sequence(g, r_max)]
 
 
 def hashimoto_matrix(g: MultiGraph) -> np.ndarray:
@@ -94,14 +97,10 @@ def hashimoto_matrix(g: MultiGraph) -> np.ndarray:
 def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
     """Circuit counts c_0..c_{r_max} as traces of powers of the dart matrix."""
     c = [0] * (r_max + 1)
-    if r_max == 0 or g.n_darts == 0:
-        return c
     b = hashimoto_matrix(g)
-    power = b.copy()
-    c[1] = int(np.trace(power))
-    for r in range(2, r_max + 1):
-        power = exact_int_dot(power, b)
-        c[r] = int(np.trace(power))
+    for r in range(1, r_max + 1):
+        power = b if r == 1 else exact_int_dot(power, b)
+        c[r] = int(np.trace(power, dtype=object))
     return c
 
 

@@ -403,6 +403,26 @@ def _forward_guard(candidates: int, bound: int, kind: str) -> None:
             f"{kind}: {candidates} candidate switchings exceed the bound {bound}")
 
 
+def _below(b: int, gen: np.random.Generator) -> int:
+    """Uniform integer in ``[0, b)`` for a positive Python int ``b`` of any size.
+
+    Below 2^63 this is the single ``gen.integers(b)`` draw.  Above it, 63-bit
+    words make a uniform integer of ``b.bit_length()`` bits, redrawn until it
+    is below ``b`` (each draw is kept with probability above 1/2).
+    """
+    if b < 2 ** 63:
+        return int(gen.integers(b))
+    bits = b.bit_length()
+    words = -(-bits // 63)
+    while True:
+        x = 0
+        for w in gen.integers(2 ** 63, size=words):
+            x = (x << 63) | int(w)
+        x >>= 63 * words - bits
+        if x < b:
+            return x
+
+
 def _backward_rejects(kind: str, bound: int, upper: int, count, gen) -> bool:
     """b-rejection: True (reject) with probability ``1 - bound / count()``.
 
@@ -415,14 +435,14 @@ def _backward_rejects(kind: str, bound: int, upper: int, count, gen) -> bool:
     if upper < bound:
         raise SwitchingInvariantError(
             f"{kind}: at most {upper} inverse switchings, below the lower bound {bound}")
-    if int(gen.integers(upper)) < bound:
+    if _below(upper, gen) < bound:
         return False
     exact = count()
     if not bound <= exact <= upper:
         raise SwitchingInvariantError(
             f"{kind}: {exact} inverse switchings outside [{bound}, {upper}], "
             "below the lower bound or above the upper one")
-    return int(gen.integers(exact * (upper - bound))) >= bound * (upper - exact)
+    return _below(exact * (upper - bound), gen) >= bound * (upper - exact)
 
 
 def _loop_switching(pairing: _Pairing, loops: int, gen: np.random.Generator) -> bool:

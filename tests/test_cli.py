@@ -6,7 +6,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbspectra import cli
 from nbspectra.cli import (CliInputError, ExperimentManifest, build_parser,
                            growing_degree, lift_convergence, main,
                            schedule_branching)
@@ -233,6 +237,21 @@ def test_trivial_color_matches_uncolored():
         assert row[2] == pytest.approx(base_row[2], abs=1e-9)
 
 
+def test_trivial_color_builds_one_measure_per_fold(monkeypatch):
+    calls = []
+    build = cli._colored_measure
+
+    def spy(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(cli, "_colored_measure", spy)
+    result = lift_convergence(complete_graph(4), [2, 8], trials=5, seed=5, r_max=2,
+                              p_list=[1.0], color="trivial")
+    assert calls == [2, 8]
+    assert [row[3] for row in result["distance_rows"]] == [0.0, 0.0]
+
+
 def _residuals(result):
     return [mean for _, _, mean in result["residual_rows"]]
 
@@ -401,3 +420,12 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "nbspectra.cli", "laws", "--m", "3",
+                           "--q", "5", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nbspectra import nbmatrix
 from nbspectra.multigraph import (RegularityError, brute_walk_counts,
                                   build_from_edge_list, complete_graph,
                                   cycle_graph, petersen_graph, walk_census)
@@ -65,13 +68,75 @@ def test_exact_dot_object_fallback_matches_small_case():
 
 
 def test_exact_dot_bounds_negative_entries():
-    # max(a) = 1 and max(b) = 2^30 + 3 would admit float BLAS, but the
-    # product reaches -2^60, beyond the 2^53 range of exact float64 integers
-    a = np.array([[1, -(2 ** 30 + 1)]], dtype=np.int64)
-    b = np.array([[2 ** 30 + 3], [2 ** 30 + 1]], dtype=np.int64)
+    # max(a) = 1 would bound the product by 2 * max|b| < 2^34, but the negative
+    # entry takes it below -2^63, out of int64: the bound sums |a_ik|
+    a = np.array([[1, -(2 ** 31 + 1)]], dtype=np.int64)
+    b = np.array([[2 ** 32 + 3], [2 ** 32 + 1]], dtype=np.int64)
     exact = exact_int_dot(a, b)
     assert exact.dtype == object
-    assert exact[0, 0] == (2 ** 30 + 3) - (2 ** 30 + 1) ** 2
+    assert exact[0, 0] == (2 ** 32 + 3) - (2 ** 31 + 1) * (2 ** 32 + 1)
+
+
+@st.composite
+def _int_matrix_pairs(draw):
+    """Integer matrices a (n x m) and b (m x p): int64 entries of magnitude up
+    to 3, 2^31 or the int64 range, zero entries and zero columns of b, and
+    object inputs scaled past int64."""
+    n, m, p = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def matrix(rows, cols):
+        scale = draw(st.sampled_from((3, 2 ** 31, 2 ** 63 - 1)))
+        entries = draw(st.lists(st.one_of(st.just(0), st.integers(-scale - 1, scale)),
+                                min_size=rows * cols, max_size=rows * cols))
+        out = np.array(entries, dtype=np.int64).reshape(rows, cols)
+        if draw(st.booleans()):
+            out = out.astype(object) * draw(st.sampled_from((1, 2 ** 40)))
+        return out
+
+    a, b = matrix(n, m), matrix(m, p)
+    zero_cols = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    b[:, np.array(zero_cols, dtype=bool)] = 0
+    return a, b
+
+
+def _edge(a_rows, b_rows):
+    return np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrix_pairs())
+@example(_edge([[2 ** 62, 2 ** 62 - 1]], [[1], [1]]))   # bound 2^63 - 1: int64
+@example(_edge([[2 ** 62, 2 ** 62]], [[1], [-1]]))      # bound 2^63: object
+@example(_edge([[-2 ** 63]], [[1]]))                    # |int64 min| = 2^63: object
+def test_exact_dot_matches_object_oracle(pair):
+    a, b = pair
+    prod = exact_int_dot(a, b)
+    assert prod.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
+    row_sums = [sum(abs(int(x)) for x in row) for row in a]
+    bound = max(row_sums, default=0) * max((abs(int(x)) for x in b.flat), default=0)
+    in_int64 = a.dtype == np.int64 and b.dtype == np.int64 and bound < 2 ** 63
+    assert prod.dtype == (np.int64 if in_int64 else object)
+
+
+def _pairing_multigraph(n, d, seed):
+    """A uniform pairing of n cells of d points, loops and multi-edges kept."""
+    points = np.random.default_rng(seed).permutation(n * d).reshape(-1, 2) // d
+    return build_from_edge_list([(int(u), int(v)) for u, v in points], n)
+
+
+@pytest.mark.parametrize("g", [_pairing_multigraph(12, 4, 0), _pairing_multigraph(16, 4, 1),
+                               build_from_edge_list([(0, 0), (0, 0)], 1)],
+                         ids=["pairing12", "pairing16", "bouquet"])
+def test_census_across_int64_matches_object_products(g, monkeypatch):
+    # the counts pass 2^63 by r = 42, so the products switch from int64 to
+    # Python ints partway through both sequences
+    census = walk_census(g, 42)
+    assert max(census.f) > 2 ** 63 and max(census.c) > 2 ** 63
+    monkeypatch.setattr(nbmatrix, "exact_int_dot",
+                        lambda a, b: np.dot(a.astype(object), b.astype(object)))
+    oracle = walk_census(g, 42)
+    assert census.f == oracle.f
+    assert census.c == oracle.c
 
 
 # -- non-backtracking sequences ----------------------------------------------------

@@ -217,6 +217,46 @@ def test_switched_graphs_are_simple_and_regular():
         assert np.all(g.degrees == 6)
 
 
+def test_degree_ten_sample_draws_past_int64(monkeypatch):
+    # the second b-rejection stage draws below exact * (upper - bound) ~ 2^70
+    # here, past the int64 range of a single gen.integers call
+    wide = []
+    below = switchings._below
+
+    def spy(b, gen):
+        wide.append(b >= 2 ** 63)
+        return below(b, gen)
+
+    monkeypatch.setattr(switchings, "_below", spy)
+    g = sample_regular_graph(2048, 10, RngStream(0))
+    assert any(wide)
+    edges = g.canonical_edge_list()
+    assert all(u != v for u, v in edges)
+    assert len(set(edges)) == len(edges)
+    assert np.all(g.degrees == 10)
+
+
+def test_uniform_draw_is_one_integers_call_below_int64():
+    for b in (1, 7, 2 ** 40 + 3, 2 ** 63 - 1):
+        gen, twin = np.random.default_rng(b), np.random.default_rng(b)
+        assert ([switchings._below(b, gen) for _ in range(5)]
+                == [int(twin.integers(b)) for _ in range(5)])
+
+
+def test_uniform_draw_frequencies_near_two_to_the_hundred():
+    b = 2 ** 100 + 2 ** 98 + 12345
+    gen = np.random.default_rng(11)
+    trials = 20000
+    draws = [switchings._below(b, gen) for _ in range(trials)]
+    assert all(0 <= x < b for x in draws)
+    # Bernoulli(a/b) with a = b // 3, as b-rejection uses it; 5 sigma = 333
+    assert abs(sum(x < b // 3 for x in draws) - trials / 3) < 333
+    # each eighth of [0, b), top bits included; 5 sigma = 234
+    eighths = Counter(8 * x // b for x in draws)
+    assert sorted(eighths) == list(range(8))
+    assert all(abs(count - trials / 8) < 234 for count in eighths.values())
+
+
 def test_sampler_draws_no_more_pairings_than_whole_rejection(caplog):
     # the switching choices use their own stream, so the pairings are those of
     # whole-pairing rejection and the first simple one is always accepted
