@@ -279,6 +279,13 @@ def _expand_csr(flat: np.ndarray, off: np.ndarray, cur: np.ndarray):
     return flat[base + within], counts
 
 
+def _roots_per_chunk(g: MultiGraph, depth: int) -> int:
+    """Root darts per chunk: chunk * (most NBW successors of a dart)^depth <= _LAYER_LIMIT."""
+    widths = np.diff(g._nbw_csr[1])
+    growth = max(1, int(widths.max(initial=0))) ** max(0, depth)
+    return max(1, _LAYER_LIMIT // growth)
+
+
 def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
     """Exact (f, c) for r = 0..r_max by exhaustive dart-path enumeration.
 
@@ -301,10 +308,7 @@ def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
         return f, c
     nxt_flat, nxt_off = g._nbw_csr
     head, origin = g.head, g.origin
-    widths = nxt_off[1:] - nxt_off[:-1]
-    max_branch = int(widths.max()) if widths.size else 0
-    growth = max(1, max_branch) ** max(0, r_max - 1)
-    per_chunk = max(1, _LAYER_LIMIT // max(1, growth))
+    per_chunk = _roots_per_chunk(g, r_max - 1)
     for lo in range(0, g.n_darts, per_chunk):
         first = np.arange(lo, min(lo + per_chunk, g.n_darts), dtype=np.int64)
         cur = first.copy()
@@ -326,7 +330,11 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
 
     Index 0 is always 0.  Loops are size-1 circles and parallel-edge pairs are
     size-2 circles; sizes >= 3 are vertex-disjoint cycles enumerated once each
-    via min-vertex rooting and a fixed orientation.
+    via min-vertex rooting and a fixed orientation (first vertex after the
+    root below the last).  Paths grow along non-backtracking darts with their
+    visited vertices in a bitset of ceil(n/64) uint64 words; with one or two
+    steps left they enter only vertices one or two steps from the root.  Root
+    darts are taken in chunks of _LAYER_LIMIT / max_branch^(r_max-2).
     """
     if r_max < 0:
         raise GraphError("r_max must be nonnegative")
@@ -347,40 +355,40 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
         z[2] = int((mult * (mult - 1) // 2).sum())
     if r_max < 3:
         return z
-    flat, off = g._out_csr
-    darts = np.arange(g.n_darts, dtype=np.int64)
-    live = darts[head > origin[darts]]          # first step ascends from the root
-    if live.size == 0:
-        return z
-    starts = origin[live]
-    visited = head[live][:, None].copy()        # columns: v_1..v_k
-    for k in range(1, r_max):
-        ends = visited[:, -1]
-        cand, counts = _expand_csr(flat, off, ends)
-        if cand.size == 0:
-            break
-        rows = np.repeat(np.arange(live.size, dtype=np.int64), counts)
-        cand_heads = head[cand]
-        s_rep = starts[rows]
-        if k + 1 >= 3:
-            closing = cand_heads == s_rep
-            if closing.any():
-                ok = closing & (visited[rows, 0] < visited[rows, -1])
-                z[k + 1] += int(ok.sum())
-        if k + 1 > r_max - 1:
-            break
-        cont = cand_heads > s_rep
-        if cont.any():
-            seen = np.zeros(cand.size, dtype=bool)
-            for col in range(visited.shape[1]):
-                seen |= cand_heads == visited[rows, col]
-            cont &= ~seen
-        if not cont.any():
-            break
-        rows = rows[cont]
-        visited = np.column_stack([visited[rows], cand_heads[cont]])
-        starts = s_rep[cont]
-        live = cand[cont]
+    n = g.n_vertices
+    nxt_flat, nxt_off = g._nbw_csr
+    word = np.arange(n) >> 6
+    bit = np.left_shift(np.uint64(1), (np.arange(n) & 63).astype(np.uint64))
+    two_step, fan = _expand_csr(*g._out_csr, head)
+    near1 = np.unique(head * n + origin)        # codes v*n + s of pairs one step apart
+    near = (near1, np.union1d(near1, head[two_step] * n + np.repeat(origin, fan)))
+    roots = np.flatnonzero(head > origin)       # first step ascends from the root
+    per_chunk = _roots_per_chunk(g, r_max - 2)
+    for lo in range(0, roots.size, per_chunk):
+        live = roots[lo:lo + per_chunk]
+        starts, firsts = origin[live], head[live]
+        bits = np.zeros((live.size, (n + 63) >> 6), dtype=np.uint64)
+        bits[np.arange(live.size), word[firsts]] = bit[firsts]
+        for k in range(1, r_max):
+            cand, counts = _expand_csr(nxt_flat, nxt_off, live)
+            rows = np.repeat(np.arange(live.size), counts)
+            ends = head[cand]
+            s_rep = np.repeat(starts, counts)
+            if k >= 2:                          # close at the root, first vertex below last
+                z[k + 1] += int(((ends == s_rep) & np.repeat(firsts < head[live], counts)).sum())
+            left = r_max - k - 1                # steps left after this one
+            if left == 0:
+                break
+            keep = np.flatnonzero(ends > s_rep)
+            keep = keep[(bits[rows[keep], word[ends[keep]]] & bit[ends[keep]]) == 0]
+            if left <= 2:
+                codes = ends[keep] * n + s_rep[keep]
+                table = near[left - 1]
+                pos = np.minimum(np.searchsorted(table, codes), table.size - 1)
+                keep = keep[table[pos] == codes]
+            rows, live = rows[keep], cand[keep]
+            starts, firsts, bits = s_rep[keep], firsts[rows], bits[rows]
+            bits[np.arange(keep.size), word[ends[keep]]] |= bit[ends[keep]]
     return z
 
 

@@ -34,21 +34,27 @@ class ColorInvariantError(RuntimeError):
 def exact_int_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of integer (int64 or object) matrices.
 
-    Column j sums a[:, k] * b[k, j] over the nonzeros of column j of ``b``, in
-    int64 when both inputs are int64 and max_i sum_k |a_ik| * max|b| < 2^63
-    (this bounds every term and partial sum), else in Python-int objects.
+    Column j sums a[:, k] * b[k, j] over the nonzeros of column j of ``b``, the
+    t-th nonzero of every column (or zero) per step, in int64 when both inputs
+    are int64 and max_i sum_k |a_ik| * max|b| < 2^63 (this bounds every term
+    and partial sum), else in Python-int objects.
     """
     fits = a.dtype != object and b.dtype != object
     if fits:  # |a| as uint64 (abs maps int64 min to 2^63), row-summed in 32-bit halves
         u = np.abs(a).view(np.uint64)
         rows = ((u >> 32).sum(axis=1).astype(object) << 32) + (u & 0xFFFFFFFF).sum(axis=1)
+        del u  # one matrix of memory, not needed by the product
         fits = rows.max(initial=0) * max(int(b.max(initial=0)), -int(b.min(initial=0))) < 2 ** 63
     dtype = np.int64 if fits else object
     out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
     cols, ks = np.nonzero(b.T)
-    starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    terms = a[:, ks].astype(dtype) * b[ks, cols].astype(dtype)
-    out[:, cols[starts]] = np.add.reduceat(terms, starts, axis=1)
+    slot = np.arange(cols.size) - np.searchsorted(cols, cols)  # rank within its column
+    k_by_slot = np.zeros((slot.max(initial=-1) + 1, b.shape[1]), dtype=np.int64)
+    b_by_slot = np.zeros(k_by_slot.shape, dtype=dtype)
+    k_by_slot[slot, cols], b_by_slot[slot, cols] = ks, b[ks, cols]
+    a = a.astype(dtype, copy=False)
+    for k, v in zip(k_by_slot, b_by_slot):
+        out += a[:, k] * v
     return out
 
 

@@ -5,11 +5,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from nbspectra.multigraph import (MultiGraph, complete_graph, cycle_graph,
-                                  petersen_graph)
+from nbspectra.multigraph import (MultiGraph, build_from_edge_list,
+                                  complete_graph, cycle_graph, petersen_graph)
 from nbspectra.random_models import RngStream, sample_regular_graph
+
+
+def pairing_multigraph(n: int, d: int, seed: int) -> MultiGraph:
+    """A uniform pairing of n cells of d points, loops and multi-edges kept."""
+    points = np.random.default_rng(seed).permutation(n * d).reshape(-1, 2) // d
+    return build_from_edge_list([(int(u), int(v)) for u, v in points], n)
 
 
 def cycle_idf_closed_form(m: int, p: float) -> float:

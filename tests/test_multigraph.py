@@ -6,7 +6,11 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import pairing_multigraph
+from nbspectra import multigraph
 from nbspectra.multigraph import (BRUTE_R_CAP, CapExceededError, GraphError,
                                   GraphFormatError, MultiGraph, RegularityError,
                                   build_from_edge_list, brute_walk_counts,
@@ -196,6 +200,53 @@ def test_circles_match_edge_subset_oracle():
     ]
     for g in graphs:
         assert enumerate_circles(g, 6)[:7] == circles_by_edge_subsets(g, 6)
+
+
+small_multigraphs = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs, st.integers(0, 6))
+def test_circles_match_edge_subset_oracle_on_random_multigraphs(graph, r):
+    n, edges = graph
+    g = build_from_edge_list(edges, n)
+    assert enumerate_circles(g, r) == circles_by_edge_subsets(g, r)
+
+
+def _relabelled(g: MultiGraph, labels: list[int]) -> list[tuple[int, int]]:
+    return [(labels[u], labels[v]) for u, v in g.edge_list()]
+
+
+def test_circles_across_bitset_words():
+    # Circles cross the 63/64 word boundary, use labels >= 128 and hold
+    # vertices 32 apart in one word (64 and 96).
+    k4, pet, c11 = complete_graph(4), petersen_graph(), cycle_graph(11)
+    edges = _relabelled(k4, [96, 64, 5, 128])
+    edges += _relabelled(pet, [130, 1, 147, 63, 100, 69, 135, 30, 140, 127])
+    edges += _relabelled(c11, list(range(58, 69)))
+    g = build_from_edge_list(edges, 150)
+    parts = [enumerate_circles(h, 12) for h in (k4, pet, c11)]
+    assert enumerate_circles(g, 12) == [sum(col) for col in zip(*parts)]
+
+
+def test_circle_counts_do_not_depend_on_r_max():
+    # The lookahead prunes by the steps left before r_max, so every shorter
+    # enumeration must agree with the longest one on its prefix.
+    pairing = pairing_multigraph(14, 4, 3)
+    assert girth(pairing) <= 2  # loops or parallel edges present
+    for g in (complete_graph(4), petersen_graph(), pairing):
+        full = enumerate_circles(g, BRUTE_R_CAP)
+        for r in range(3, BRUTE_R_CAP + 1):
+            assert enumerate_circles(g, r) == full[:r + 1]
+
+
+def test_circles_in_single_root_chunks(monkeypatch):
+    g = pairing_multigraph(14, 4, 3)
+    whole = enumerate_circles(g, 10)
+    monkeypatch.setattr(multigraph, "_LAYER_LIMIT", 1)
+    assert enumerate_circles(g, 10) == whole
 
 
 def test_circles_cap_rejection():

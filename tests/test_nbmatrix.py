@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import pairing_multigraph
 from nbspectra import nbmatrix
 from nbspectra.multigraph import (RegularityError, brute_walk_counts,
                                   build_from_edge_list, complete_graph,
@@ -118,13 +119,7 @@ def test_exact_dot_matches_object_oracle(pair):
     assert prod.dtype == (np.int64 if in_int64 else object)
 
 
-def _pairing_multigraph(n, d, seed):
-    """A uniform pairing of n cells of d points, loops and multi-edges kept."""
-    points = np.random.default_rng(seed).permutation(n * d).reshape(-1, 2) // d
-    return build_from_edge_list([(int(u), int(v)) for u, v in points], n)
-
-
-@pytest.mark.parametrize("g", [_pairing_multigraph(12, 4, 0), _pairing_multigraph(16, 4, 1),
+@pytest.mark.parametrize("g", [pairing_multigraph(12, 4, 0), pairing_multigraph(16, 4, 1),
                                build_from_edge_list([(0, 0), (0, 0)], 1)],
                          ids=["pairing12", "pairing16", "bouquet"])
 def test_census_across_int64_matches_object_products(g, monkeypatch):
