@@ -10,13 +10,12 @@ from nbspectra.cli import lift_convergence
 from nbspectra.multigraph import complete_graph
 from nbspectra.random_models import (RngStream, haar_unitary_color,
                                      permutation_color, sample_lift)
-from nbspectra.spectra import (colored_spectral_measure, kesten_mckay,
-                               spectral_measure, wasserstein_p)
+from nbspectra.spectra import kesten_mckay, spectral_measure, wasserstein_p
 
 k4 = complete_graph(4)
 spec, lifted = sample_lift(k4, 8, RngStream(7))
 mu_lift = spectral_measure(lifted)
-mu_color = colored_spectral_measure(k4, permutation_color(spec))
+mu_color = spectral_measure(k4, permutation_color(spec))
 print("lift of K4 with fold 8:", lifted.n_vertices, "vertices;",
       "colored-matrix spectrum matches the lift spectrum to",
       f"{np.abs(mu_lift.points - mu_color.points).max():.2e}")
@@ -30,7 +29,7 @@ for fold, p, mean, se, trials in result["distance_rows"]:
     print(f"  N={fold:>3}: mean W_1 = {mean:.5f} +- {se:.5f}")
 
 haar = haar_unitary_color(k4, 3, RngStream(4))
-mu_haar = colored_spectral_measure(k4, haar)
+mu_haar = spectral_measure(k4, haar)
 print("\nHaar-colored K4 (blocks 3x3): measure has", mu_haar.size,
       "atoms inside [-2.122, 2.122]; W_1 to the law:",
       f"{wasserstein_p(mu_haar, target, 1):.5f}",

@@ -107,15 +107,9 @@ class MultiGraph:
     @cached_property
     def _nbw_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Allowed NBW successors per dart: out-darts of head(d) minus twin(d)."""
-        flat, off = self._out_csr
-        heads = self.head
-        counts = self.degrees[heads] - 1
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        total = int(offsets[-1])
-        out = np.empty(total, dtype=np.int64)
-        for d in range(self.n_darts):
-            cand = flat[off[heads[d]]:off[heads[d] + 1]]
-            out[offsets[d]:offsets[d + 1]] = cand[cand != (d ^ 1)]
+        cand, counts = _expand_csr(*self._out_csr, self.head)
+        out = cand[cand != np.repeat(np.arange(self.n_darts) ^ 1, counts)]
+        offsets = np.concatenate(([0], np.cumsum(counts - 1))).astype(np.int64)
         out.setflags(write=False)
         offsets.setflags(write=False)
         return out, offsets

@@ -21,6 +21,8 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 COLOR_IDENTITY_TOL = 1e-8
 
+_BOUND_BLOCK = 1 << 18  # entries of a per block of the 2^63 bound check
+
 
 class ColorError(ValueError):
     """Invalid unitary color assignment."""
@@ -31,6 +33,22 @@ class ColorInvariantError(RuntimeError):
     (internal bug trap)."""
 
 
+def _max_abs_row_sum(a: np.ndarray) -> int:
+    """max_i sum_k |a_ik| of an int64 matrix, exactly and without overflow.
+
+    |a| is read as uint64 (abs maps int64 min to 2^63) and row-summed in
+    32-bit halves, a block of rows at a time, so no temporary is the size of
+    ``a``.
+    """
+    step = max(1, _BOUND_BLOCK // max(1, a.shape[1]))
+    best = 0
+    for lo in range(0, a.shape[0], step):
+        u = np.abs(a[lo:lo + step]).view(np.uint64)
+        rows = ((u >> 32).sum(axis=1).astype(object) << 32) + (u & 0xFFFFFFFF).sum(axis=1)
+        best = max(best, rows.max())
+    return best
+
+
 def exact_int_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of integer (int64 or object) matrices.
 
@@ -39,12 +57,8 @@ def exact_int_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     are int64 and max_i sum_k |a_ik| * max|b| < 2^63 (this bounds every term
     and partial sum), else in Python-int objects.
     """
-    fits = a.dtype != object and b.dtype != object
-    if fits:  # |a| as uint64 (abs maps int64 min to 2^63), row-summed in 32-bit halves
-        u = np.abs(a).view(np.uint64)
-        rows = ((u >> 32).sum(axis=1).astype(object) << 32) + (u & 0xFFFFFFFF).sum(axis=1)
-        del u  # one matrix of memory, not needed by the product
-        fits = rows.max(initial=0) * max(int(b.max(initial=0)), -int(b.min(initial=0))) < 2 ** 63
+    fits = (a.dtype != object and b.dtype != object and _max_abs_row_sum(a)
+            * max(int(b.max(initial=0)), -int(b.min(initial=0))) < 2 ** 63)
     dtype = np.int64 if fits else object
     out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
     cols, ks = np.nonzero(b.T)
@@ -53,8 +67,11 @@ def exact_int_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b_by_slot = np.zeros(k_by_slot.shape, dtype=dtype)
     k_by_slot[slot, cols], b_by_slot[slot, cols] = ks, b[ks, cols]
     a = a.astype(dtype, copy=False)
+    term = np.empty_like(out)  # the one temporary, reused by every step
     for k, v in zip(k_by_slot, b_by_slot):
-        out += a[:, k] * v
+        np.take(a, k, axis=1, out=term, mode="clip")  # k is in range; "raise" would buffer
+        term *= v
+        out += term
     return out
 
 
@@ -240,19 +257,18 @@ def colored_adjacency(g: MultiGraph, color: ColorAssignment) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int,
-                        identity_tol: float = COLOR_IDENTITY_TOL):
+def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):
     """Colored non-backtracking matrices A_r^sigma with the polynomial check.
 
     Returns (sequence, max polynomial deviation).  The sequence follows the
     non-backtracking recurrence on the colored adjacency A^s; each term is
     compared against q^{r/2} X_{r,q}(A^s / sqrt(q)) and the run rejects past
-    ``identity_tol``.
+    ``COLOR_IDENTITY_TOL``.
     """
     q = _require_regular(g) - 1
     a_sigma = colored_adjacency(g, color)
     seq = _nb_recurrence(a_sigma, q, r_max, np.matmul)
     worst = _friedman_deviation(a_sigma, q, seq)
-    if worst > identity_tol:
+    if worst > COLOR_IDENTITY_TOL:
         raise ColorInvariantError(f"colored polynomial identity deviates by {worst:.3e}")
     return seq, worst

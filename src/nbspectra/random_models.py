@@ -101,7 +101,8 @@ def sample_regular_graph(n: int, degree: int, rng: RngStream,
             continue
         pairs, loops, doubles = switched
         g = build_from_edge_list((pairs // degree).tolist(), n)
-        assert regular_degree(g) == degree
+        if regular_degree(g) != degree:
+            raise RuntimeError(f"sampled graph is not {degree}-regular (n={n})")
         if loops or doubles:
             logger.debug("switched away %d loop(s) and %d double pair(s) "
                          "(n=%d, d=%d)", loops, doubles, n, degree)

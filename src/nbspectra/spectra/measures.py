@@ -11,7 +11,7 @@ import numpy as np
 from ..chebyshev import eval_X_table, xrq_from_x
 from ..multigraph import MultiGraph, _require_regular
 from ..nbmatrix import ColorAssignment, adjacency, colored_adjacency
-from .eigen import eigenvalues_hermitian, eigenvalues_symmetric
+from .eigen import eigenvalues_symmetric
 
 
 class MeasureError(ValueError):
@@ -64,19 +64,15 @@ class DiscreteSpectralMeasure:
         return xrq_from_x(eval_X_table(r_max, self.points), q).mean(axis=1)
 
 
-def spectral_measure(g: MultiGraph) -> DiscreteSpectralMeasure:
-    """Atoms at q^{-1/2} * eigenvalues of the adjacency matrix."""
+def spectral_measure(g: MultiGraph,
+                     color: ColorAssignment | None = None) -> DiscreteSpectralMeasure:
+    """Atoms at q^{-1/2} * eigenvalues of the adjacency matrix, or of the
+    colored block adjacency when ``color`` is given (an uncolored graph is
+    the coloring by 1 x 1 identity blocks)."""
     d = _require_regular(g, min_degree=2)
     q = d - 1
-    eigs = eigenvalues_symmetric(adjacency(g).astype(np.float64))
-    return DiscreteSpectralMeasure(points=eigs / math.sqrt(q), q=float(q))
-
-
-def colored_spectral_measure(g: MultiGraph, color: ColorAssignment) -> DiscreteSpectralMeasure:
-    """Atoms at q^{-1/2} * eigenvalues of the colored block adjacency."""
-    d = _require_regular(g, min_degree=2)
-    q = d - 1
-    eigs = eigenvalues_hermitian(colored_adjacency(g, color))
+    eigs = eigenvalues_symmetric(
+        adjacency(g) if color is None else colored_adjacency(g, color))
     return DiscreteSpectralMeasure(points=eigs / math.sqrt(q), q=float(q))
 
 

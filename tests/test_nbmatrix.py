@@ -320,10 +320,11 @@ def test_colored_rejects_non_regular():
         colored_nb_sequence(path, color, 3)
 
 
-def test_colored_identity_failure_is_an_internal_error(k4):
+def test_colored_identity_failure_is_an_internal_error(k4, monkeypatch):
+    monkeypatch.setattr(nbmatrix, "COLOR_IDENTITY_TOL", -1.0)
     color = ColorAssignment.trivial(k4)
     with pytest.raises(ColorInvariantError, match="polynomial identity"):
-        colored_nb_sequence(k4, color, 4, identity_tol=-1.0)
+        colored_nb_sequence(k4, color, 4)
     assert issubclass(ColorInvariantError, RuntimeError)
     assert not issubclass(ColorInvariantError, ValueError)
 

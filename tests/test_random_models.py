@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from nbspectra import random_models
 from nbspectra.multigraph import (build_from_edge_list, complete_graph,
                                   cycle_graph, enumerate_circles, girth,
                                   regular_degree)
@@ -73,6 +74,16 @@ def test_sampler_retry_budget_error():
         # budget 1 at d = 5 fails with overwhelming probability; seed chosen
         # so the first pairing is not simple
         sample_regular_graph(12, 5, RngStream(0), retry_budget=1)
+
+
+def test_sampler_irregular_build_is_an_internal_error(monkeypatch):
+    # a graph builder that loses an edge must trip the regularity trap, which
+    # raises RuntimeError (exit 1) and survives python -O
+    build = random_models.build_from_edge_list
+    monkeypatch.setattr(random_models, "build_from_edge_list",
+                        lambda edges, n: build(edges[:-1], n))
+    with pytest.raises(RuntimeError, match="not 3-regular"):
+        sample_regular_graph(20, 3, RngStream(5))
 
 
 def test_samples_are_uniformish_over_labeled_cubic_graphs():
@@ -239,8 +250,7 @@ def test_loop_base_lift_matches_colored_adjacency():
     assert np.abs(a_sigma.imag).max() == 0.0
     assert np.array_equal(a_sigma.real.astype(np.int64), adjacency(lifted))
     mu_lift = spectral_measure(lifted)
-    from nbspectra.spectra import colored_spectral_measure
-    mu_col = colored_spectral_measure(base, color)
+    mu_col = spectral_measure(base, color)
     assert np.abs(mu_lift.points - mu_col.points).max() <= 1e-9
 
 

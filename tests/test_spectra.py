@@ -13,8 +13,7 @@ from nbspectra.multigraph import (build_from_edge_list, complete_graph,
 from nbspectra.nbmatrix import ColorAssignment, adjacency
 from nbspectra.random_models import RngStream, permutation_color, sample_lift
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
-                               arcsine, colored_spectral_measure,
-                               cycle_spectral_measure, eigenvalues_hermitian,
+                               arcsine, cycle_spectral_measure,
                                eigenvalues_symmetric, kesten_mckay,
                                moment_criterion_report, orthogonality_check,
                                semicircle, spectral_measure)
@@ -58,12 +57,12 @@ def test_symmetric_rejects_asymmetry():
 
 
 def test_hermitian_eigs_cases():
-    assert np.allclose(eigenvalues_hermitian(np.array([[0, 1j], [-1j, 0]])),
+    assert np.allclose(eigenvalues_symmetric(np.array([[0, 1j], [-1j, 0]])),
                        [-1.0, 1.0], atol=1e-12)
     rng = np.random.default_rng(1)
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h = (m + m.conj().T) / 2.0
-    eigs = eigenvalues_hermitian(h)
+    eigs = eigenvalues_symmetric(h)
     assert math.fsum(eigs) == pytest.approx(float(np.trace(h).real), abs=1e-8)
     assert math.fsum(e * e for e in eigs) == pytest.approx(
         float(np.sum(np.abs(h) ** 2)), rel=1e-8)
@@ -71,16 +70,35 @@ def test_hermitian_eigs_cases():
     doubled = eigenvalues_symmetric(np.block([[h.real, -h.imag], [h.imag, h.real]]))
     assert np.abs(doubled[0::2] - eigs).max() <= 1e-12
     assert np.abs(doubled[1::2] - eigs).max() <= 1e-12
-    # real symmetric input agrees with the symmetric path
+    # a real symmetric matrix gives the same spectrum as real or complex input
     s = (rng.standard_normal((6, 6)))
     s = (s + s.T) / 2.0
-    assert np.allclose(eigenvalues_hermitian(s.astype(complex)),
+    assert np.allclose(eigenvalues_symmetric(s.astype(complex)),
                        eigenvalues_symmetric(s), atol=1e-9)
 
 
 def test_hermitian_rejects_non_hermitian():
     with pytest.raises(EigenError):
-        eigenvalues_hermitian(np.array([[0.0, 1j], [1j, 0.0]]))
+        eigenvalues_symmetric(np.array([[0.0, 1j], [1j, 0.0]]))
+
+
+@pytest.mark.parametrize("m, real_ok, complex_ok", [
+    # deviation 1e-9 at scale 1: past both rules
+    (np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]), False, False),
+    # deviation 1e-9 at scale 1e3: within the relative rule, past the absolute one
+    (np.array([[0.0, 1e3], [1e3 + 1e-9, 0.0]]), True, False),
+    # deviation 1e-12 at scale 2e-12: past the relative rule, within the absolute one
+    (np.array([[0.0, 1e-12], [2e-12, 0.0]]), False, True),
+], ids=["past-both", "within-relative-only", "within-absolute-only"])
+def test_asymmetry_rule_follows_the_dtype(m, real_ok, complex_ok):
+    # real input keeps the relative SYMMETRY_RTOL rule, complex input the
+    # absolute HERMITIAN_ATOL rule, so one entry point changes no verdict
+    for dtype, ok in ((np.float64, real_ok), (np.complex128, complex_ok)):
+        if ok:
+            assert eigenvalues_symmetric(m.astype(dtype)).shape == (2,)
+        else:
+            with pytest.raises(EigenError):
+                eigenvalues_symmetric(m.astype(dtype))
 
 
 # -- discrete measures ------------------------------------------------------------
@@ -128,11 +146,10 @@ def test_spectral_measure_rejects_irregular():
 def test_colored_measure_trivial_and_permutation(k4):
     mu = spectral_measure(k4)
     col = ColorAssignment.trivial(k4)
-    assert np.allclose(colored_spectral_measure(k4, col).points, mu.points,
-                       atol=1e-9)
+    assert np.allclose(spectral_measure(k4, col).points, mu.points, atol=1e-9)
     spec, lifted = sample_lift(k4, 6, RngStream(31))
     mu_lift = spectral_measure(lifted)
-    mu_col = colored_spectral_measure(k4, permutation_color(spec))
+    mu_col = spectral_measure(k4, permutation_color(spec))
     assert mu_col.size == 24
     assert np.abs(mu_lift.points - mu_col.points).max() <= 1e-9
 
