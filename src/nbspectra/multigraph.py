@@ -273,11 +273,39 @@ def _expand_csr(flat: np.ndarray, off: np.ndarray, cur: np.ndarray):
     return flat[base + within], counts
 
 
-def _roots_per_chunk(g: MultiGraph, depth: int) -> int:
-    """Root darts per chunk: chunk * (most NBW successors of a dart)^depth <= _LAYER_LIMIT."""
+def _roots_per_chunk(g: MultiGraph, depth: int, width: int = 1) -> int:
+    """Root darts per chunk: chunk * width * (most NBW successors of a dart)^depth
+    <= _LAYER_LIMIT, for paths that hold ``width`` entries each."""
     widths = np.diff(g._nbw_csr[1])
     growth = max(1, int(widths.max(initial=0))) ** max(0, depth)
-    return max(1, _LAYER_LIMIT // growth)
+    return max(1, _LAYER_LIMIT // (growth * width))
+
+
+_FAR = np.iinfo(np.uint8).max  # distance entry of a vertex at or below the root
+
+
+def _root_distances(g: MultiGraph, s_lo: int, s_hi: int, depth: int) -> np.ndarray:
+    """uint8 (s_hi - s_lo) x n table: row s - s_lo holds, for each v > s, the
+    fewest edges from v back to s through vertices above s when that is at
+    most ``depth``, else depth + 1 (a lower bound); entries for v <= s are
+    _FAR.  A breadth-first search from every root of the range at once."""
+    n, head = g.n_vertices, g.head
+    flat, off = g._out_csr
+    dist = np.full((s_hi - s_lo, n), depth + 1, dtype=np.uint8)
+    for s in range(s_lo, s_hi):
+        dist[s - s_lo, :s + 1] = _FAR
+    dist = dist.ravel()
+    rows = np.arange(s_hi - s_lo)
+    front = rows + s_lo
+    for k in range(1, depth + 1):
+        darts, counts = _expand_csr(flat, off, front)
+        codes = np.repeat(rows, counts) * n + head[darts]
+        codes = np.unique(codes[dist[codes] == depth + 1])  # above the root, not yet reached
+        if codes.size == 0:
+            break
+        dist[codes] = k
+        rows, front = np.divmod(codes, n)
+    return dist.reshape(s_hi - s_lo, n)
 
 
 def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
@@ -326,9 +354,15 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     size-2 circles; sizes >= 3 are vertex-disjoint cycles enumerated once each
     via min-vertex rooting and a fixed orientation (first vertex after the
     root below the last).  Paths grow along non-backtracking darts with their
-    visited vertices in a bitset of ceil(n/64) uint64 words; with one or two
-    steps left they enter only vertices one or two steps from the root.  Root
-    darts are taken in chunks of _LAYER_LIMIT / max_branch^(r_max-2).
+    visited vertices in a bitset of ceil(n/64) uint64 words.  A path that
+    reaches v with ``left`` steps to go is kept only if v is above the root s
+    and dist(v, s) <= left, the fewest edges from v back to s through vertices
+    above s.  A path is never farther from s than its length, so the test can
+    fail only for left <= (r_max - 1) // 2, and distances are searched to that
+    depth.  Root darts go sorted by root in chunks whose bitsets (chunk *
+    max_branch^(r_max-2) paths of ceil(n/64) words) and whose distance rows
+    (one of n entries per root vertex in the chunk's range) each stay within
+    _LAYER_LIMIT entries.
     """
     if r_max < 0:
         raise GraphError("r_max must be nonnegative")
@@ -353,19 +387,22 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     nxt_flat, nxt_off = g._nbw_csr
     word = np.arange(n) >> 6
     bit = np.left_shift(np.uint64(1), (np.arange(n) & 63).astype(np.uint64))
-    two_step, fan = _expand_csr(*g._out_csr, head)
-    near1 = np.unique(head * n + origin)        # codes v*n + s of pairs one step apart
-    near = (near1, np.union1d(near1, head[two_step] * n + np.repeat(origin, fan)))
-    roots = np.flatnonzero(head > origin)       # first step ascends from the root
-    per_chunk = _roots_per_chunk(g, r_max - 2)
-    for lo in range(0, roots.size, per_chunk):
-        live = roots[lo:lo + per_chunk]
+    flat = g._out_csr[0]
+    roots = flat[head[flat] > origin[flat]]     # first step ascends; sorted by root
+    root_of = origin[roots]
+    per_chunk = _roots_per_chunk(g, r_max - 2, (n + 63) >> 6)
+    span = max(1, _LAYER_LIMIT // n)            # root vertices (distance rows) per chunk
+    lo = 0
+    while lo < roots.size:
+        s_lo = int(root_of[lo])
+        hi = min(lo + per_chunk, int(np.searchsorted(root_of, s_lo + span)))
+        dist = _root_distances(g, s_lo, int(root_of[hi - 1]) + 1, (r_max - 1) // 2)
+        live, lo = roots[lo:hi], hi
         starts, firsts = origin[live], head[live]
         bits = np.zeros((live.size, (n + 63) >> 6), dtype=np.uint64)
         bits[np.arange(live.size), word[firsts]] = bit[firsts]
         for k in range(1, r_max):
             cand, counts = _expand_csr(nxt_flat, nxt_off, live)
-            rows = np.repeat(np.arange(live.size), counts)
             ends = head[cand]
             s_rep = np.repeat(starts, counts)
             if k >= 2:                          # close at the root, first vertex below last
@@ -373,13 +410,9 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
             left = r_max - k - 1                # steps left after this one
             if left == 0:
                 break
-            keep = np.flatnonzero(ends > s_rep)
+            rows = np.repeat(np.arange(live.size), counts)
+            keep = np.flatnonzero(dist[s_rep - s_lo, ends] <= left)  # so also ends > root
             keep = keep[(bits[rows[keep], word[ends[keep]]] & bit[ends[keep]]) == 0]
-            if left <= 2:
-                codes = ends[keep] * n + s_rep[keep]
-                table = near[left - 1]
-                pos = np.minimum(np.searchsorted(table, codes), table.size - 1)
-                keep = keep[table[pos] == codes]
             rows, live = rows[keep], cand[keep]
             starts, firsts, bits = s_rep[keep], firsts[rows], bits[rows]
             bits[np.arange(keep.size), word[ends[keep]]] |= bit[ends[keep]]

@@ -1,16 +1,18 @@
 """Non-backtracking matrices, the dart (Hashimoto) matrix, and unitary colors.
 
 Exact integer arithmetic backs every count. Every product the census takes is
-by A or by the dart matrix, which have few nonzeros per column, so a product
-sums over the nonzeros of its right factor: in int64 when a bound on every
-term and partial sum stays below 2^63, in Python-int object arrays otherwise.
+by A or by the dart matrix, which have few nonzeros per column, so the right
+factor is given as its column nonzeros (``ColumnNonzeros``), built once per
+sequence from the darts, and a product sums over them: in int64 when a bound
+on every term and partial sum stays below 2^63, in Python-int object arrays
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,26 +51,44 @@ def _max_abs_row_sum(a: np.ndarray) -> int:
     return best
 
 
-def exact_int_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of integer (int64 or object) matrices.
+class ColumnNonzeros(NamedTuple):
+    """Right factor of ``exact_int_dot`` as its column nonzeros, slot-major:
+    slot t of column j holds row rows[t, j] and value values[t, j], and
+    columns with fewer than rows.shape[0] nonzeros are padded with value 0."""
+
+    rows: np.ndarray    # int64
+    values: np.ndarray  # int64 or object
+
+    @classmethod
+    def from_entries(cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                     n_cols: int) -> "ColumnNonzeros":
+        """From the distinct nonzero entries (rows[i], cols[i]) of a matrix."""
+        order = np.lexsort((rows, cols))
+        rows, cols, values = rows[order], cols[order], values[order]
+        slot = np.arange(cols.size) - np.searchsorted(cols, cols)  # rank within its column
+        by_slot = np.zeros((slot.max(initial=-1) + 1, n_cols), dtype=np.int64)
+        values_by_slot = np.zeros(by_slot.shape, dtype=values.dtype)
+        by_slot[slot, cols], values_by_slot[slot, cols] = rows, values
+        return cls(by_slot, values_by_slot)
+
+
+def exact_int_dot(a: np.ndarray, b: ColumnNonzeros) -> np.ndarray:
+    """Exact product of an integer (int64 or object) matrix and the matrix
+    whose column nonzeros are ``b``.
 
     Column j sums a[:, k] * b[k, j] over the nonzeros of column j of ``b``, the
     t-th nonzero of every column (or zero) per step, in int64 when both inputs
     are int64 and max_i sum_k |a_ik| * max|b| < 2^63 (this bounds every term
     and partial sum), else in Python-int objects.
     """
-    fits = (a.dtype != object and b.dtype != object and _max_abs_row_sum(a)
-            * max(int(b.max(initial=0)), -int(b.min(initial=0))) < 2 ** 63)
+    values = b.values
+    fits = (a.dtype != object and values.dtype != object and _max_abs_row_sum(a)
+            * max(int(values.max(initial=0)), -int(values.min(initial=0))) < 2 ** 63)
     dtype = np.int64 if fits else object
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
-    cols, ks = np.nonzero(b.T)
-    slot = np.arange(cols.size) - np.searchsorted(cols, cols)  # rank within its column
-    k_by_slot = np.zeros((slot.max(initial=-1) + 1, b.shape[1]), dtype=np.int64)
-    b_by_slot = np.zeros(k_by_slot.shape, dtype=dtype)
-    k_by_slot[slot, cols], b_by_slot[slot, cols] = ks, b[ks, cols]
+    out = np.zeros((a.shape[0], values.shape[1]), dtype=dtype)
     a = a.astype(dtype, copy=False)
     term = np.empty_like(out)  # the one temporary, reused by every step
-    for k, v in zip(k_by_slot, b_by_slot):
+    for k, v in zip(b.rows, values):  # int64 v times object term gives Python ints
         np.take(a, k, axis=1, out=term, mode="clip")  # k is in range; "raise" would buffer
         term *= v
         out += term
@@ -82,17 +102,17 @@ def adjacency(g: MultiGraph) -> np.ndarray:
     return a
 
 
-def _nb_recurrence(a: np.ndarray, q: int, r_max: int, dot) -> list[np.ndarray]:
+def _nb_recurrence(a: np.ndarray, q: int, r_max: int, times_a) -> list[np.ndarray]:
     """A_0..A_{r_max} from A_0 = I, A_1 = A, A_2 = A^2 - (q+1) I and
-    A_r = A_{r-1} A - q A_{r-2} for r >= 3, with products taken by ``dot``."""
+    A_r = A_{r-1} A - q A_{r-2} for r >= 3, with ``times_a(m)`` giving m A."""
     eye = np.eye(a.shape[0], dtype=a.dtype)
     seq = [eye]
     if r_max >= 1:
         seq.append(a.copy())
     if r_max >= 2:
-        seq.append(dot(a, a) - (q + 1) * eye)
+        seq.append(times_a(a) - (q + 1) * eye)
     for _ in range(3, r_max + 1):
-        prod = dot(seq[-1], a)  # q * A_{r-2} may pass int64 once prod is object
+        prod = times_a(seq[-1])  # q * A_{r-2} may pass int64 once prod is object
         seq.append(prod - q * seq[-2].astype(prod.dtype))
     return seq
 
@@ -100,7 +120,9 @@ def _nb_recurrence(a: np.ndarray, q: int, r_max: int, dot) -> list[np.ndarray]:
 def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
     """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph."""
     d = _require_regular(g)
-    return _nb_recurrence(adjacency(g), d - 1, r_max, exact_int_dot)
+    codes, counts = np.unique(g.origin * g.n_vertices + g.head, return_counts=True)
+    a = ColumnNonzeros.from_entries(*np.divmod(codes, g.n_vertices), counts, g.n_vertices)
+    return _nb_recurrence(adjacency(g), d - 1, r_max, lambda m: exact_int_dot(m, a))
 
 
 def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
@@ -108,21 +130,31 @@ def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
     return [int(np.trace(m, dtype=object)) for m in nb_matrix_sequence(g, r_max)]
 
 
+def _dart_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(d, d') of the nonzeros of the dart matrix, from the NBW successors."""
+    flat, off = g._nbw_csr
+    return np.repeat(np.arange(g.n_darts), np.diff(off)), flat
+
+
 def hashimoto_matrix(g: MultiGraph) -> np.ndarray:
     """Dart transition matrix: B[d, d'] = 1 iff head(d) = origin(d'), d' != twin(d)."""
-    nd = g.n_darts
-    darts = np.arange(nd)
-    b = (g.head[:, None] == g.origin[None, :]).astype(np.int64)
-    b[darts, darts ^ 1] = 0
+    b = np.zeros((g.n_darts, g.n_darts), dtype=np.int64)
+    b[_dart_entries(g)] = 1
     return b
 
 
 def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
-    """Circuit counts c_0..c_{r_max} as traces of powers of the dart matrix."""
+    """Circuit counts c_0..c_{r_max} as traces of powers of the dart matrix.
+
+    The dense dart matrix is only the first power; every product takes the
+    matrix as its column nonzeros."""
     c = [0] * (r_max + 1)
-    b = hashimoto_matrix(g)
+    rows, cols = _dart_entries(g)
+    b = ColumnNonzeros.from_entries(rows, cols, np.ones(cols.size, dtype=np.int64), g.n_darts)
+    power = hashimoto_matrix(g)
     for r in range(1, r_max + 1):
-        power = b if r == 1 else exact_int_dot(power, b)
+        if r > 1:
+            power = exact_int_dot(power, b)
         c[r] = int(np.trace(power, dtype=object))
     return c
 
@@ -267,7 +299,7 @@ def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):
     """
     q = _require_regular(g) - 1
     a_sigma = colored_adjacency(g, color)
-    seq = _nb_recurrence(a_sigma, q, r_max, np.matmul)
+    seq = _nb_recurrence(a_sigma, q, r_max, lambda m: m @ a_sigma)
     worst = _friedman_deviation(a_sigma, q, seq)
     if worst > COLOR_IDENTITY_TOL:
         raise ColorInvariantError(f"colored polynomial identity deviates by {worst:.3e}")

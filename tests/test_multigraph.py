@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -243,10 +247,53 @@ def test_circle_counts_do_not_depend_on_r_max():
 
 
 def test_circles_in_single_root_chunks(monkeypatch):
+    # Limit 1 runs every root dart alone.  Limit 3n caps a chunk at 3 root
+    # vertices of distance rows: at r = 3 that cap cuts every chunk, at r = 4
+    # some chunks are cut by it and some by the cap on paths.
     g = pairing_multigraph(14, 4, 3)
-    whole = enumerate_circles(g, 10)
-    monkeypatch.setattr(multigraph, "_LAYER_LIMIT", 1)
-    assert enumerate_circles(g, 10) == whole
+    for limit, r in ((1, 10), (3 * 14, 3), (3 * 14, 4)):
+        whole = enumerate_circles(g, r)
+        with monkeypatch.context() as patch:
+            patch.setattr(multigraph, "_LAYER_LIMIT", limit)
+            assert enumerate_circles(g, r) == whole, (limit, r)
+
+
+def _distances_by_python_bfs(g: MultiGraph, s: int, depth: int) -> list[int]:
+    """Fewest edges from each vertex v > s to s through vertices above s, by
+    a plain breadth-first search from s; depth + 1 past depth, 255 for v <= s."""
+    neighbours = [set() for _ in range(g.n_vertices)]
+    for u, v in g.edge_list():
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    dist = [255 if v <= s else depth + 1 for v in range(g.n_vertices)]
+    frontier = [s]
+    for k in range(1, depth + 1):
+        reached = {w for u in frontier for w in neighbours[u] if w > s and dist[w] == depth + 1}
+        for w in reached:
+            dist[w] = k
+        frontier = sorted(reached)
+    return dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs, st.integers(0, 6), st.data())
+def test_root_distances_match_python_bfs(graph, depth, data):
+    n, edges = graph
+    g = build_from_edge_list(edges, n)
+    s_lo = data.draw(st.integers(0, n - 1))
+    s_hi = data.draw(st.integers(s_lo + 1, n))
+    table = multigraph._root_distances(g, s_lo, s_hi, depth)
+    assert table.shape == (s_hi - s_lo, n)
+    for s in range(s_lo, s_hi):
+        assert table[s - s_lo].tolist() == _distances_by_python_bfs(g, s, depth)
+
+
+def test_root_distances_on_pairing_multigraph():
+    g = pairing_multigraph(40, 3, 2)
+    assert girth(g) <= 2  # loops or parallel edges present
+    table = multigraph._root_distances(g, 5, 30, 6)
+    for s in range(5, 30):
+        assert table[s - 5].tolist() == _distances_by_python_bfs(g, s, 6)
 
 
 def test_circles_cap_rejection():
@@ -263,6 +310,26 @@ def test_census_matches_brute_on_named(named_graphs):
         assert list(census.f) == f
         assert list(census.c) == c
         assert census.z == tuple(enumerate_circles(g, 8))
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def test_census_matches_benchmark_reference(monkeypatch):
+    # The benchmark's census pool against its recorded counts; the benchmark
+    # files are only read (no bytecode is written next to them).
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("benchmark_workloads",
+                                                  BENCHMARKS / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((BENCHMARKS / "reference" / "census.json").read_text(encoding="utf-8"))
+    pool = workloads.census_pool()
+    assert sorted(pool) == sorted(reference)
+    for gid, (n, edges, r_max) in pool.items():
+        census = walk_census(build_from_edge_list(edges, n), r_max)
+        z = list(census.z) if census.z is not None else [None] * (r_max + 1)
+        assert {"f": list(census.f), "c": list(census.c), "z": z} == reference[gid], gid
 
 
 def test_census_base_cases(k4):

@@ -15,7 +15,7 @@ from nbspectra.multigraph import (RegularityError, brute_walk_counts,
                                   build_from_edge_list, complete_graph,
                                   cycle_graph, petersen_graph, walk_census)
 from nbspectra.nbmatrix import (ColorAssignment, ColorError,
-                                ColorInvariantError, adjacency,
+                                ColorInvariantError, ColumnNonzeros, adjacency,
                                 circuit_count_sequence, colored_adjacency,
                                 colored_nb_sequence, exact_int_dot,
                                 hashimoto_matrix, nb_matrix_sequence,
@@ -54,16 +54,39 @@ def test_adjacency_symmetry_on_multigraph():
 
 # -- exact integer products ------------------------------------------------------
 
+def _nonzeros(b: np.ndarray) -> ColumnNonzeros:
+    """A dense right factor as its column nonzeros."""
+    rows, cols = np.nonzero(b)
+    return ColumnNonzeros.from_entries(rows, cols, b[rows, cols], b.shape[1])
+
+
+def _dense(b: ColumnNonzeros, n_rows: int) -> np.ndarray:
+    """The object matrix whose column nonzeros are ``b``."""
+    out = np.zeros((n_rows, b.rows.shape[1]), dtype=object)
+    np.add.at(out, (b.rows, np.arange(b.rows.shape[1])), b.values.astype(object))
+    return out
+
+
+def test_column_nonzeros_round_trip():
+    rng = np.random.default_rng(4)
+    for shape in ((0, 0), (3, 0), (0, 4), (5, 7)):
+        b = rng.integers(-2, 3, size=shape) * rng.integers(0, 2, size=shape)
+        factor = _nonzeros(b)
+        assert factor.rows.shape == factor.values.shape
+        assert factor.rows.shape[0] == max((np.count_nonzero(col) for col in b.T), default=0)
+        assert _dense(factor, shape[0]).tolist() == b.tolist()
+
+
 def test_exact_dot_object_fallback_matches_small_case():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 5, size=(6, 6)).astype(np.int64)
     b = rng.integers(0, 5, size=(6, 6)).astype(np.int64)
-    fast = exact_int_dot(a, b)
+    fast = exact_int_dot(a, _nonzeros(b))
     slow = np.dot(a.astype(object), b.astype(object))
     assert (fast == slow).all()
     # force the arbitrary-precision path with huge entries
     big = np.full((3, 3), 2 ** 40, dtype=np.int64)
-    exact = exact_int_dot(big, big)
+    exact = exact_int_dot(big, _nonzeros(big))
     assert exact.dtype == object
     assert exact[0, 0] == 3 * (2 ** 40) ** 2
 
@@ -73,7 +96,7 @@ def test_exact_dot_bounds_negative_entries():
     # entry takes it below -2^63, out of int64: the bound sums |a_ik|
     a = np.array([[1, -(2 ** 31 + 1)]], dtype=np.int64)
     b = np.array([[2 ** 32 + 3], [2 ** 32 + 1]], dtype=np.int64)
-    exact = exact_int_dot(a, b)
+    exact = exact_int_dot(a, _nonzeros(b))
     assert exact.dtype == object
     assert exact[0, 0] == (2 ** 32 + 3) - (2 ** 31 + 1) * (2 ** 32 + 1)
 
@@ -111,7 +134,7 @@ def _edge(a_rows, b_rows):
 @example(_edge([[-2 ** 63]], [[1]]))                    # |int64 min| = 2^63: object
 def test_exact_dot_matches_object_oracle(pair):
     a, b = pair
-    prod = exact_int_dot(a, b)
+    prod = exact_int_dot(a, _nonzeros(b))
     assert prod.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
     row_sums = [sum(abs(int(x)) for x in row) for row in a]
     bound = max(row_sums, default=0) * max((abs(int(x)) for x in b.flat), default=0)
@@ -128,7 +151,7 @@ def test_census_across_int64_matches_object_products(g, monkeypatch):
     census = walk_census(g, 42)
     assert max(census.f) > 2 ** 63 and max(census.c) > 2 ** 63
     monkeypatch.setattr(nbmatrix, "exact_int_dot",
-                        lambda a, b: np.dot(a.astype(object), b.astype(object)))
+                        lambda a, b: np.dot(a.astype(object), _dense(b, a.shape[1])))
     oracle = walk_census(g, 42)
     assert census.f == oracle.f
     assert census.c == oracle.c
@@ -141,7 +164,7 @@ def test_nb_sequence_base_relations(k4):
     a = adjacency(k4)
     assert (seq[0] == np.eye(4, dtype=np.int64)).all()
     assert (seq[1] == a).all()
-    assert (seq[2] + 3 * np.eye(4, dtype=np.int64) == exact_int_dot(a, a)).all()
+    assert (seq[2] + 3 * np.eye(4, dtype=np.int64) == exact_int_dot(a, _nonzeros(a))).all()
 
 
 def test_nb_traces_equal_brute(k4, c4):
@@ -182,6 +205,13 @@ def test_hashimoto_traces_named(c4, k4):
     assert (b.sum(axis=1) == 1).all()  # q = 1: single successor per dart
     assert circuit_count_sequence(c4, 4)[4] == 8
     assert circuit_count_sequence(k4, 3)[3] == 24
+
+
+def test_hashimoto_matrix_matches_definition():
+    g = build_from_edge_list([(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 0)], 3)
+    darts = np.arange(g.n_darts)
+    b = (g.head[:, None] == g.origin[None, :]) & (darts[None, :] != (darts ^ 1)[:, None])
+    assert hashimoto_matrix(g).tolist() == b.astype(np.int64).tolist()
 
 
 def test_hashimoto_tree_has_no_circuits():

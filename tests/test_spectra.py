@@ -17,7 +17,7 @@ from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
                                eigenvalues_symmetric, kesten_mckay,
                                moment_criterion_report, orthogonality_check,
                                semicircle, spectral_measure)
-from nbspectra.spectra.eigen import EigenError
+from nbspectra.spectra.eigen import (HERMITIAN_ATOL, SYMMETRY_RTOL, EigenError)
 
 from conftest import cycle_idf_closed_form
 
@@ -99,6 +99,64 @@ def test_asymmetry_rule_follows_the_dtype(m, real_ok, complex_ok):
         else:
             with pytest.raises(EigenError):
                 eigenvalues_symmetric(m.astype(dtype))
+
+
+def _full_scan_verdict(m: np.ndarray) -> str | None:
+    """The symmetry check as a scan of the whole matrix against its mirror:
+    None to accept, else the rejection message."""
+    if np.iscomplexobj(m):
+        dev = float(np.abs(m - m.conj().T).max(initial=0.0))
+        if dev > HERMITIAN_ATOL:
+            return f"matrix deviates from Hermitian by {dev:.3e}"
+        return None
+    scale = float(np.abs(m).max(initial=0.0))
+    dev = float(np.abs(m - m.T).max(initial=0.0))
+    if dev > SYMMETRY_RTOL * max(scale, 1e-300):
+        return f"matrix asymmetry {dev:.3e} exceeds {SYMMETRY_RTOL:g} * max|entry|"
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_asymmetry_check_by_slabs_matches_full_scan(n, hermitian, monkeypatch):
+    # one asymmetric pair (or diagonal entry) just past and just within the
+    # tolerance, at the first, last and boundary rows and columns of the slabs;
+    # only the verdict is checked, so the eigensolve itself is skipped
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.zeros(m.shape[0]))
+    rng = np.random.default_rng(n)
+    base = rng.uniform(-1.0, 1.0, (n, n))
+    if hermitian:
+        base = base + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    base = base + base.conj().T  # exactly symmetric or Hermitian
+    edges = sorted({k for k in (0, 1, 62, 63, 64, 65, 127, 128, 191, 192, n - 1) if k < n})
+    verdicts = set()
+    for i in edges:
+        for j in edges:
+            if i == j and not hermitian:
+                continue
+            for factor in (1.001, 0.999):
+                m = base.copy()
+                if hermitian:
+                    m[i, j] += HERMITIAN_ATOL * factor * (0.5j if i == j else 1.0)
+                else:
+                    m[i, j] += SYMMETRY_RTOL * np.abs(base).max() * factor
+                expected = _full_scan_verdict(m)
+                verdicts.add(expected is None)
+                try:
+                    eigenvalues_symmetric(m)
+                    got = None
+                except EigenError as err:
+                    got = str(err)
+                assert got == expected, (i, j, factor)
+    assert verdicts == (set() if n == 1 and not hermitian else {True, False})
+    if n > 1:
+        # a NaN makes the largest deviation NaN, which a large deviation in
+        # another slab does not override
+        m = base.copy()
+        m[0, 1] = np.nan
+        m[n - 1, n - 2] += 1.0
+        assert _full_scan_verdict(m) is None
+        eigenvalues_symmetric(m)
 
 
 # -- discrete measures ------------------------------------------------------------
