@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Y
+from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Xrq
 from nbspectra.spectra import (arcsine, kesten_mckay, orthogonality_check,
                                semicircle)
 
@@ -24,7 +24,7 @@ for q in (2.0, 5.0, 50.0):
 print("\nsemicircle moments: x^2 ->",
       f"{sc.moment(ExactPolynomial((0, 0, 1))):.9f},",
       "x^4 ->", f"{sc.moment(ExactPolynomial((0, 0, 0, 0, 1))):.9f},",
-      "Y_2 ->", f"{sc.moment(poly_Y(2)):.9f}")
+      "Y_2 ->", f"{sc.moment(poly_Xrq(2, 1)):.9f}")
 
 print("\narcsine quantiles -2 cos(pi p):",
       [f"{ar.idf(p):+.4f}" for p in (0.1, 1 / 3, 0.5, 0.9)])

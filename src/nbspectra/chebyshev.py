@@ -120,11 +120,6 @@ def poly_Xrq(r: int, q: RationalLike) -> ExactPolynomial:
     return poly_X(r) - poly_X(r - 2).scale(Fraction(1, 1) / q)
 
 
-def poly_Y(r: int) -> ExactPolynomial:
-    """Y_r = X_r - X_{r-2} (the q = 1 member of the X_{r,q} family)."""
-    return poly_Xrq(r, 1)
-
-
 def eval_X_table(r_max: int, x) -> np.ndarray:
     """Stacked values X_0(x)..X_{r_max}(x) via one forward recurrence pass.
 

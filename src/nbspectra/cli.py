@@ -22,20 +22,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from math import fsum
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .multigraph import (MultiGraph, census_to_csv, enumerate_circles, girth,
-                         load_graph_file, regular_degree, walk_census)
+from .multigraph import (MultiGraph, _require_regular, census_to_csv,
+                         enumerate_circles, girth, load_graph_file, walk_census)
 from .nbmatrix import ColorAssignment
-from .random_models import (RngStream, haar_unitary_color, sample_lift,
-                            sample_regular_graph)
-from .spectra import (ReferenceLaw, arcsine, cycle_spectral_measure,
-                      kesten_mckay, moment_criterion_report, semicircle,
-                      spectral_measure, wasserstein_p)
+from .random_models import (STREAM_POLICY, RngStream, haar_unitary_color,
+                            sample_lift, sample_regular_graph, trial_means)
+from .spectra import (arcsine, cycle_spectral_measure, kesten_mckay,
+                      moment_criterion_report, semicircle, spectral_measure,
+                      wasserstein_p)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -67,20 +66,15 @@ class ExperimentManifest:
     seed: int | None
 
     def canonical_json(self) -> str:
-        payload = {"experiment": self.experiment, "parameters": self.parameters,
-                   "seed": self.seed}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     @property
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def document(self, outputs: list[str]) -> str:
-        from .random_models import STREAM_POLICY
-        payload = {"experiment": self.experiment, "parameters": self.parameters,
-                   "seed": self.seed, "manifest_hash": self.hash,
-                   "stream_policy": STREAM_POLICY, "outputs": outputs,
-                   "package_version": __version__}
+        payload = dict(vars(self), manifest_hash=self.hash, stream_policy=STREAM_POLICY,
+                       outputs=outputs, package_version=__version__)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -107,45 +101,50 @@ def write_outputs(out_dir, name: str, header: list[str], rows: list[list],
     return [data_path, manifest_path]
 
 
-def _mean_se(values: list[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = fsum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var / n)
+def _report(out_dir, fmt: str, manifest: ExperimentManifest, tables: list,
+            checks: list[tuple[str, bool]]) -> None:
+    """Write each ``(name, header, rows)`` table, name the first data file,
+    and print one PASS/FAIL line per ``(label, ok)`` check."""
+    paths = [write_outputs(out_dir, name, header, rows, manifest, fmt)[0]
+             for name, header, rows in tables]
+    if paths:
+        print(f"wrote {paths[0]}")
+    for label, ok in checks:
+        print(f"{'PASS' if ok else 'FAIL'}  {label}")
 
 
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise CliInputError(f"trials must be at least 1, got {trials}")
+def _require_distinct_orders(p_list: list[float]) -> None:
+    for i, p in enumerate(p_list):
+        if p in p_list[:i]:
+            raise CliInputError(f"Wasserstein order p={p:g} given more than once")
 
 
-def _target_law(q: int) -> ReferenceLaw:
-    return kesten_mckay(float(q)) if q >= 2 else arcsine()
+def _decreasing(seq: list[float]) -> bool:
+    return all(a > b for a, b in zip(seq, seq[1:]))
 
 
 # ---------------------------------------------------------------------------
 # census
 
 def run_census(args) -> int:
+    if args.out is None and args.format != "csv":
+        raise CliInputError("census --format json needs --out (stdout gets CSV)")
     g = load_graph_file(args.graph)
     census = walk_census(g, args.rmax)  # raises CensusInvariantError on a failed identity
     manifest = ExperimentManifest(
         "census", {"graph": Path(args.graph).name, "r_max": args.rmax}, None)
+    tables = []
     if args.out:
         rows = [[r, census.f[r], census.c[r],
                  census.z[r] if census.z is not None else ""]
                 for r in range(census.r_max + 1)]
-        paths = write_outputs(args.out, "census", ["r", "f", "c", "z"], rows,
-                              manifest, args.format)
-        print(f"wrote {paths[0]}")
+        tables.append(("census", ["r", "f", "c", "z"], rows))
     else:
         sys.stdout.write(census_to_csv(census))
-    for r in range(1, census.r_max + 1):
-        print(f"PASS  nbw-circuit identity r={r}")
-        if census.z is not None:
-            print(f"PASS  circle bounds r={r}")
+    kinds = ["nbw-circuit identity"] + (["circle bounds"] if census.z is not None else [])
+    # walk_census has raised if any identity or bound failed
+    checks = [(f"{kind} r={r}", True) for r in range(1, census.r_max + 1) for kind in kinds]
+    _report(args.out, args.format, manifest, tables, checks)
     print(f"girth = {girth(g)}")
     return EXIT_OK
 
@@ -173,10 +172,8 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
     """Distances to the law and moment residuals of ``trials`` colorings per
     fold.  The residual means are the normalized colored non-backtracking
     traces q^{-r/2} tr(A_r^sigma) / (nN)."""
-    degree = regular_degree(base)
-    if degree is None or degree < 2:
-        raise CliInputError("lift experiment needs a regular base of degree >= 2")
-    _require_trials(trials)
+    degree = _require_regular(base)
+    _require_distinct_orders(p_list)
     if r_max < 1:
         raise CliInputError(f"r_max must be at least 1, got {r_max}")
     if color not in _COLORS:
@@ -185,30 +182,27 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
         if fold < 1:
             raise CliInputError(f"block dimension N must be at least 1, got {fold}")
     q = degree - 1
-    target = _target_law(q)
+    target = kesten_mckay(float(q)) if q >= 2 else arcsine()
     root = RngStream(seed)
     distance_rows, residual_rows = [], []
     means = {p: [] for p in p_list}
     for fold in folds:
         cell = root.child(fold)
-        dists = {p: [] for p in p_list}
-        residuals = np.zeros((trials, r_max))
-        for trial in range(trials):
-            if trial == 0 or color != "trivial":  # the trivial coloring draws nothing
-                mu = _colored_measure(base, fold, color, cell.child(trial))
-            for p in p_list:
-                dists[p].append(wasserstein_p(mu, target, p))
-            residuals[trial] = moment_criterion_report(mu, target, r_max)
-        for p in p_list:
-            mean, se = _mean_se(dists[p])
-            means[p].append(mean)
-            distance_rows.append([fold, p, mean, se, trials])
-        for r in range(1, r_max + 1):
-            residual_rows.append([fold, r, fsum(residuals[:, r - 1]) / trials])
-    trend_ok = {p: all(a > b for a, b in zip(seq, seq[1:]))
-                for p, seq in means.items()}
+        # the trivial coloring draws nothing, so one measure serves every trial
+        once = _colored_measure(base, fold, color, cell) if color == "trivial" else None
+
+        def draw(stream: RngStream) -> list[float]:
+            mu = once or _colored_measure(base, fold, color, stream)
+            return ([wasserstein_p(mu, target, p) for p in p_list]
+                    + list(moment_criterion_report(mu, target, r_max)))
+
+        mean, stderr = trial_means(cell, trials, draw)
+        for p, m, se in zip(p_list, mean, stderr):
+            means[p].append(m)
+            distance_rows.append([fold, p, m, se, trials])
+        residual_rows += [[fold, r, m] for r, m in enumerate(mean[len(p_list):], 1)]
     return {"distance_rows": distance_rows, "residual_rows": residual_rows,
-            "means": means, "trend_ok": trend_ok, "q": q}
+            "means": means, "q": q}
 
 
 def run_lift(args) -> int:
@@ -220,14 +214,12 @@ def run_lift(args) -> int:
                  "N": args.N, "trials": args.trials, "r_max": args.rmax,
                  "p": args.p},
         args.seed)
-    paths = write_outputs(args.out, "lift_distances",
-                          ["N", "p", "mean_distance", "stderr", "trials"],
-                          result["distance_rows"], manifest, args.format)
-    write_outputs(args.out, "lift_residuals", ["N", "r", "mean_residual"],
-                  result["residual_rows"], manifest, args.format)
-    print(f"wrote {paths[0]}")
-    for p, ok in result["trend_ok"].items():
-        print(f"{'PASS' if ok else 'FAIL'}  W_{p:g} decreasing along N ladder")
+    _report(args.out, args.format, manifest,
+            [("lift_distances", ["N", "p", "mean_distance", "stderr", "trials"],
+              result["distance_rows"]),
+             ("lift_residuals", ["N", "r", "mean_residual"], result["residual_rows"])],
+            [(f"W_{p:g} decreasing along N ladder", _decreasing(seq))
+             for p, seq in result["means"].items()])
     return EXIT_OK
 
 
@@ -237,10 +229,11 @@ def run_lift(args) -> int:
 def schedule_branching(tag: str, n: int, q_fixed: int | None) -> int:
     if n < 1:
         raise CliInputError(f"vertex count n must be at least 1, got {n}")
+    cap = MAX_SAMPLER_DEGREE - 1
     if tag == "log":
-        return min(7, max(1, int(math.log2(n))))
+        return min(cap, max(1, int(math.log2(n))))
     if tag == "loglog":
-        return min(7, max(2, int(math.log2(max(2.0, math.log2(n)))) + 2))
+        return min(cap, max(2, int(math.log2(max(2.0, math.log2(n)))) + 2))
     if tag == "fixed":
         if q_fixed is None:
             raise CliInputError("fixed schedule needs --q")
@@ -252,7 +245,7 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
                    seed: int, p_list: list[float], r_max: int) -> dict:
     if len(n_ladder) != len(q_ladder):
         raise CliInputError("n ladder and q ladder must have equal length")
-    _require_trials(trials)
+    _require_distinct_orders(p_list)
     if r_max < 0:
         raise CliInputError(f"r_max must be nonnegative, got {r_max}")
     target = semicircle()
@@ -266,31 +259,25 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
                 f"schedule degree {degree} above sampler cap {MAX_SAMPLER_DEGREE}")
         if (n * degree) % 2 != 0:
             raise CliInputError(f"n * degree must be even, got n={n}, degree={degree}")
-        cell = root.child(n).child(degree)
-        dists = {p: [] for p in p_list}
-        stats = np.zeros((trials, r_max))
-        z_violations = 0
-        for trial in range(trials):
-            g = sample_regular_graph(n, degree, cell.child(trial))
+        nonsimple = 0
+
+        def draw(stream: RngStream) -> list[float]:
+            nonlocal nonsimple
+            g = sample_regular_graph(n, degree, stream)
             z12 = enumerate_circles(g, 2)
-            z_violations += int(z12[1] != 0 or z12[2] != 0)
+            nonsimple += int(z12[1] != 0 or z12[2] != 0)
             mu = spectral_measure(g)
-            for p in p_list:
-                dists[p].append(wasserstein_p(mu, target, p))
+            dists = [wasserstein_p(mu, target, p) for p in p_list]
             y = mu.family_moments(r_max, 1.0)[1:]
-            for r in range(1, r_max + 1):
-                corr = (q - 1) * q ** (-r / 2.0) if (r % 2 == 0 and r >= 2) else 0.0
-                stats[trial, r - 1] = y[r - 1] + corr
-        for p in p_list:
-            mean, se = _mean_se(dists[p])
-            means[p].append(mean)
-            distance_rows.append([n, q, p, mean, se, trials, z_violations])
-        for r in range(1, r_max + 1):
-            circuit_rows.append([n, q, r, fsum(stats[:, r - 1]) / trials])
-    trend_ok = {p: all(a > b for a, b in zip(seq, seq[1:]))
-                for p, seq in means.items()}
-    return {"distance_rows": distance_rows, "circuit_rows": circuit_rows,
-            "means": means, "trend_ok": trend_ok}
+            return dists + [y[r - 1] + ((q - 1) * q ** (-r / 2.0) if r % 2 == 0 else 0.0)
+                            for r in range(1, r_max + 1)]
+
+        mean, stderr = trial_means(root.child(n).child(degree), trials, draw)
+        for p, m, se in zip(p_list, mean, stderr):
+            means[p].append(m)
+            distance_rows.append([n, q, p, m, se, trials, nonsimple])
+        circuit_rows += [[n, q, r, m] for r, m in enumerate(mean[len(p_list):], 1)]
+    return {"distance_rows": distance_rows, "circuit_rows": circuit_rows, "means": means}
 
 
 def run_grow(args) -> int:
@@ -301,16 +288,13 @@ def run_grow(args) -> int:
         "grow", {"n": args.n, "schedule": args.schedule, "q": args.q,
                  "q_ladder": q_ladder, "trials": args.trials,
                  "r_max": args.rmax, "p": args.p}, args.seed)
-    paths = write_outputs(
-        args.out, "grow_distances",
-        ["n", "q", "p", "mean_distance", "stderr", "trials", "nonsimple_samples"],
-        result["distance_rows"], manifest, args.format)
-    write_outputs(args.out, "grow_circuits",
-                  ["n", "q", "r", "mean_normalized_circuits"],
-                  result["circuit_rows"], manifest, args.format)
-    print(f"wrote {paths[0]}")
-    for p, ok in result["trend_ok"].items():
-        print(f"{'PASS' if ok else 'FAIL'}  W_{p:g} decreasing along (n, q) ladder")
+    _report(args.out, args.format, manifest,
+            [("grow_distances", ["n", "q", "p", "mean_distance", "stderr", "trials",
+                                 "nonsimple_samples"], result["distance_rows"]),
+             ("grow_circuits", ["n", "q", "r", "mean_normalized_circuits"],
+              result["circuit_rows"])],
+            [(f"W_{p:g} decreasing along (n, q) ladder", _decreasing(seq))
+             for p, seq in result["means"].items()])
     return EXIT_OK
 
 
@@ -349,19 +333,17 @@ def law_convergence(q_ladder: list[float], m_ladder: list[int]) -> dict:
 def run_laws(args) -> int:
     result = law_convergence(args.q, args.m)
     manifest = ExperimentManifest("laws", {"q": args.q, "m": args.m}, None)
-    paths = write_outputs(args.out, "laws_density",
-                          ["q", "sup_density_gap", "bound", "pass",
-                           "winf_to_semicircle"],
-                          result["q_rows"], manifest, args.format)
-    write_outputs(args.out, "laws_cycles",
-                  ["m", "winf_to_arcsine", "bound", "pass"],
-                  result["m_rows"], manifest, args.format)
-    print(f"wrote {paths[0]}")
-    for q, gap, bound, ok, _ in result["q_rows"]:
-        slack = " + rounding" if gap > bound else ""
-        print(f"{'PASS' if ok else 'FAIL'}  sup|rho_{q:g} - rho_inf| = {gap:.6g} <= {bound:.6g}{slack}")
-    for m, winf, bound, ok in result["m_rows"]:
-        print(f"{'PASS' if ok else 'FAIL'}  W_inf(mu(C_{m}), arcsine) = {winf:.6g} <= {bound:.6g}")
+    checks = [(f"sup|rho_{q:g} - rho_inf| = {gap:.6g} <= {bound:.6g}"
+               + (" + rounding" if gap > bound else ""), ok)
+              for q, gap, bound, ok, _ in result["q_rows"]]
+    checks += [(f"W_inf(mu(C_{m}), arcsine) = {winf:.6g} <= {bound:.6g}", ok)
+               for m, winf, bound, ok in result["m_rows"]]
+    _report(args.out, args.format, manifest,
+            [("laws_density", ["q", "sup_density_gap", "bound", "pass",
+                               "winf_to_semicircle"], result["q_rows"]),
+             ("laws_cycles", ["m", "winf_to_arcsine", "bound", "pass"],
+              result["m_rows"])],
+            checks)
     return EXIT_OK if result["all_pass"] else EXIT_RUNTIME
 
 

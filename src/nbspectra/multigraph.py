@@ -79,10 +79,6 @@ class MultiGraph:
         orig.setflags(write=False)
         return orig
 
-    @staticmethod
-    def twin(d: int) -> int:
-        return d ^ 1
-
     @cached_property
     def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Darts sorted by origin as (flat darts, offsets per vertex)."""
@@ -93,10 +89,6 @@ class MultiGraph:
         flat.setflags(write=False)
         offsets.setflags(write=False)
         return flat, offsets
-
-    def out_darts(self, v: int) -> np.ndarray:
-        flat, off = self._out_csr
-        return flat[off[v]:off[v + 1]]
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -135,15 +127,6 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]], n_vertices: int) -> M
         head[2 * idx] = v      # dart 2k: u -> v
         head[2 * idx + 1] = u  # dart 2k+1: v -> u
     return MultiGraph(n_vertices, head)
-
-
-def regular_degree(g: MultiGraph) -> Optional[int]:
-    """Common vertex degree, or None if the graph is not regular."""
-    if g.n_vertices == 0:
-        return None
-    deg = g.degrees
-    d = int(deg[0])
-    return d if bool((deg == d).all()) else None
 
 
 def _require_regular(g: MultiGraph, min_degree: int = 2) -> int:

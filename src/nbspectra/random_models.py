@@ -12,11 +12,11 @@ import logging
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .multigraph import MultiGraph, build_from_edge_list, regular_degree
+from .multigraph import MultiGraph, build_from_edge_list
 from .nbmatrix import ColorAssignment
 from .switchings import switch_to_simple, switching_caps
 
@@ -69,6 +69,24 @@ class RngStream:
         return RngStream(seed=self.seed, stream_id=_mix64(self.stream_id, index))
 
 
+def trial_means(rng: RngStream, trials: int,
+                draw: Callable[[RngStream], Sequence[float]]
+                ) -> tuple[list[float], list[float]]:
+    """Mean and standard error of each statistic over ``trials`` draws.
+
+    Trial t calls ``draw(rng.child(t))`` (the :data:`STREAM_POLICY` rule),
+    which returns the trial's statistics in a fixed order.  The standard
+    error is that of the mean, 0 for a single trial.
+    """
+    if trials < 1:
+        raise SamplerError(f"trials must be at least 1, got {trials}")
+    columns = list(zip(*[draw(rng.child(t)) for t in range(trials)]))
+    means = [fsum(col) / trials for col in columns]
+    errors = [math.sqrt(fsum((v - m) ** 2 for v in col) / (trials - 1) / trials)
+              if trials > 1 else 0.0 for col, m in zip(columns, means)]
+    return means, errors
+
+
 def sample_regular_graph(n: int, degree: int, rng: RngStream,
                          retry_budget: int = DEFAULT_RETRY_BUDGET) -> MultiGraph:
     """Uniform simple degree-regular graph: McKay-Wormald switchings (REG).
@@ -101,7 +119,7 @@ def sample_regular_graph(n: int, degree: int, rng: RngStream,
             continue
         pairs, loops, doubles = switched
         g = build_from_edge_list((pairs // degree).tolist(), n)
-        if regular_degree(g) != degree:
+        if (g.degrees != degree).any():
             raise RuntimeError(f"sampled graph is not {degree}-regular (n={n})")
         if loops or doubles:
             logger.debug("switched away %d loop(s) and %d double pair(s) "
@@ -203,25 +221,23 @@ def nica_trace_estimate(word: Sequence[tuple[int, int]], n_dim: int, trials: int
     if not word:
         return 1.0
     letters = sorted({c for c, _ in word})
-    for c, a in word:
-        if a == 0:
-            raise SamplerError("word exponents must be nonzero")
-        if c not in letters:
-            raise SamplerError("malformed word letter")
+    if any(a == 0 for _, a in word):
+        raise SamplerError("word exponents must be nonzero")
     for (c1, _), (c2, _) in zip(word, word[1:]):
         if c1 == c2:
             raise SamplerError("adjacent word letters must be distinct")
-    if n_dim < 1 or trials < 1:
-        raise SamplerError("need positive dimension and trial count")
-    samples = []
-    for trial in range(trials):
-        gen = rng.child(trial).generator()
+    if n_dim < 1:
+        raise SamplerError(f"dimension must be at least 1, got {n_dim}")
+
+    def draw(stream: RngStream) -> list[float]:
+        gen = stream.generator()
         perms = {c: gen.permutation(n_dim) for c in letters}
         composite = np.arange(n_dim)
         for c, a in word:
             composite = _permutation_power(perms[c], a)[composite]
-        samples.append(int((composite == np.arange(n_dim)).sum()) / n_dim)
-    return fsum(samples) / trials
+        return [int((composite == np.arange(n_dim)).sum()) / n_dim]
+
+    return trial_means(rng, trials, draw)[0][0]
 
 
 def cycle_moment_estimate(n: int, degree: int, k: int, trials: int,
@@ -231,14 +247,12 @@ def cycle_moment_estimate(n: int, degree: int, k: int, trials: int,
 
     if k < 1 or k > BRUTE_R_CAP:
         raise SamplerError(f"circle size must lie in 1..{BRUTE_R_CAP}, got {k}")
-    if trials < 1:
-        raise SamplerError("need a positive trial count")
-    zs = []
-    for trial in range(trials):
-        g = sample_regular_graph(n, degree, rng.child(trial))
-        zs.append(enumerate_circles(g, k)[k])
-    mean = fsum(zs) / trials
-    mean_sq = fsum(z * z for z in zs) / trials
+
+    def draw(stream: RngStream) -> list[int]:
+        z = enumerate_circles(sample_regular_graph(n, degree, stream), k)[k]
+        return [z, z * z]
+
+    mean, mean_sq = trial_means(rng, trials, draw)[0]
     return mean, mean_sq
 
 

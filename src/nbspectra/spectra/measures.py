@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,10 +53,6 @@ class DiscreteSpectralMeasure:
         idx = np.clip(idx, 0, self.size - 1)
         out = self.points[idx]
         return out if out.ndim else float(out)
-
-    def integrate(self, values: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Mean of a function over the atoms (the measure integral)."""
-        return float(np.mean(values(self.points)))
 
     def family_moments(self, r_max: int, q: float) -> np.ndarray:
         """Means of X_{0,q}..X_{r_max,q} over the atoms (q = 1 gives Y_r)."""

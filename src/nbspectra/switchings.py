@@ -140,11 +140,7 @@ class _Multiset:
     """A multiset of keys below ``n^2`` (ordered vertex pairs) with counts."""
 
     def __init__(self, keys: np.ndarray):
-        keys = np.sort(keys)
-        first = np.flatnonzero(np.concatenate([keys[:1] == keys[:1],
-                                               keys[1:] != keys[:-1]]))
-        self.keys = keys[first]
-        self.counts = np.diff(np.append(first, keys.size))
+        self.keys, self.counts = np.unique(keys, return_counts=True)
 
     def __call__(self, queries: np.ndarray) -> np.ndarray:
         """How often each query key occurs."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nbspectra.chebyshev import (ExactPolynomial, PolynomialError,
                                  eval_X_table, generating_function_residual,
-                                 poly_X, poly_X_binomial, poly_Xrq, poly_Y,
+                                 poly_X, poly_X_binomial, poly_Xrq,
                                  xrq_from_x)
 
 
@@ -48,7 +48,7 @@ def test_xrq_explicit_cases():
 
 def test_xrq_at_q_one_equals_y():
     for r in range(12):
-        assert poly_Xrq(r, 1).coeffs == poly_Y(r).coeffs
+        assert poly_Xrq(r, 1).coeffs == (poly_X(r) - poly_X(r - 2)).coeffs
 
 
 def test_xrq_rejects_nonpositive_q():
@@ -59,14 +59,14 @@ def test_xrq_rejects_nonpositive_q():
 
 
 def test_y_cases():
-    assert poly_Y(0).coeffs == (Fraction(1),)
-    assert poly_Y(2).coeffs == (Fraction(-2), Fraction(0), Fraction(1))
+    assert poly_Xrq(0, 1).coeffs == (Fraction(1),)
+    assert poly_Xrq(2, 1).coeffs == (Fraction(-2), Fraction(0), Fraction(1))
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.1, 2.9])
 @pytest.mark.parametrize("r", [1, 2, 3, 7])
 def test_y_is_rescaled_cosine(r, theta):
-    val = poly_Y(r).eval_float(2.0 * math.cos(theta))
+    val = poly_Xrq(r, 1).eval_float(2.0 * math.cos(theta))
     assert val == pytest.approx(2.0 * math.cos(r * theta), abs=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_eval_family_helpers():
     table = eval_X_table(4, xs)
     assert np.allclose(xrq_from_x(table, 3.0)[4],
                        poly_Xrq(4, 3).eval_float(xs), atol=1e-12)
-    assert np.allclose(xrq_from_x(table, 1.0)[4], poly_Y(4).eval_float(xs), atol=1e-12)
+    assert np.allclose(xrq_from_x(table, 1.0)[4], poly_Xrq(4, 1).eval_float(xs), atol=1e-12)
 
 
 def test_generating_function_residual_decay():

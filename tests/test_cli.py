@@ -57,6 +57,13 @@ def test_census_stdout_when_no_out(k4_file, capsys):
     assert out.startswith("r,f,c,z")
 
 
+def test_census_json_needs_out(k4_file, capsys):
+    # stdout carries CSV only, so a json request without a directory is refused
+    assert main(["census", str(k4_file), "--rmax", "4", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and captured.out == ""
+
+
 def test_census_rejects_non_regular(tmp_path, capsys):
     path = tmp_path / "path.txt"
     save_graph_file(build_from_edge_list([(0, 1), (1, 2)], 3), path)
@@ -163,6 +170,10 @@ def test_grow_parity_error_exit_code(capsys):
      "block dimension N must be at least 1"),
     (["lift", "{k4}", "--N", "2", "--N", "0"],
      "block dimension N must be at least 1"),
+    (["lift", "{k4}", "--N", "4", "--N", "16", "--p", "1", "--p", "1",
+      "--trials", "5", "--seed", "1"], "order p=1 given more than once"),
+    (["grow", "--n", "16", "--schedule", "fixed", "--q", "2", "--trials", "1",
+      "--p", "2", "--p", "1", "--p", "2"], "order p=2 given more than once"),
 ])
 def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
     argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
@@ -341,7 +352,7 @@ def _repeat(flag, values):
 
 
 def _orders_ok(orders):
-    return all(float(p) >= 1.0 for p in orders)
+    return all(float(p) >= 1.0 for p in orders) and len(set(orders)) == len(orders)
 
 
 def _grow_degree(schedule, n, q):

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Xrq, poly_Y
+from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Xrq
 from nbspectra.multigraph import complete_graph
 from nbspectra.random_models import RngStream, sample_lift, sample_regular_graph
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, arcsine,
@@ -89,8 +89,8 @@ def test_cdf_matches_quadrature(law):
 @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
 def test_moments_match_quadrature(law):
     polys = ([ExactPolynomial((0,) * k + (1,)) for k in range(11)]
-             + [poly_X(r) for r in range(13)] + [poly_Y(r) for r in range(1, 9)]
-             + [poly_X(3) * poly_Y(5), ExactPolynomial((2, -1, 0, 3))])
+             + [poly_X(r) for r in range(13)] + [poly_Xrq(r, 1) for r in range(1, 9)]
+             + [poly_X(3) * poly_Xrq(5, 1), ExactPolynomial((2, -1, 0, 3))])
     for poly in polys:
         oracle = float(angle_integral(law, poly.eval_float, math.pi)[0])
         assert law.moment(poly) == pytest.approx(oracle, rel=1e-12, abs=1e-13), poly

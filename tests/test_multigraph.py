@@ -21,7 +21,7 @@ from nbspectra.multigraph import (BRUTE_R_CAP, CapExceededError, GraphError,
                                   census_to_csv, complete_graph, cycle_graph,
                                   enumerate_circles,
                                   format_graph_text, girth, parse_graph_text,
-                                  petersen_graph, regular_degree, walk_census)
+                                  _require_regular, petersen_graph, walk_census)
 from nbspectra.nbmatrix import circuit_count_sequence
 from nbspectra.random_models import RngStream, sample_regular_graph
 
@@ -64,7 +64,7 @@ def circles_by_edge_subsets(g: MultiGraph, r_max: int) -> list[int]:
 def test_build_cycle_graph():
     g = build_from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
     assert g.n_darts == 8
-    assert regular_degree(g) == 2
+    assert _require_regular(g) == 2
     assert g.canonical_edge_list() == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
@@ -79,15 +79,14 @@ def test_build_single_loop():
 def test_build_complete_graph():
     g = complete_graph(4)
     assert g.n_darts == 12
-    assert all(len(g.out_darts(v)) == 3 for v in range(4))
+    assert list(g.degrees) == [3, 3, 3, 3]
 
 
 def test_twin_involution_fixed_point_free():
     g = petersen_graph()
     for d in range(g.n_darts):
-        assert g.twin(d) != d
-        assert g.twin(g.twin(d)) == d
-        assert g.head[g.twin(d)] == g.origin[d]
+        assert d ^ 1 != d
+        assert g.head[d ^ 1] == g.origin[d]
 
 
 def test_out_dart_counts_sum_to_darts():
@@ -127,10 +126,11 @@ def test_parse_errors_carry_line_numbers():
 # -- regularity and girth ----------------------------------------------------
 
 def test_regular_degree_values():
-    assert regular_degree(cycle_graph(4)) == 2
-    assert regular_degree(complete_graph(4)) == 3
+    assert _require_regular(cycle_graph(4)) == 2
+    assert _require_regular(complete_graph(4)) == 3
     path = build_from_edge_list([(0, 1), (1, 2)], 3)
-    assert regular_degree(path) is None
+    with pytest.raises(RegularityError, match="vertex 1 has degree 2"):
+        _require_regular(path)
 
 
 @pytest.mark.parametrize("graph,expected", [

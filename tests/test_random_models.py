@@ -13,8 +13,7 @@ from scipy.stats import chisquare
 
 from nbspectra import random_models
 from nbspectra.multigraph import (build_from_edge_list, complete_graph,
-                                  cycle_graph, enumerate_circles, girth,
-                                  regular_degree)
+                                  cycle_graph, enumerate_circles, girth)
 from nbspectra.nbmatrix import adjacency, colored_adjacency
 from nbspectra.random_models import (LiftSpec, RetryBudgetError, RngStream,
                                      SamplerError, cycle_moment_estimate,
@@ -54,7 +53,7 @@ def test_sampler_determinism_and_simplicity():
     g1 = sample_regular_graph(100, 3, RngStream(12))
     g2 = sample_regular_graph(100, 3, RngStream(12))
     assert g1.canonical_edge_list() == g2.canonical_edge_list()
-    assert regular_degree(g1) == 3
+    assert list(g1.degrees) == [3] * 100
     assert girth(g1) >= 3
     z = enumerate_circles(g1, 2)
     assert z[1] == 0 and z[2] == 0
@@ -229,7 +228,7 @@ def test_loop_lift_three_cycle():
 def test_lift_regularity_and_size(petersen):
     spec, lifted = sample_lift(petersen, 4, RngStream(3))
     assert lifted.n_vertices == 40
-    assert regular_degree(lifted) == 3
+    assert list(lifted.degrees) == [3] * 40
 
 
 def test_permutation_color_reproduces_lift(c4):
@@ -282,6 +281,21 @@ def test_haar_phase_when_one_dimensional(k4):
     assert np.abs(h - h.conj().T).max() < 1e-14
     for k in range(k4.n_edges):
         assert abs(abs(color.sigma(2 * k)[0, 0]) - 1.0) < 1e-13
+
+
+def test_haar_trace_power_moments():
+    # Haar U in U(N) has E|tr U^k|^2 = min(k, N) (Diaconis & Shahshahani 1994);
+    # a QR factor without the phase fix misses k = 1 by about 30 standard errors
+    blocks, dim = 4000, 3
+    loops = build_from_edge_list([(0, 0)] * blocks, 1)
+    color = haar_unitary_color(loops, dim, RngStream(12345))
+    unitaries = np.stack([color.sigma(2 * e) for e in range(blocks)])
+    power = unitaries
+    for k in range(1, 7):
+        sq = np.abs(np.trace(power, axis1=1, axis2=2)) ** 2
+        stderr = sq.std(ddof=1) / math.sqrt(blocks)
+        assert abs(sq.mean() - min(k, dim)) <= 4.0 * stderr, k
+        power = power @ unitaries
 
 
 # -- Nica estimates --------------------------------------------------------------------
