@@ -1,15 +1,16 @@
 """Alternating parent/change pairs of the benchmark, collected into one BENCH file.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --seed 1001 \\
-        --pairs 5 --one-thread-pairs 3 --workdir /tmp/bench --out BENCH_<n>.json
+        --pairs 5 --workdir /tmp/bench --out BENCH_<n>.json
 
 Each side is the committed tree of one revision, exported with ``git archive``
 into its own directory under ``--workdir``, so uncommitted files play no part.
-Both sides run their own copy of ``benchmarks/run.py`` unchanged, untraced, at
-the same ``--seconds``.  Pair i of a workload uses seed ``--seed + i`` on both
-sides; the parent runs first in even pairs and the change first in odd ones.
-The pairs run once at the default BLAS thread count and once with
-``OPENBLAS_NUM_THREADS=1`` (the workers inherit the environment).
+Both sides run their own copy of ``benchmarks/run.py`` unchanged, untraced, for
+the ``run_seconds`` the change's ``BENCHMARK.json`` sets.  Pair i of a workload
+uses seed ``--seed + i`` on both sides; the parent runs first in even pairs and
+the change first in odd ones.  The ``--pairs`` pairs run once at the default
+BLAS thread count and once with ``OPENBLAS_NUM_THREADS=1`` (the workers inherit
+the environment).
 
 The output holds, per thread setting, the environment block of the first run,
 every run's end-to-end metrics and failure counts, and per workload and
@@ -83,10 +84,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True,
-                        help="pairs per workload at the default thread count")
-    parser.add_argument("--one-thread-pairs", type=int, required=True,
-                        help="pairs per workload with OPENBLAS_NUM_THREADS=1")
-    parser.add_argument("--seconds", type=float, default=15.0)
+                        help="pairs per workload and thread setting")
     parser.add_argument("--workdir", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -96,21 +94,22 @@ def main(argv=None) -> int:
               for side, rev in zip(SIDES, (args.parent, args.change))}
     config = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in config["end_to_end"]}
+    seconds = config["run_seconds"]
     record.update(command="python3 benchmarks/run.py --workload W --seed S "
-                          f"--seconds {args.seconds:g} --trace 0", settings=[])
-    for threads, pairs in (("default", args.pairs), ("1", args.one_thread_pairs)):
+                          f"--seconds {seconds:g} --trace 0", settings=[])
+    for threads in ("default", "1"):
         env = dict(os.environ)
         if threads == "1":
             env["OPENBLAS_NUM_THREADS"] = "1"
-        setting = {"openblas_num_threads": threads, "pairs": pairs,
-                   "seeds": [args.seed + i for i in range(pairs)], "workloads": {}}
+        setting = {"openblas_num_threads": threads, "pairs": args.pairs,
+                   "seeds": [args.seed + i for i in range(args.pairs)], "workloads": {}}
         for workload in (w["name"] for w in config["workloads"]):
             runs = []
             for i, seed in enumerate(setting["seeds"]):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = run_once(trees[side], workload, seed, args.seconds, env)
+                    run[side] = run_once(trees[side], workload, seed, seconds, env)
                     block = run[side].pop("environment", None)
                     setting["environment"] = setting.get("environment") or block
                     print(f"{threads} {workload} seed {seed} {side}: "

@@ -66,15 +66,19 @@ class ExperimentManifest:
     seed: int | None
 
     def canonical_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        payload = {"experiment": self.experiment, "parameters": self.parameters,
+                   "seed": self.seed}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @property
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def document(self, outputs: list[str]) -> str:
-        payload = dict(vars(self), manifest_hash=self.hash, stream_policy=STREAM_POLICY,
-                       outputs=outputs, package_version=__version__)
+        payload = {"experiment": self.experiment, "parameters": self.parameters,
+                   "seed": self.seed, "manifest_hash": self.hash,
+                   "stream_policy": STREAM_POLICY, "outputs": outputs,
+                   "package_version": __version__}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -113,14 +117,15 @@ def _report(out_dir, fmt: str, manifest: ExperimentManifest, tables: list,
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
 
 
-def _require_distinct_orders(p_list: list[float]) -> None:
-    for i, p in enumerate(p_list):
-        if p in p_list[:i]:
-            raise CliInputError(f"Wasserstein order p={p:g} given more than once")
+def _require_distinct(flag: str, values: list) -> None:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise CliInputError(f"{flag} {v:g} given more than once")
 
 
-def _decreasing(seq: list[float]) -> bool:
-    return all(a > b for a, b in zip(seq, seq[1:]))
+def _trend_checks(means: dict, ladder: str) -> list[tuple[str, bool]]:
+    return [(f"W_{p:g} decreasing along {ladder} ladder",
+             all(a > b for a, b in zip(seq, seq[1:]))) for p, seq in means.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +178,7 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
     fold.  The residual means are the normalized colored non-backtracking
     traces q^{-r/2} tr(A_r^sigma) / (nN)."""
     degree = _require_regular(base)
-    _require_distinct_orders(p_list)
+    _require_distinct("--p", p_list)
     if r_max < 1:
         raise CliInputError(f"r_max must be at least 1, got {r_max}")
     if color not in _COLORS:
@@ -181,6 +186,7 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
     for fold in folds:
         if fold < 1:
             raise CliInputError(f"block dimension N must be at least 1, got {fold}")
+    _require_distinct("--N", folds)
     q = degree - 1
     target = kesten_mckay(float(q)) if q >= 2 else arcsine()
     root = RngStream(seed)
@@ -218,8 +224,7 @@ def run_lift(args) -> int:
             [("lift_distances", ["N", "p", "mean_distance", "stderr", "trials"],
               result["distance_rows"]),
              ("lift_residuals", ["N", "r", "mean_residual"], result["residual_rows"])],
-            [(f"W_{p:g} decreasing along N ladder", _decreasing(seq))
-             for p, seq in result["means"].items()])
+            _trend_checks(result["means"], "N"))
     return EXIT_OK
 
 
@@ -245,7 +250,8 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
                    seed: int, p_list: list[float], r_max: int) -> dict:
     if len(n_ladder) != len(q_ladder):
         raise CliInputError("n ladder and q ladder must have equal length")
-    _require_distinct_orders(p_list)
+    _require_distinct("--n", n_ladder)
+    _require_distinct("--p", p_list)
     if r_max < 0:
         raise CliInputError(f"r_max must be nonnegative, got {r_max}")
     target = semicircle()
@@ -293,8 +299,7 @@ def run_grow(args) -> int:
                                  "nonsimple_samples"], result["distance_rows"]),
              ("grow_circuits", ["n", "q", "r", "mean_normalized_circuits"],
               result["circuit_rows"])],
-            [(f"W_{p:g} decreasing along (n, q) ladder", _decreasing(seq))
-             for p, seq in result["means"].items()])
+            _trend_checks(result["means"], "(n, q)"))
     return EXIT_OK
 
 
@@ -326,8 +331,7 @@ def law_convergence(q_ladder: list[float], m_ladder: list[int]) -> dict:
         winf = wasserstein_p(cycle_spectral_measure(m), ar, math.inf)
         bound = 4.0 * math.pi / m
         m_rows.append([m, winf, bound, winf <= bound])
-    return {"q_rows": q_rows, "m_rows": m_rows,
-            "all_pass": (all(r[3] for r in q_rows) and all(r[3] for r in m_rows))}
+    return {"q_rows": q_rows, "m_rows": m_rows}
 
 
 def run_laws(args) -> int:
@@ -344,7 +348,7 @@ def run_laws(args) -> int:
              ("laws_cycles", ["m", "winf_to_arcsine", "bound", "pass"],
               result["m_rows"])],
             checks)
-    return EXIT_OK if result["all_pass"] else EXIT_RUNTIME
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_RUNTIME
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Walk censuses and spectral-measure convergence experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, trials=None, rmax=None, plist=None):
-        p.add_argument("--out", default=".", help="output directory")
+    def common(p, seed=True, trials=None, rmax=None, plist=None, out="."):
+        p.add_argument("--out", default=out, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed:
             p.add_argument("--seed", type=int, default=0)
@@ -381,9 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="exact walk census + identity checks")
     p.add_argument("graph")
-    p.add_argument("--rmax", type=int, default=8)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(p, seed=False, rmax=8, out=None)
     p.set_defaults(func=run_census)
 
     p = sub.add_parser("lift", help="random N-lift convergence to Kesten-McKay")

@@ -252,8 +252,7 @@ def cycle_moment_estimate(n: int, degree: int, k: int, trials: int,
         z = enumerate_circles(sample_regular_graph(n, degree, stream), k)[k]
         return [z, z * z]
 
-    mean, mean_sq = trial_means(rng, trials, draw)[0]
-    return mean, mean_sq
+    return tuple(trial_means(rng, trials, draw)[0])
 
 
 def poisson_cycle_rate(degree: int, k: int) -> float:

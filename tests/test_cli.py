@@ -171,9 +171,13 @@ def test_grow_parity_error_exit_code(capsys):
     (["lift", "{k4}", "--N", "2", "--N", "0"],
      "block dimension N must be at least 1"),
     (["lift", "{k4}", "--N", "4", "--N", "16", "--p", "1", "--p", "1",
-      "--trials", "5", "--seed", "1"], "order p=1 given more than once"),
+      "--trials", "5", "--seed", "1"], "--p 1 given more than once"),
     (["grow", "--n", "16", "--schedule", "fixed", "--q", "2", "--trials", "1",
-      "--p", "2", "--p", "1", "--p", "2"], "order p=2 given more than once"),
+      "--p", "2", "--p", "1", "--p", "2"], "--p 2 given more than once"),
+    (["lift", "{k4}", "--N", "4", "--N", "4", "--trials", "3", "--seed", "1"],
+     "--N 4 given more than once"),
+    (["grow", "--n", "32", "--n", "32", "--schedule", "fixed", "--q", "2",
+      "--trials", "2"], "--n 32 given more than once"),
 ])
 def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
     argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
@@ -378,8 +382,8 @@ def cli_cases(draw):
         color = draw(st.sampled_from(["trivial", "permutation", "haar"]))
         argv = (["lift", f"{{{graph}}}", "--color", color, "--trials", str(trials),
                  "--rmax", str(rmax)] + _repeat("--N", folds) + _repeat("--p", orders))
-        valid = (graph != "path" and min(folds) >= 1 and trials >= 1
-                 and rmax >= 1 and _orders_ok(orders))
+        valid = (graph != "path" and min(folds) >= 1 and len(set(folds)) == len(folds)
+                 and trials >= 1 and rmax >= 1 and _orders_ok(orders))
         return argv, valid
     if command == "grow":
         schedule = draw(st.sampled_from(["log", "loglog", "fixed"]))
@@ -388,7 +392,8 @@ def cli_cases(draw):
         trials = draw(COUNTS)
         argv = (["grow", "--schedule", schedule, "--q", str(q), "--trials", str(trials),
                  "--rmax", str(rmax)] + _repeat("--n", ns) + _repeat("--p", orders))
-        valid = (min(ns) >= 1 and trials >= 1 and rmax >= 0 and _orders_ok(orders)
+        valid = (min(ns) >= 1 and len(set(ns)) == len(ns) and trials >= 1 and rmax >= 0
+                 and _orders_ok(orders)
                  and all(2 <= _grow_degree(schedule, n, q) < n
                          and n * _grow_degree(schedule, n, q) % 2 == 0
                          for n in ns))
