@@ -16,10 +16,11 @@ Everything is elementary in the angle variable x = -2 cos(phi), phi in
 the last being [(q+1) phi - (q-1) atan2((q+1) sin phi, (q-1) cos phi)] / (2 pi)
 with its two angles folded into one, so nothing cancels at large q.  Their
 derivatives in the angle, the densities times 2 sin phi (``angle_weight``),
-are bounded and smooth on [0, pi], which lets ``wasserstein`` integrate in
-the angle.  The angle quantile and the inverse CDF solve F(phi) =
-min(p, 1 - p) on (0, pi/2] by safeguarded Newton and reflect the upper half,
-so idf(p) = -idf(1 - p) exactly.  Moments are exact: in the basis X_r of
+are bounded and smooth on [0, pi].  The partial moments int_{-2}^x t dF and
+int_{-2}^x t^2 dF are elementary in the angle too (``_angle_moments``), which
+gives ``wasserstein`` W_1 and W_2 in closed form.  The angle quantile and the
+inverse CDF solve F(phi) = min(p, 1 - p) on (0, pi/2] by safeguarded Newton
+and reflect the upper half, so idf(p) = -idf(1 - p) exactly.  Moments are exact: in the basis X_r of
 ``nbspectra.chebyshev`` the law integrates X_r to q^{-r/2} for even r and to
 0 for odd r, with q = 1 for the arcsine law and q = infinity (so delta_{r0})
 for the semicircle.
@@ -37,6 +38,8 @@ from .measures import DiscreteSpectralMeasure
 
 IDF_TOL = 1e-10
 _NEWTON_MAX_STEPS = 100
+_ATAN_SERIES_BELOW = 0.25
+_ATAN_SERIES_TERMS = 14
 
 
 class LawError(ValueError):
@@ -124,6 +127,40 @@ class ReferenceLaw:
         fold = np.arctan2(np.sin(2.0 * phi), q - np.cos(2.0 * phi))
         return phi / np.pi - (q - 1.0) / (2.0 * np.pi) * fold
 
+    def _angle_moments(self, phi: np.ndarray):
+        """F, M1 = int_{-2}^x t dF and M2 = int_{-2}^x t^2 dF at x = -2 cos phi.
+
+        Kesten-McKay, with s = sin phi, g = _atan_remainder and r = q (q + 1)
+        / (q - 1)^2:
+
+        * M1 = -4 r s^3 g(y) / pi, y = 2 sqrt(q) s / (q - 1),
+        * M2 = (q + 1) delta + (1 + 1/q) F, where delta = [sin 2phi 2 s^2 /
+          (q - cos 2phi) + (q - 1) z^3 g(z)] / (2 pi), z = sin 2phi /
+          (q - cos 2phi), is F - (phi - s cos phi) / pi with its leading
+          terms cancelled by hand.
+
+        M1 is one product and delta's two terms share the sign of sin 2phi,
+        so neither cancels at large q; M1 never forms y^2 ~ 4 s^2 / q, which
+        underflows as q nears the float range.  q - cos 2phi is taken as
+        (q - 1) + 2 s^2, which keeps its digits near phi = 0, pi as q -> 1.
+        """
+        phi = np.asarray(phi, dtype=np.float64)
+        s = np.sin(phi)
+        cdf = self._angle_cdf(phi)
+        if self.kind == "semicircle":
+            return cdf, -4.0 * s ** 3 / (3.0 * np.pi), (phi - np.sin(4.0 * phi) / 4.0) / np.pi
+        if self.kind == "arcsine":
+            return cdf, -2.0 * s / np.pi, (2.0 * phi + np.sin(2.0 * phi)) / np.pi
+        q = self.q
+        r = (q / (q - 1.0)) * ((q + 1.0) / (q - 1.0))
+        y = 2.0 * s * (math.sqrt(q) / (q - 1.0))
+        m1 = -(4.0 / np.pi) * (r * _atan_remainder(y)) * s * s * s
+        s2, gap = np.sin(2.0 * phi), (q - 1.0) + 2.0 * s * s  # gap = q - cos 2phi
+        z = s2 / gap
+        delta = (s2 * 2.0 * s * s / gap
+                 + (q - 1.0) * z * z * z * _atan_remainder(z)) / (2.0 * np.pi)
+        return cdf, m1, (q + 1.0) * delta + (1.0 + 1.0 / q) * cdf
+
     # -- moments -----------------------------------------------------------
 
     def _x_moments(self, r_max: int) -> np.ndarray:
@@ -203,6 +240,20 @@ class ReferenceLaw:
             lo[todo], hi[todo], phi[todo] = lo_t, hi_t, new
             todo = todo[2.0 * np.abs(np.cos(new) - np.cos(cur)) > IDF_TOL]
         raise RuntimeError(f"{self!r}: IDF Newton iteration did not converge")
+
+
+def _atan_remainder(z: np.ndarray) -> np.ndarray:
+    """(z - arctan z) / z^3, from its Taylor series sum_k (-1)^k z^{2k} /
+    (2k + 3) where the direct form cancels (|z| < _ATAN_SERIES_BELOW; the
+    series' first omitted term is below 1e-17 there)."""
+    z = np.asarray(z, dtype=np.float64)
+    near = np.abs(z) < _ATAN_SERIES_BELOW
+    far = np.where(near, 1.0, z)
+    z2 = z * z
+    series = np.zeros_like(z)
+    for k in range(_ATAN_SERIES_TERMS - 1, -1, -1):
+        series = (-1.0) ** k / (2 * k + 3) + z2 * series
+    return np.where(near, series, (far - np.arctan(far)) / far ** 3)
 
 
 def kesten_mckay(q: float) -> ReferenceLaw:

@@ -44,10 +44,11 @@ class DiscreteSpectralMeasure:
     def idf(self, p):
         """Generalized inverse distribution function, infimum convention.
 
-        Returns points[k] for p in (k/size, (k+1)/size]; rejects p outside (0, 1).
+        Returns points[k] for p in (k/size, (k+1)/size]; rejects p outside
+        (0, 1], NaN included.
         """
         ps = np.asarray(p, dtype=np.float64)
-        if np.any(ps <= 0.0) or np.any(ps > 1.0):
+        if not np.all((ps > 0.0) & (ps <= 1.0)):
             raise MeasureError("idf argument must lie in (0, 1]")
         idx = np.ceil(ps * self.size).astype(np.int64) - 1
         idx = np.clip(idx, 0, self.size - 1)

@@ -261,3 +261,81 @@ def test_w2_matches_partial_moment_oracle(law):
     for points in measures:
         got = wasserstein_p(DiscreteSpectralMeasure(points), law, 2)
         assert got == pytest.approx(w2_oracle(points, law), abs=1e-12)
+
+
+def stable_angle_weight(law, t):
+    """angle_weight with the Kesten-McKay denominator (q + 1)^2 - 4 q cos^2 t
+    written as (q - 1)^2 + 4 q sin^2 t, which keeps its digits near t = 0, pi
+    as q -> 1."""
+    s = math.sin(t)
+    if law.kind == "semicircle":
+        return 2.0 * s * s / math.pi
+    if law.kind == "arcsine":
+        return 1.0 / math.pi
+    q = law.q
+    return 2.0 * q * (q + 1.0) * s * s / (math.pi * ((q - 1.0) ** 2 + 4.0 * q * s * s))
+
+
+def quad_angle_moments(law, upper):
+    """int_0^upper (-2 cos t)^j w(t) dt for j = 0, 1, 2 by scipy's adaptive
+    quadrature, cut where the Kesten-McKay weight turns over near t = 0, pi:
+    a feature (sqrt(q) - 1/sqrt(q)) / 2 wide."""
+    from scipy.integrate import quad
+    width = 1.0 if law.q is None else min(1.0, (math.sqrt(law.q) - 1.0 / math.sqrt(law.q)) / 2.0)
+    cuts = sorted({c for w in (width / 10.0, width, 10.0 * width) for c in (w, math.pi - w)
+                   if 0.0 < c < upper})
+    ends = [0.0] + cuts + [upper]
+    return [math.fsum(quad(lambda t: (-2.0 * math.cos(t)) ** j * stable_angle_weight(law, t),
+                           a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                      for a, b in zip(ends, ends[1:]))
+            for j in (0, 1, 2)]
+
+
+MOMENT_LAWS = [semicircle(), arcsine()] + [kesten_mckay(q) for q in (1.0001, 2.0, 50.0, 1e6, 1e12)]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("law", MOMENT_LAWS, ids=[repr(law) for law in MOMENT_LAWS])
+def test_angle_moments_match_adaptive_quadrature(law):
+    upper = np.array([1e-3, 0.05, 0.7, 1.5, 2.2, 3.1, math.pi])
+    got = law._angle_moments(upper)
+    for i, u in enumerate(upper):
+        expect = quad_angle_moments(law, u)
+        for j in range(3):
+            assert got[j][i] == pytest.approx(expect[j], abs=1e-14), (u, j)
+
+
+@pytest.mark.parametrize("q", [1.0001, 1.01])
+def test_wp_near_the_arcsine_end_matches_oracles(q):
+    # The Kesten-McKay angle weight turns over within (sqrt(q) - 1/sqrt(q)) / 2
+    # of phi = 0 and pi; the closed forms need no resolution there.
+    law = kesten_mckay(q)
+    rng = np.random.default_rng(406)
+    measures = [np.array([0.0]), np.array([-1.9999, 2.0])]
+    measures += [rng.uniform(-2.5, 2.5, size=rng.integers(1, 40)) for _ in range(6)]
+    for points in measures:
+        mu = DiscreteSpectralMeasure(points)
+        assert wasserstein_p(mu, law, 1) == pytest.approx(w1_oracle(points, law), abs=1e-12)
+        assert wasserstein_p(mu, law, 2) == pytest.approx(w2_oracle(points, law), abs=1e-12)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_closed_form_matches_angle_quadrature(law):
+    # the W_1 and W_2 test measures above, against the quadrature kept for
+    # other orders p
+    from nbspectra.spectra.wasserstein import _angle_quadrature
+    measures = []
+    for seed in (404, 405):
+        rng = np.random.default_rng(seed)
+        measures += [rng.uniform(-2.5, 2.5, size=rng.integers(1, 40)) for _ in range(8)]
+        measures.append(rng.uniform(-1.0, 1.0, size=200))
+    if law.kind == "kesten-mckay" and law.q == 2.0:
+        for fold in (32, 128):
+            measures.append(spectral_measure(sample_lift(complete_graph(4), fold, RngStream(8))[1]).points)
+    if law.kind == "semicircle":
+        measures.append(spectral_measure(sample_regular_graph(1024, 6, RngStream(9))).points)
+    for points in measures:
+        mu = DiscreteSpectralMeasure(points)
+        for p in (1, 2):
+            assert wasserstein_p(mu, law, p) == pytest.approx(
+                _angle_quadrature(mu, law, p), rel=1e-11, abs=0.0), (points.size, p)

@@ -234,6 +234,13 @@ def test_idf_discrete_two_point():
         mu.idf(1.5)
 
 
+def test_idf_discrete_rejects_nan():
+    mu = DiscreteSpectralMeasure(np.array([-1.0, 1.0]))
+    for bad in (math.nan, [0.5, math.nan], [[math.nan]]):
+        with pytest.raises(MeasureError):
+            mu.idf(bad)
+
+
 @pytest.mark.parametrize("m", [5, 7, 10, 53, 54])
 def test_cycle_idf_matches_closed_form_steps(m):
     mu = cycle_spectral_measure(m)

@@ -13,6 +13,7 @@ from scipy.stats import wasserstein_distance as scipy_w1
 from nbspectra.spectra import (DiscreteSpectralMeasure, WassersteinError,
                                arcsine, cycle_spectral_measure, kesten_mckay,
                                semicircle, wasserstein_p)
+from nbspectra.spectra.wasserstein import _angle_quadrature, _quantile_grid
 
 INF = math.inf
 
@@ -166,3 +167,63 @@ def test_w1_hypothesis_matches_scipy(xs, ys):
     b = DiscreteSpectralMeasure(np.array(ys))
     assert wasserstein_p(a, b, 1) == pytest.approx(
         scipy_w1(np.array(xs), np.array(ys)), rel=1e-9, abs=1e-11)
+
+
+GRID_SIZES = (1, 37, 512, 4096)
+
+
+@pytest.mark.parametrize("q", [1.01, 2.0, 1e6, 1e12, 1e18])
+def test_closed_form_matches_angle_quadrature_across_q(q):
+    law = kesten_mckay(q)
+    rng = np.random.default_rng(31)
+    for m in GRID_SIZES:
+        for points in (rng.uniform(-2.5, 2.5, m), rng.uniform(-1.0, 1.0, m)):
+            mu = DiscreteSpectralMeasure(points)
+            for p in (1, 2):
+                assert wasserstein_p(mu, law, p) == pytest.approx(
+                    _angle_quadrature(mu, law, p), rel=1e-11, abs=0.0), (m, p)
+
+
+def test_huge_q_kesten_mckay_distances_are_the_semicircle_ones():
+    # KM(1e18) differs from the semicircle by O(1/q); the two laws share no
+    # moment formula
+    km, sc = kesten_mckay(1e18), semicircle()
+    rng = np.random.default_rng(32)
+    for m in GRID_SIZES:
+        mu = DiscreteSpectralMeasure(rng.uniform(-2.5, 2.5, m))
+        for p in (1, 2):
+            assert wasserstein_p(mu, km, p) == pytest.approx(
+                wasserstein_p(mu, sc, p), rel=1e-13, abs=0.0), (m, p)
+
+
+@pytest.mark.parametrize("law", [semicircle(), arcsine(), kesten_mckay(1.003), kesten_mckay(2.0),
+                                 kesten_mckay(50.0), kesten_mckay(1e12)], ids=repr)
+def test_closed_form_rounding_floor_near_the_law(law):
+    # Atoms at the law's own quantiles leave W_p ~ 1/m, far below the O(1)
+    # moments each piece combines, so the closed forms carry an absolute
+    # rounding floor instead of a relative error: one ulp per atom in W_1 and
+    # 32 ulps in W_2^2 bound it, with room; on KM(q) for q from 1.001 to 1e4
+    # it reached 0.41 ulps per atom (q = 50) and 8.7 ulps (q = 1.003).
+    m = 4096
+    ps = (np.arange(m) + 0.5) / m
+    rng = np.random.default_rng(33)
+    eps = np.finfo(np.float64).eps
+    for points in (np.asarray(law.idf(ps)), np.asarray(law.idf(ps)) + rng.normal(0.0, 1e-3, m)):
+        mu = DiscreteSpectralMeasure(points)
+        assert abs(wasserstein_p(mu, law, 1) - _angle_quadrature(mu, law, 1)) <= m * eps
+        assert abs(wasserstein_p(mu, law, 2) ** 2 - _angle_quadrature(mu, law, 2) ** 2) <= 32 * eps
+
+
+def test_quantile_grid_is_shared_and_read_only():
+    law = kesten_mckay(2.0)
+    mu = DiscreteSpectralMeasure(np.random.default_rng(34).uniform(-2.5, 2.5, 64))
+    first = {p: wasserstein_p(mu, law, p) for p in (1, 2, 3, INF)}
+    grid = _quantile_grid(law, mu.size)
+    assert _quantile_grid(kesten_mckay(2.0), mu.size) is grid
+    for arr in grid:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    again = {p: wasserstein_p(mu, law, p) for p in first}
+    _quantile_grid.cache_clear()
+    rebuilt = {p: wasserstein_p(mu, law, p) for p in first}
+    assert again == first and rebuilt == first
