@@ -4,6 +4,8 @@
   Gauss-Legendre quadrature in the angle variable x = -2 cos(t), with the
   angle weights written out here from the textbook densities;
 * the IDF against bisection on the CDF to machine precision;
+* the partial moments int t dF and int t^2 dF against scipy's adaptive
+  quadrature;
 * W_1 to a law against int |F_mu - F| dx, whose pieces between atoms and
   crossings are elementary;
 * W_2 to a law against partial moments of the law between its quantiles at
@@ -17,6 +19,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Xrq
 from nbspectra.multigraph import complete_graph
@@ -25,6 +28,7 @@ from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, arcsine,
                                kesten_mckay, orthogonality_check, semicircle,
                                spectral_measure, wasserstein_p)
 from nbspectra.spectra.laws import IDF_TOL
+from nbspectra.spectra.wasserstein import _angle_quadrature
 
 KM_Q = (1.5, 2.0, 3.0, 7.0, 50.0)
 LAWS = [semicircle(), arcsine()] + [kesten_mckay(q) for q in KM_Q]
@@ -280,7 +284,6 @@ def quad_angle_moments(law, upper):
     """int_0^upper (-2 cos t)^j w(t) dt for j = 0, 1, 2 by scipy's adaptive
     quadrature, cut where the Kesten-McKay weight turns over near t = 0, pi:
     a feature (sqrt(q) - 1/sqrt(q)) / 2 wide."""
-    from scipy.integrate import quad
     width = 1.0 if law.q is None else min(1.0, (math.sqrt(law.q) - 1.0 / math.sqrt(law.q)) / 2.0)
     cuts = sorted({c for w in (width / 10.0, width, 10.0 * width) for c in (w, math.pi - w)
                    if 0.0 < c < upper})
@@ -323,7 +326,6 @@ def test_wp_near_the_arcsine_end_matches_oracles(q):
 def test_closed_form_matches_angle_quadrature(law):
     # the W_1 and W_2 test measures above, against the quadrature kept for
     # other orders p
-    from nbspectra.spectra.wasserstein import _angle_quadrature
     measures = []
     for seed in (404, 405):
         rng = np.random.default_rng(seed)
