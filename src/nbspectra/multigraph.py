@@ -129,7 +129,7 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]], n_vertices: int) -> M
     return MultiGraph(n_vertices, head)
 
 
-def _require_regular(g: MultiGraph, min_degree: int = 2) -> int:
+def _require_regular(g: MultiGraph) -> int:
     deg = g.degrees
     if g.n_vertices == 0:
         raise RegularityError("empty graph has no degree")
@@ -139,8 +139,8 @@ def _require_regular(g: MultiGraph, min_degree: int = 2) -> int:
         raise RegularityError(
             f"graph is not regular: vertex {int(bad[0])} has degree "
             f"{int(deg[bad[0]])}, vertex 0 has degree {d}")
-    if d < min_degree:
-        raise RegularityError(f"degree {d} below required minimum {min_degree}")
+    if d < 2:
+        raise RegularityError(f"degree {d} below required minimum 2")
     return d
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .multigraph import MultiGraph, build_from_edge_list
+from .multigraph import BRUTE_R_CAP, MultiGraph, build_from_edge_list, enumerate_circles
 from .nbmatrix import ColorAssignment
 from .switchings import switch_to_simple, switching_caps
 
@@ -243,8 +243,6 @@ def nica_trace_estimate(word: Sequence[tuple[int, int]], n_dim: int, trials: int
 def cycle_moment_estimate(n: int, degree: int, k: int, trials: int,
                           rng: RngStream) -> tuple[float, float]:
     """Monte-Carlo (mean Z_k, mean Z_k^2) over uniform simple regular graphs."""
-    from .multigraph import BRUTE_R_CAP, enumerate_circles
-
     if k < 1 or k > BRUTE_R_CAP:
         raise SamplerError(f"circle size must lie in 1..{BRUTE_R_CAP}, got {k}")
 

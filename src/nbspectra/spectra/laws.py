@@ -1,29 +1,27 @@
-"""Closed-form reference laws on [-2, 2].
+"""Closed-form reference laws on [-2, 2] (Kesten 1959; McKay 1981).
 
-Three laws cover the limits that sparse regular graphs converge to:
+Two closed-form families cover the limits that sparse regular graphs
+converge to, in b = 1/q and c = (q - 1)/q:
 
-* Kesten-McKay with branching number q > 1 (any real q, not just integers),
-* the arcsine law (the q = 1 member),
-* the semicircle law (the q -> infinity member).
+* Kesten-McKay for b in [0, 1): any real branching number q > 1, not just
+  integers, with the semicircle law as its b = 0 (q = infinity) member;
+* the arcsine law, the q = 1 end (b, c) = (1, 0), where those forms are 0/0.
 
 Everything is elementary in the angle variable x = -2 cos(phi), phi in
-[0, pi] (Kesten 1959; McKay 1981).  The CDFs are
-
-* semicircle:    (phi - sin phi cos phi) / pi,
-* arcsine:       phi / pi,
-* Kesten-McKay:  phi / pi - (q - 1) / (2 pi) * atan2(sin 2phi, q - cos 2phi),
-
-the last being [(q+1) phi - (q-1) atan2((q+1) sin phi, (q-1) cos phi)] / (2 pi)
-with its two angles folded into one, so nothing cancels at large q.  Their
-derivatives in the angle, the densities times 2 sin phi (``angle_weight``),
-are bounded and smooth on [0, pi].  The partial moments int_{-2}^x t dF and
-int_{-2}^x t^2 dF are elementary in the angle too (``_angle_moments``), which
-gives ``wasserstein`` W_1 and W_2 in closed form.  The angle quantile and the
-inverse CDF solve F(phi) = min(p, 1 - p) on (0, pi/2] by safeguarded Newton
-and reflect the upper half, so idf(p) = -idf(1 - p) exactly.  Moments are exact: in the basis X_r of
-``nbspectra.chebyshev`` the law integrates X_r to q^{-r/2} for even r and to
-0 for odd r, with q = 1 for the arcsine law and q = infinity (so delta_{r0})
-for the semicircle.
+[0, pi].  With s = sin phi, rho = sqrt((2 - x)(2 + x)), z = sin 2phi /
+(c + 2 b s^2) and g(w) = (w - arctan w) / w^3, the Kesten-McKay density is
+(1 + b) rho / (2 pi (c^2 + b rho^2)) and its CDF is phi / pi -
+c z (1 - (b z)^2 g(b z)) / (2 pi); the arcsine law's are 1 / (pi rho) and
+phi / pi.  Every term is O(1), so nothing overflows at large q and nothing
+cancels near x = +-2 as q -> 1.  The densities times 2 sin phi
+(``angle_weight``) are bounded and smooth on [0, pi].  The partial moments
+int_{-2}^x t dF and int_{-2}^x t^2 dF are elementary too
+(``_angle_moments``), which gives ``wasserstein`` W_1 and W_2 in closed
+form.  The angle quantile and the inverse CDF solve F(phi) = min(p, 1 - p)
+on (0, pi/2] by safeguarded Newton and reflect the upper half, so
+idf(p) = -idf(1 - p) exactly.  Moments are exact: in the basis X_r of
+``nbspectra.chebyshev`` each law integrates X_r to b^{r/2} for even r and to
+0 for odd r.
 """
 
 from __future__ import annotations
@@ -59,10 +57,14 @@ class ReferenceLaw:
                 raise LawError(f"Kesten-McKay needs finite real q > 1, got {q!r} "
                                "(the arcsine law covers q = 1, the semicircle "
                                "q = infinity)")
+            q = float(q)
+            self._b, self._c = 1.0 / q, (q - 1.0) / q
         elif q is not None:
             raise LawError(f"{kind} law takes no q parameter")
+        else:
+            self._b, self._c = (0.0, 1.0) if kind == "semicircle" else (1.0, 0.0)
         self.kind = kind
-        self.q = float(q) if q is not None else None
+        self.q = q
 
     def __repr__(self) -> str:
         return (f"ReferenceLaw({self.kind!r})" if self.q is None
@@ -81,95 +83,72 @@ class ReferenceLaw:
         xs = np.asarray(x, dtype=np.float64)
         inside = np.abs(xs) <= 2.0
         xc = np.where(inside, xs, 0.0)
-        root = np.sqrt(np.maximum(4.0 - xc * xc, 0.0))
-        if self.kind == "semicircle":
-            vals = root / (2.0 * np.pi)
-        elif self.kind == "arcsine":
+        rho2 = (2.0 - xc) * (2.0 + xc)
+        root = np.sqrt(rho2)
+        if self.kind == "arcsine":
             with np.errstate(divide="ignore"):
                 vals = np.where(root > 0.0, 1.0 / (np.pi * root), np.inf)
         else:
-            q1, s2, scale = self._km_scaled()
-            vals = q1 * root / (2.0 * np.pi * (s2 - xc * xc * scale))
+            b, c = self._b, self._c
+            vals = (1.0 + b) * root / (2.0 * np.pi * (c * c + b * rho2))
         out = np.where(inside, vals, 0.0)
         return out if out.ndim else float(out)
 
     def angle_weight(self, phi: np.ndarray) -> np.ndarray:
         """density(-2 cos phi) * 2 sin phi: the derivative of the CDF in the
         angle, bounded and smooth on [0, pi]."""
-        s = np.sin(phi)
-        if self.kind == "semicircle":
-            return (2.0 / np.pi) * s * s
         if self.kind == "arcsine":
             return np.full_like(phi, 1.0 / np.pi)
-        q1, s2, scale = self._km_scaled()
-        c = np.cos(phi)
-        return q1 * 2.0 * s * s / (np.pi * (s2 - 4.0 * c * c * scale))
-
-    def _km_scaled(self) -> tuple[float, float, float]:
-        """q + 1, (q^{-1/2} + q^{1/2})^2 and 1, each times scale = 4^-k ~ 1/q.
-
-        The Kesten-McKay density and angle weight are ratios of terms of size
-        q, which overflow as q nears the float range.  Dividing both sides by
-        a power of two is exact in binary floating point, so it changes no
-        value where the unscaled ratio is finite.
-        """
-        half = 2.0 ** -(math.frexp(self.q)[1] // 2)
-        s2 = ((self.q ** -0.5 + self.q ** 0.5) * half) ** 2
-        return (self.q + 1.0) * half * half, s2, half * half
+        b, c = self._b, self._c
+        s = np.sin(phi)
+        return 2.0 * (1.0 + b) * s * s / (np.pi * (c * c + 4.0 * b * s * s))
 
     def _angle_cdf(self, phi: np.ndarray) -> np.ndarray:
         """CDF at x = -2 cos phi, phi in [0, pi]."""
-        if self.kind == "semicircle":
-            return (phi - np.sin(phi) * np.cos(phi)) / np.pi
         if self.kind == "arcsine":
             return phi / np.pi
-        q = self.q
-        fold = np.arctan2(np.sin(2.0 * phi), q - np.cos(2.0 * phi))
-        return phi / np.pi - (q - 1.0) / (2.0 * np.pi) * fold
+        return self._km_cdf(phi)[0]
+
+    def _km_cdf(self, phi: np.ndarray):
+        """Kesten-McKay F at x = -2 cos phi, and s = sin phi, z and g(b z),
+        which M2 reuses."""
+        b, c = self._b, self._c
+        s = np.sin(phi)
+        z = np.sin(2.0 * phi) / (c + 2.0 * b * s * s)
+        g_bz = _atan_remainder(b * z)
+        cdf = phi / np.pi - c * z * (1.0 - (b * z) ** 2 * g_bz) / (2.0 * np.pi)
+        return cdf, s, z, g_bz
 
     def _angle_moments(self, phi: np.ndarray):
         """F, M1 = int_{-2}^x t dF and M2 = int_{-2}^x t^2 dF at x = -2 cos phi.
 
-        Kesten-McKay, with s = sin phi, g = _atan_remainder and r = q (q + 1)
-        / (q - 1)^2:
+        Kesten-McKay, with s = sin phi, z = sin 2phi / (c + 2 b s^2) and
+        g = _atan_remainder:
 
-        * M1 = -4 r s^3 g(y) / pi, y = 2 sqrt(q) s / (q - 1),
-        * M2 = (q + 1) delta + (1 + 1/q) F, where delta = [sin 2phi 2 s^2 /
-          (q - cos 2phi) + (q - 1) z^3 g(z)] / (2 pi), z = sin 2phi /
-          (q - cos 2phi), is F - (phi - s cos phi) / pi with its leading
-          terms cancelled by hand.
+        * M1 = -(4 / pi) ((1 + b) / c^2) g(2 s sqrt(b) / c) s^3,
+        * M2 = (1 + b) [z (2 s^2 + c b z^2 g(b z)) / (2 pi) + F].
 
-        M1 is one product and delta's two terms share the sign of sin 2phi,
-        so neither cancels at large q; M1 never forms y^2 ~ 4 s^2 / q, which
-        underflows as q nears the float range.  q - cos 2phi is taken as
-        (q - 1) + 2 s^2, which keeps its digits near phi = 0, pi as q -> 1.
+        M1 is one product and the two terms in M2's bracket share the sign of
+        sin 2phi, so neither cancels at any q; at b = 0 they are the
+        semicircle's -4 s^3 / (3 pi) and (phi - sin 4phi / 4) / pi.  Every
+        factor is O(1) in b and c, so nothing overflows at large q, and
+        c + 2 b s^2 stands for (q - cos 2phi) / q, which keeps its digits near
+        phi = 0, pi as q -> 1.
         """
         phi = np.asarray(phi, dtype=np.float64)
-        s = np.sin(phi)
-        cdf = self._angle_cdf(phi)
-        if self.kind == "semicircle":
-            return cdf, -4.0 * s ** 3 / (3.0 * np.pi), (phi - np.sin(4.0 * phi) / 4.0) / np.pi
         if self.kind == "arcsine":
-            return cdf, -2.0 * s / np.pi, (2.0 * phi + np.sin(2.0 * phi)) / np.pi
-        q = self.q
-        r = (q / (q - 1.0)) * ((q + 1.0) / (q - 1.0))
-        y = 2.0 * s * (math.sqrt(q) / (q - 1.0))
-        m1 = -(4.0 / np.pi) * (r * _atan_remainder(y)) * s * s * s
-        s2, gap = np.sin(2.0 * phi), (q - 1.0) + 2.0 * s * s  # gap = q - cos 2phi
-        z = s2 / gap
-        delta = (s2 * 2.0 * s * s / gap
-                 + (q - 1.0) * z * z * z * _atan_remainder(z)) / (2.0 * np.pi)
-        return cdf, m1, (q + 1.0) * delta + (1.0 + 1.0 / q) * cdf
+            return phi / np.pi, -2.0 * np.sin(phi) / np.pi, (2.0 * phi + np.sin(2.0 * phi)) / np.pi
+        b, c = self._b, self._c
+        cdf, s, z, g_bz = self._km_cdf(phi)
+        m1 = -(4.0 / np.pi) * ((1.0 + b) / (c * c)) * _atan_remainder(2.0 * s * (math.sqrt(b) / c))
+        m2 = (1.0 + b) * (z * (2.0 * s * s + c * b * z * z * g_bz) / (2.0 * np.pi) + cdf)
+        return cdf, m1 * s * s * s, m2
 
     # -- moments -----------------------------------------------------------
 
     def _x_moments(self, r_max: int) -> np.ndarray:
-        """Integrals of X_0..X_{r_max} against the law."""
-        r = np.arange(r_max + 1)
-        if self.kind == "semicircle":
-            out = (r == 0).astype(np.float64)
-        else:
-            out = (self.q or 1.0) ** (-r / 2.0)  # the arcsine law has q = 1
+        """Integrals of X_0..X_{r_max} against the law: b^{r/2}, 0 for odd r."""
+        out = self._b ** (np.arange(r_max + 1) / 2.0)
         out[1::2] = 0.0
         return out
 
@@ -245,11 +224,12 @@ class ReferenceLaw:
 def _atan_remainder(z: np.ndarray) -> np.ndarray:
     """(z - arctan z) / z^3, from its Taylor series sum_k (-1)^k z^{2k} /
     (2k + 3) where the direct form cancels (|z| < _ATAN_SERIES_BELOW; the
-    series' first omitted term is below 1e-17 there)."""
+    series' first omitted term is below 1e-17 there).  The series runs on z^2
+    masked to 0 elsewhere, so large entries cannot overflow it."""
     z = np.asarray(z, dtype=np.float64)
     near = np.abs(z) < _ATAN_SERIES_BELOW
     far = np.where(near, 1.0, z)
-    z2 = z * z
+    z2 = np.where(near, z, 0.0) ** 2
     series = np.zeros_like(z)
     for k in range(_ATAN_SERIES_TERMS - 1, -1, -1):
         series = (-1.0) ** k / (2 * k + 3) + z2 * series

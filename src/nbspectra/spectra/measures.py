@@ -65,7 +65,7 @@ def spectral_measure(g: MultiGraph,
     """Atoms at q^{-1/2} * eigenvalues of the adjacency matrix, or of the
     colored block adjacency when ``color`` is given (an uncolored graph is
     the coloring by 1 x 1 identity blocks)."""
-    d = _require_regular(g, min_degree=2)
+    d = _require_regular(g)
     q = d - 1
     eigs = eigenvalues_symmetric(
         adjacency(g) if color is None else colored_adjacency(g, color))

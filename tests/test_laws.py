@@ -9,13 +9,16 @@
 * W_1 to a law against int |F_mu - F| dx, whose pieces between atoms and
   crossings are elementary;
 * W_2 to a law against partial moments of the law between its quantiles at
-  k/m, which are elementary in the angle.
+  k/m, which are elementary in the angle;
+* the Kesten-McKay density near x = +-2 against exact rationals, and the
+  semicircle against its elementary forms.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from nbspectra.random_models import RngStream, sample_lift, sample_regular_graph
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, arcsine,
                                kesten_mckay, orthogonality_check, semicircle,
                                spectral_measure, wasserstein_p)
-from nbspectra.spectra.laws import IDF_TOL
+from nbspectra.spectra.laws import IDF_TOL, _atan_remainder
 from nbspectra.spectra.wasserstein import _angle_quadrature
 
 KM_Q = (1.5, 2.0, 3.0, 7.0, 50.0)
@@ -341,3 +344,53 @@ def test_closed_form_matches_angle_quadrature(law):
         for p in (1, 2):
             assert wasserstein_p(mu, law, p) == pytest.approx(
                 _angle_quadrature(mu, law, p), rel=1e-11, abs=0.0), (points.size, p)
+
+
+def exact_km_density(q, x):
+    """(q + 1) q / ((q - 1)^2 + q (4 - x^2)) in exact rationals, times
+    sqrt(4 - x^2) / (2 pi)."""
+    qf, xf = Fraction(q), Fraction(x)
+    rho2 = 4 - xf * xf
+    return float((qf + 1) * qf / ((qf - 1) ** 2 + qf * rho2)) * math.sqrt(rho2) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("x", [2.0 - 1e-10, -(2.0 - 1e-10), 1.99999, -1.99999])
+@pytest.mark.parametrize("q", [1.0001, 2.0])
+def test_density_near_the_edges_matches_exact_rationals(q, x):
+    assert kesten_mckay(q).density(x) == pytest.approx(exact_km_density(q, x), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("q, phis", [(1.0 + 1e-12, [0.0, 1e-9, 1e-7]),
+                                     (1.0001, [1e-7, 1e-6, 1e-5]),
+                                     (1.000001, [1e-7, 1e-6, 1e-5])])
+def test_angle_weight_near_the_arcsine_end_keeps_its_digits(q, phis):
+    law = kesten_mckay(q)
+    expect = [stable_angle_weight(law, t) for t in phis]
+    assert law.angle_weight(np.array(phis)) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_no_nan_or_warning_just_above_q_one():
+    assert np.array_equal(kesten_mckay(1.0 + 1e-9).density([-2.0, 2.0]), [0.0, 0.0])
+    assert math.isfinite(kesten_mckay(1.0 + 1e-12).idf(1e-300))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_atan_remainder_does_not_overflow_on_large_arguments():
+    z = np.array([1e11, 1e13, 1e16])
+    assert _atan_remainder(z) == pytest.approx((z - np.arctan(z)) / z ** 3, rel=1e-15, abs=0.0)
+    mu = DiscreteSpectralMeasure(np.array([-1.0, 0.0, 1.5]))
+    assert math.isfinite(wasserstein_p(mu, kesten_mckay(1.0 + 1e-12), 1))
+
+
+def test_semicircle_is_the_b_zero_member():
+    law = semicircle()
+    phi = np.linspace(0.0, math.pi, 10001)
+    x, s = -2.0 * np.cos(phi), np.sin(phi)
+    cdf, m1, m2 = law._angle_moments(phi)
+    for got, expect in [(law.density(x), np.sqrt((2.0 - x) * (2.0 + x)) / (2.0 * math.pi)),
+                        (law.angle_weight(phi), 2.0 * s * s / math.pi),
+                        (cdf, (phi - s * np.cos(phi)) / math.pi),
+                        (m1, -4.0 * s ** 3 / (3.0 * math.pi)),
+                        (m2, (phi - np.sin(4.0 * phi) / 4.0) / math.pi)]:
+        assert np.abs(got - expect).max() <= 1e-15
