@@ -17,6 +17,7 @@ replayed byte-for-byte from the manifest alone.  Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -364,6 +365,7 @@ class _AppendOrDefault(argparse.Action):
         setattr(namespace, self.dest, items + [values])
 
 
+@functools.cache  # one parser per process: parsing leaves it and its default lists as they are
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbspectra",

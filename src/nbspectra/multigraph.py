@@ -106,6 +106,29 @@ class MultiGraph:
         offsets.setflags(write=False)
         return out, offsets
 
+    # Fixed-width gathers: row i of a table lists the CSR entries of i, padded
+    # to the widest row with the phantom dart n_darts.  The phantom's head is
+    # the phantom vertex n_vertices (``_heads``), whose distance entry the
+    # circle enumeration reads as _FAR, so every phantom is pruned.  On a
+    # regular graph no row is padded.
+
+    @cached_property
+    def _heads(self) -> np.ndarray:
+        """head with the phantom dart's head n_vertices appended."""
+        heads = np.append(self.head, self.n_vertices)
+        heads.setflags(write=False)
+        return heads
+
+    @cached_property
+    def _out_table(self) -> np.ndarray:
+        """Out-darts per vertex, one row each, in ``_out_csr`` order."""
+        return _pad_csr(*self._out_csr, self.n_darts)
+
+    @cached_property
+    def _nbw_table(self) -> np.ndarray:
+        """NBW successors per dart, one row each, in ``_nbw_csr`` order."""
+        return _pad_csr(*self._nbw_csr, self.n_darts)
+
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges in construction order as (origin, head) of the even dart."""
         return [(int(self.origin[2 * k]), int(self.head[2 * k]))
@@ -120,13 +143,15 @@ class MultiGraph:
 
 def build_from_edge_list(edges: Sequence[tuple[int, int]], n_vertices: int) -> MultiGraph:
     """Build a multigraph from unordered vertex pairs (repeats and loops allowed)."""
-    head = np.empty(2 * len(edges), dtype=np.int64)
-    for idx, (u, v) in enumerate(edges):
-        if not (0 <= u < n_vertices) or not (0 <= v < n_vertices):
-            raise GraphError(f"edge {idx}: endpoint ({u}, {v}) out of range for n={n_vertices}")
-        head[2 * idx] = v      # dart 2k: u -> v
-        head[2 * idx + 1] = u  # dart 2k+1: v -> u
-    return MultiGraph(n_vertices, head)
+    try:
+        ends = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+    except OverflowError:  # an endpoint past int64 is out of range too
+        ends = None
+    if ends is None or ((ends < 0) | (ends >= n_vertices)).any():
+        idx, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(edges)
+                           if not (0 <= u < n_vertices and 0 <= v < n_vertices))
+        raise GraphError(f"edge {idx}: endpoint ({u}, {v}) out of range for n={n_vertices}")
+    return MultiGraph(n_vertices, ends[:, ::-1].ravel())  # dart 2k: u -> v, 2k+1: v -> u
 
 
 def _require_regular(g: MultiGraph) -> int:
@@ -256,15 +281,31 @@ def _expand_csr(flat: np.ndarray, off: np.ndarray, cur: np.ndarray):
     return flat[base + within], counts
 
 
+def _pad_csr(flat: np.ndarray, off: np.ndarray, fill: int) -> np.ndarray:
+    """Rows flat[off[i]:off[i+1]] as one table, padded to the widest with ``fill``."""
+    counts = np.diff(off)
+    table = np.full((counts.size, int(counts.max(initial=0))), fill, dtype=np.int64)
+    table[np.repeat(np.arange(counts.size), counts),
+          np.arange(flat.size) - np.repeat(off[:-1], counts)] = flat
+    table.setflags(write=False)
+    return table
+
+
 def _roots_per_chunk(g: MultiGraph, depth: int, width: int = 1) -> int:
     """Root darts per chunk: chunk * width * (most NBW successors of a dart)^depth
     <= _LAYER_LIMIT, for paths that hold ``width`` entries each."""
-    widths = np.diff(g._nbw_csr[1])
-    growth = max(1, int(widths.max(initial=0))) ** max(0, depth)
+    growth = max(1, g._nbw_table.shape[1]) ** max(0, depth)
     return max(1, _LAYER_LIMIT // (growth * width))
 
 
 _FAR = np.iinfo(np.uint8).max  # distance entry of a vertex at or below the root
+
+
+def _distance_at(dist: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Entries row * n + v of a flat distance table of n-entry rows.  The
+    phantom vertex v = n reads entry 0 of the next row, and "wrap" takes the
+    last row's to entry 0: both are vertex 0 of some row, so _FAR."""
+    return np.take(dist, codes, mode="wrap")
 
 
 def _root_distances(g: MultiGraph, s_lo: int, s_hi: int, depth: int) -> np.ndarray:
@@ -272,8 +313,7 @@ def _root_distances(g: MultiGraph, s_lo: int, s_hi: int, depth: int) -> np.ndarr
     fewest edges from v back to s through vertices above s when that is at
     most ``depth``, else depth + 1 (a lower bound); entries for v <= s are
     _FAR.  A breadth-first search from every root of the range at once."""
-    n, head = g.n_vertices, g.head
-    flat, off = g._out_csr
+    n, heads, out = g.n_vertices, g._heads, g._out_table
     dist = np.full((s_hi - s_lo, n), depth + 1, dtype=np.uint8)
     for s in range(s_lo, s_hi):
         dist[s - s_lo, :s + 1] = _FAR
@@ -281,9 +321,8 @@ def _root_distances(g: MultiGraph, s_lo: int, s_hi: int, depth: int) -> np.ndarr
     rows = np.arange(s_hi - s_lo)
     front = rows + s_lo
     for k in range(1, depth + 1):
-        darts, counts = _expand_csr(flat, off, front)
-        codes = np.repeat(rows, counts) * n + head[darts]
-        codes = np.unique(codes[dist[codes] == depth + 1])  # above the root, not yet reached
+        codes = (rows * n)[:, None] + heads[out[front]]
+        codes = np.unique(codes[_distance_at(dist, codes) == depth + 1])  # above the root, not yet reached
         if codes.size == 0:
             break
         dist[codes] = k
@@ -311,22 +350,24 @@ def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
     f[0] = g.n_vertices
     if r_max == 0 or g.n_darts == 0:
         return f, c
-    nxt_flat, nxt_off = g._nbw_csr
+    table = g._nbw_table
+    width = table.shape[1]
+    padded = table.size > g._nbw_csr[0].size
     head, origin = g.head, g.origin
     per_chunk = _roots_per_chunk(g, r_max - 1)
     for lo in range(0, g.n_darts, per_chunk):
-        first = np.arange(lo, min(lo + per_chunk, g.n_darts), dtype=np.int64)
-        cur = first.copy()
-        fst = first.copy()
+        cur = fst = np.arange(lo, min(lo + per_chunk, g.n_darts), dtype=np.int64)
         for r in range(1, r_max + 1):
             if r > 1:
-                cur, counts = _expand_csr(nxt_flat, nxt_off, cur)
-                fst = np.repeat(fst, counts)
+                cur, fst = table[cur].ravel(), np.repeat(fst, width)
+                if padded:  # drop the phantom dart
+                    real = cur != g.n_darts
+                    cur, fst = cur[real], fst[real]
                 if cur.size == 0:
                     break
             closed = head[cur] == origin[fst]
-            f[r] += int(closed.sum())
-            c[r] += int((closed & (cur != (fst ^ 1))).sum())
+            f[r] += int(np.count_nonzero(closed))
+            c[r] += int(np.count_nonzero(closed & (cur != (fst ^ 1))))
     return f, c
 
 
@@ -345,7 +386,8 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     depth.  Root darts go sorted by root in chunks whose bitsets (chunk *
     max_branch^(r_max-2) paths of ceil(n/64) words) and whose distance rows
     (one of n entries per root vertex in the chunk's range) each stay within
-    _LAYER_LIMIT entries.
+    _LAYER_LIMIT entries.  The distance rows and the bitsets are flat arrays,
+    indexed row * n + v and path * words + word.
     """
     if r_max < 0:
         raise GraphError("r_max must be nonnegative")
@@ -367,38 +409,41 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     if r_max < 3:
         return z
     n = g.n_vertices
-    nxt_flat, nxt_off = g._nbw_csr
+    table, heads = g._nbw_table, g._heads
+    width, words = max(1, table.shape[1]), (n + 63) >> 6
     word = np.arange(n) >> 6
     bit = np.left_shift(np.uint64(1), (np.arange(n) & 63).astype(np.uint64))
     flat = g._out_csr[0]
     roots = flat[head[flat] > origin[flat]]     # first step ascends; sorted by root
     root_of = origin[roots]
-    per_chunk = _roots_per_chunk(g, r_max - 2, (n + 63) >> 6)
+    per_chunk = _roots_per_chunk(g, r_max - 2, words)
     span = max(1, _LAYER_LIMIT // n)            # root vertices (distance rows) per chunk
     lo = 0
     while lo < roots.size:
         s_lo = int(root_of[lo])
         hi = min(lo + per_chunk, int(np.searchsorted(root_of, s_lo + span)))
-        dist = _root_distances(g, s_lo, int(root_of[hi - 1]) + 1, (r_max - 1) // 2)
+        dist = _root_distances(g, s_lo, int(root_of[hi - 1]) + 1, (r_max - 1) // 2).ravel()
         live, lo = roots[lo:hi], hi
-        starts, firsts = origin[live], head[live]
-        bits = np.zeros((live.size, (n + 63) >> 6), dtype=np.uint64)
-        bits[np.arange(live.size), word[firsts]] = bit[firsts]
+        starts, firsts, lasts = origin[live], head[live], head[live]
+        row0 = (starts - s_lo) * n              # where each path's distance row begins
+        bits = np.zeros(live.size * words, dtype=np.uint64)
+        bits[np.arange(live.size) * words + word[firsts]] = bit[firsts]
         for k in range(1, r_max):
-            cand, counts = _expand_csr(nxt_flat, nxt_off, live)
-            ends = head[cand]
-            s_rep = np.repeat(starts, counts)
+            cand = table[live]
+            ends = heads[cand]
             if k >= 2:                          # close at the root, first vertex below last
-                z[k + 1] += int(((ends == s_rep) & np.repeat(firsts < head[live], counts)).sum())
+                hit = np.flatnonzero(ends == starts[:, None]) // width
+                z[k + 1] += int(np.count_nonzero(firsts[hit] < lasts[hit]))
             left = r_max - k - 1                # steps left after this one
             if left == 0:
                 break
-            rows = np.repeat(np.arange(live.size), counts)
-            keep = np.flatnonzero(dist[s_rep - s_lo, ends] <= left)  # so also ends > root
-            keep = keep[(bits[rows[keep], word[ends[keep]]] & bit[ends[keep]]) == 0]
-            rows, live = rows[keep], cand[keep]
-            starts, firsts, bits = s_rep[keep], firsts[rows], bits[rows]
-            bits[np.arange(keep.size), word[ends[keep]]] |= bit[ends[keep]]
+            keep = np.flatnonzero(_distance_at(dist, row0[:, None] + ends) <= left)  # so also ends > root
+            rows, lasts = keep // width, ends.ravel()[keep]
+            fresh = np.flatnonzero((bits[rows * words + word[lasts]] & bit[lasts]) == 0)
+            rows, lasts, live = rows[fresh], lasts[fresh], cand.ravel()[keep[fresh]]
+            starts, firsts, row0 = starts[rows], firsts[rows], row0[rows]
+            bits = bits.reshape(-1, words)[rows].ravel()
+            bits[np.arange(rows.size) * words + word[lasts]] |= bit[lasts]
     return z
 
 

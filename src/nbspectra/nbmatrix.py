@@ -5,7 +5,8 @@ by A or by the dart matrix, which have few nonzeros per column, so the right
 factor is given as its column nonzeros (``ColumnNonzeros``), built once per
 sequence from the darts, and a product sums over them: in int64 when a bound
 on every term and partial sum stays below 2^63, in Python-int object arrays
-otherwise.
+otherwise.  Circuit counts are traces of products of two dart-matrix powers,
+summed under the same rule.
 """
 
 from __future__ import annotations
@@ -51,6 +52,27 @@ def _max_abs_row_sum(a: np.ndarray) -> int:
     return best
 
 
+def _row_sum_below(a: np.ndarray, scale: int) -> bool:
+    """Whether max_i sum_k |a_ik| * scale < 2^63, for an int64 matrix a.
+
+    One float64 pass gives the row sums of |a| (taken in float, so int64 min
+    cannot wrap).  Each of a row's k terms is rounded once on conversion and
+    the sum adds at most k - 1 roundings, so with the product by ``scale``
+    the estimate is within (k + 2) u of the bound, u = 2^-53, to first order;
+    the margin (k + 4) 2^-52 is twice that.  Only an estimate within the
+    margin of 2^63 pays for the exact ``_max_abs_row_sum``.
+    """
+    step = max(1, _BOUND_BLOCK // max(1, a.shape[1]))
+    rows = max((float(np.abs(a[lo:lo + step], dtype=np.float64).sum(axis=1).max())
+                for lo in range(0, a.shape[0], step)), default=0.0)
+    estimate, margin = rows * float(scale), (a.shape[1] + 4) * 2.0 ** -52
+    if estimate * (1.0 + margin) < 2.0 ** 63:
+        return True
+    if estimate * (1.0 - margin) >= 2.0 ** 63:
+        return False
+    return _max_abs_row_sum(a) * scale < 2 ** 63
+
+
 class ColumnNonzeros(NamedTuple):
     """Right factor of ``exact_int_dot`` as its column nonzeros, slot-major:
     slot t of column j holds row rows[t, j] and value values[t, j], and
@@ -82,8 +104,8 @@ def exact_int_dot(a: np.ndarray, b: ColumnNonzeros) -> np.ndarray:
     and partial sum), else in Python-int objects.
     """
     values = b.values
-    fits = (a.dtype != object and values.dtype != object and _max_abs_row_sum(a)
-            * max(int(values.max(initial=0)), -int(values.min(initial=0))) < 2 ** 63)
+    fits = (a.dtype != object and values.dtype != object and _row_sum_below(
+        a, max(int(values.max(initial=0)), -int(values.min(initial=0)))))
     dtype = np.int64 if fits else object
     out = np.zeros((a.shape[0], values.shape[1]), dtype=dtype)
     a = a.astype(dtype, copy=False)
@@ -143,19 +165,38 @@ def hashimoto_matrix(g: MultiGraph) -> np.ndarray:
     return b
 
 
-def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
-    """Circuit counts c_0..c_{r_max} as traces of powers of the dart matrix.
+def _pair_trace(x: np.ndarray, y: np.ndarray, x_sum: int) -> int:
+    """tr(x y) = sum_ij x_ij y_ji of nonnegative integer matrices, where the
+    entries of x sum to at most ``x_sum``.  Every term and partial sum is at
+    most the total, itself at most x_sum * max(y): below 2^63 the sum runs in
+    int64, else in Python ints."""
+    if x.dtype != object and y.dtype != object and x_sum * int(y.max(initial=0)) < 2 ** 63:
+        return int(np.einsum("ij,ji->", x, y))
+    return int((x.astype(object) * y.T.astype(object)).sum())
 
-    The dense dart matrix is only the first power; every product takes the
-    matrix as its column nonzeros."""
+
+def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
+    """Circuit counts c_0..c_{r_max} as traces of powers of the dart matrix B.
+
+    c_2k = tr(B^k B^k) and c_2k+1 = tr(B^{k+1} B^k), so only B^1..B^ceil(r_max/2)
+    are formed, two consecutive powers at a time: ceil(r_max/2) - 1 products.
+    A row of B^k sums to at most w^k, w the most successors of a dart, which
+    bounds each trace.  The dense dart matrix is only the first power; every
+    product takes the matrix as its column nonzeros."""
     c = [0] * (r_max + 1)
+    if r_max == 0:
+        return c
     rows, cols = _dart_entries(g)
     b = ColumnNonzeros.from_entries(rows, cols, np.ones(cols.size, dtype=np.int64), g.n_darts)
+    width = g._nbw_table.shape[1]
     power = hashimoto_matrix(g)
-    for r in range(1, r_max + 1):
-        if r > 1:
-            power = exact_int_dot(power, b)
-        c[r] = int(np.trace(power, dtype=object))
+    c[1] = int(np.trace(power, dtype=object))
+    for k in range(1, r_max // 2 + 1):
+        c[2 * k] = _pair_trace(power, power, g.n_darts * width ** k)
+        if 2 * k < r_max:
+            following = exact_int_dot(power, b)
+            c[2 * k + 1] = _pair_trace(following, power, g.n_darts * width ** (k + 1))
+            power = following
     return c
 
 

@@ -118,7 +118,7 @@ def sample_regular_graph(n: int, degree: int, rng: RngStream,
         if switched is None:
             continue
         pairs, loops, doubles = switched
-        g = build_from_edge_list((pairs // degree).tolist(), n)
+        g = build_from_edge_list(pairs // degree, n)
         if (g.degrees != degree).any():
             raise RuntimeError(f"sampled graph is not {degree}-regular (n={n})")
         if loops or doubles:
@@ -148,12 +148,11 @@ class LiftSpec:
 def lift_graph(spec: LiftSpec) -> MultiGraph:
     """Explicit covering graph: fiber vertex (u, i) is index u * N + i."""
     base, n_fold = spec.base, spec.fold
-    edges = []
-    for k, (u, v) in enumerate(base.edge_list()):
-        pi = spec.permutations[k]
-        for i in range(n_fold):
-            edges.append((u * n_fold + i, v * n_fold + pi[i]))
-    return build_from_edge_list(edges, base.n_vertices * n_fold)
+    perms = np.array(spec.permutations, dtype=np.int64).reshape(base.n_edges, n_fold)
+    tails = base.origin[0::2, None] * n_fold + np.arange(n_fold)  # edge k, fiber i
+    heads = base.head[0::2, None] * n_fold + perms
+    return build_from_edge_list(np.stack((tails, heads), axis=-1).reshape(-1, 2),
+                                base.n_vertices * n_fold)
 
 
 def sample_lift(base: MultiGraph, n_fold: int, rng: RngStream) -> tuple[LiftSpec, MultiGraph]:

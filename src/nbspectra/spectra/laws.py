@@ -225,9 +225,15 @@ def _atan_remainder(z: np.ndarray) -> np.ndarray:
     """(z - arctan z) / z^3, from its Taylor series sum_k (-1)^k z^{2k} /
     (2k + 3) where the direct form cancels (|z| < _ATAN_SERIES_BELOW; the
     series' first omitted term is below 1e-17 there).  The series runs on z^2
-    masked to 0 elsewhere, so large entries cannot overflow it."""
+    masked to 0 elsewhere, so large entries cannot overflow it.  With no entry
+    below the cutoff the series is skipped, and with every entry 0 (the
+    semicircle's b z) it is its constant term 1/3."""
     z = np.asarray(z, dtype=np.float64)
     near = np.abs(z) < _ATAN_SERIES_BELOW
+    if not near.any():
+        return (z - np.arctan(z)) / z ** 3
+    if not z.any():
+        return np.full_like(z, 1.0 / 3.0)
     far = np.where(near, 1.0, z)
     z2 = np.where(near, z, 0.0) ** 2
     series = np.zeros_like(z)

@@ -134,6 +134,19 @@ def test_repeatable_options_replace_their_defaults():
     assert args.m == [5, 7] and args.q == [5.0, 10.0, 50.0, 200.0]
     assert parser.parse_args(["grow"]).n == [64, 256, 1024]
 
+
+def test_second_main_call_gets_the_default_ladders(tmp_path, k4_file):
+    # One parser serves every call in a process; a call that replaced the
+    # defaults must leave them intact for the next.
+    assert build_parser() is build_parser()
+    first = ["lift", str(k4_file), "--color", "trivial", "--trials", "1", "--rmax", "1"]
+    assert main(first + ["--N", "2", "--p", "3", "--out", str(tmp_path / "a")]) == 0
+    assert main(first + ["--out", str(tmp_path / "b")]) == 0
+    params = [json.loads((tmp_path / side / "lift_distances_manifest.json")
+                         .read_text())["parameters"] for side in "ab"]
+    assert (params[0]["N"], params[0]["p"]) == ([2], [3.0])
+    assert (params[1]["N"], params[1]["p"]) == ([2, 8, 32, 128], [1.0, 2.0])
+
 def test_grow_schedule_validation():
     assert schedule_branching("log", 64, None) == 6
     assert schedule_branching("log", 1 << 20, None) == 7

@@ -30,7 +30,8 @@ from nbspectra.random_models import RngStream, sample_lift, sample_regular_graph
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, arcsine,
                                kesten_mckay, orthogonality_check, semicircle,
                                spectral_measure, wasserstein_p)
-from nbspectra.spectra.laws import IDF_TOL, _atan_remainder
+from nbspectra.spectra.laws import (_ATAN_SERIES_BELOW, _ATAN_SERIES_TERMS, IDF_TOL,
+                                   _atan_remainder)
 from nbspectra.spectra.wasserstein import _angle_quadrature
 
 KM_Q = (1.5, 2.0, 3.0, 7.0, 50.0)
@@ -382,6 +383,27 @@ def test_atan_remainder_does_not_overflow_on_large_arguments():
     mu = DiscreteSpectralMeasure(np.array([-1.0, 0.0, 1.5]))
     assert math.isfinite(wasserstein_p(mu, kesten_mckay(1.0 + 1e-12), 1))
 
+
+
+def _atan_remainder_by_series_everywhere(z: np.ndarray) -> np.ndarray:
+    """_atan_remainder without its shortcuts: the series runs on every call."""
+    near = np.abs(z) < _ATAN_SERIES_BELOW
+    far, z2 = np.where(near, 1.0, z), np.where(near, z, 0.0) ** 2
+    series = np.zeros_like(z)
+    for k in range(_ATAN_SERIES_TERMS - 1, -1, -1):
+        series = (-1.0) ** k / (2 * k + 3) + z2 * series
+    return np.where(near, series, (far - np.arctan(far)) / far ** 3)
+
+
+@pytest.mark.parametrize("z", [np.zeros(33), np.array([-0.0, 0.0]), np.zeros(0),
+                               np.linspace(0.3, 40.0, 33), np.array([-1e16, -0.25, 0.25]),
+                               np.linspace(-0.5, 0.5, 33), np.array([0.0, 1e-9, 2.0])],
+                         ids=["zeros", "signed-zeros", "empty", "far", "far-edges",
+                              "mixed", "zero-and-near"])
+def test_atan_remainder_shortcuts_are_bit_identical(z):
+    got, want = _atan_remainder(z), _atan_remainder_by_series_everywhere(z)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 def test_semicircle_is_the_b_zero_member():
     law = semicircle()

@@ -9,6 +9,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,33 @@ def test_circles_match_edge_subset_oracle_on_random_multigraphs(graph, r):
     n, edges = graph
     g = build_from_edge_list(edges, n)
     assert enumerate_circles(g, r) == circles_by_edge_subsets(g, r)
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs, st.data())
+def test_padded_gathers_match_expand_csr(graph, data):
+    # Each table row, read up to the first phantom, is the CSR row it pads.
+    n, edges = graph
+    g = build_from_edge_list(edges, n)
+    phantom = g.n_darts
+    assert g._heads[phantom] == n and (g._heads[:phantom] == g.head).all()
+    for table, (flat, off), size in ((g._nbw_table, g._nbw_csr, g.n_darts),
+                                     (g._out_table, g._out_csr, n)):
+        assert table.shape == (size, int(np.diff(off).max(initial=0)))
+        cur = np.array(data.draw(st.lists(st.integers(0, max(0, size - 1)),
+                                          max_size=12 if size else 0)), dtype=np.int64)
+        rows = table[cur]
+        gathered, counts = multigraph._expand_csr(flat, off, cur)
+        assert rows[rows != phantom].tolist() == gathered.tolist()
+        assert (rows != phantom).sum(axis=1).tolist() == counts.tolist()
+
+
+def test_regular_multigraph_tables_carry_no_padding():
+    g = pairing_multigraph(20, 4, 5)
+    assert girth(g) <= 2  # loops or parallel edges present
+    assert g._nbw_table.shape == (g.n_darts, 3) and (g._nbw_table < g.n_darts).all()
+    assert g._out_table.shape == (20, 4) and (g._out_table < g.n_darts).all()
 
 
 def _relabelled(g: MultiGraph, labels: list[int]) -> list[tuple[int, int]]:

@@ -13,7 +13,8 @@ from conftest import pairing_multigraph
 from nbspectra import nbmatrix
 from nbspectra.multigraph import (RegularityError, brute_walk_counts,
                                   build_from_edge_list, complete_graph,
-                                  cycle_graph, petersen_graph, walk_census)
+                                  cycle_graph, girth, petersen_graph,
+                                  walk_census)
 from nbspectra.nbmatrix import (ColorAssignment, ColorError,
                                 ColorInvariantError, ColumnNonzeros, adjacency,
                                 circuit_count_sequence, colored_adjacency,
@@ -140,6 +141,61 @@ def test_exact_dot_matches_object_oracle(pair):
     bound = max(row_sums, default=0) * max((abs(int(x)) for x in b.flat), default=0)
     in_int64 = a.dtype == np.int64 and b.dtype == np.int64 and bound < 2 ** 63
     assert prod.dtype == (np.int64 if in_int64 else object)
+
+
+@pytest.mark.parametrize("a, b, in_int64", [
+    ([[2 ** 62 - 1]], [[2]], True),                     # bound 2^63 - 2, estimate 2^63
+    ([[2 ** 62, 2 ** 62 - 1]], [[1], [1]], True),       # bound 2^63 - 1, estimate 2^63
+    ([[89547301328687144]], [[103]], False),            # bound 2^63 + 24, estimate 2^63 - 1024
+    ([[-(2 ** 63 - 1)]], [[1]], True),                  # bound 2^63 - 1, estimate 2^63
+    ([[-2 ** 63, 0]], [[1], [0]], False),               # |int64 min| = 2^63, not its int64 abs
+], ids=["below-scaled", "below-summed", "above-scaled", "below-negative", "int64-min"])
+def test_exact_dot_decides_by_the_exact_bound_near_two_to_the_63(a, b, in_int64):
+    # Each float64 estimate of max_i sum_k |a_ik| * max|b| lies within the
+    # rounding margin of 2^63 but on the wrong side or on it, so only the
+    # exact bound picks the path.
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    estimate = np.abs(a, dtype=np.float64).sum(axis=1).max() * float(np.abs(b).max())
+    assert abs(estimate - 2.0 ** 63) <= 2.0 ** 63 * (a.shape[1] + 4) * 2.0 ** -52
+    prod = exact_int_dot(a, _nonzeros(b))
+    assert prod.dtype == (np.int64 if in_int64 else object)
+    assert prod.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
+
+
+def _dart_power_traces(g, r_max: int) -> list[int]:
+    """tr(B^r) for r = 0..r_max from plain object powers of the dart matrix."""
+    b = hashimoto_matrix(g).astype(object)
+    power, traces = np.eye(g.n_darts, dtype=np.int64).astype(object), [0]
+    for _ in range(r_max):
+        power = power.dot(b)
+        traces.append(int(np.trace(power)))
+    return traces
+
+
+@pytest.mark.parametrize("g", [build_from_edge_list([(0, 0)] * 4, 1),
+                               pairing_multigraph(6, 5, 2),
+                               build_from_edge_list([(0, 0), (0, 1), (0, 1), (1, 2), (2, 2),
+                                                     (2, 0), (1, 1)], 3)],
+                         ids=["bouquet", "pairing-d5", "irregular"])
+def test_circuit_counts_match_dart_power_traces(g):
+    # Every r_max up to 38, odd and even; the traces pass 2^63 on all three.
+    # The bouquet's c_23 (about 7^23, between 2^63 and 7 * 2^63) sits close
+    # to its int64 bound, so a bound short by one factor of q wraps there.
+    assert min(g.degrees) >= 2 and girth(g) == 1
+    oracle = _dart_power_traces(g, 38)
+    assert oracle[38] > 2 ** 63
+    for r_max in range(39):
+        assert circuit_count_sequence(g, r_max) == oracle[:r_max + 1], r_max
+
+
+def test_circuit_counts_take_half_the_products(monkeypatch):
+    calls = []
+    real = nbmatrix.exact_int_dot
+    monkeypatch.setattr(nbmatrix, "exact_int_dot", lambda a, b: calls.append(1) or real(a, b))
+    for r_max, products in ((1, 0), (2, 0), (3, 1), (12, 5), (38, 18)):
+        calls.clear()
+        circuit_count_sequence(petersen_graph(), r_max)
+        assert len(calls) == products, r_max
 
 
 @pytest.mark.parametrize("g", [pairing_multigraph(12, 4, 0), pairing_multigraph(16, 4, 1),
