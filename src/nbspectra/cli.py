@@ -89,7 +89,8 @@ def write_outputs(out_dir, name: str, header: list[str], rows: list[list],
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tagged_header = ["manifest_hash"] + header
-    tagged_rows = [[manifest.hash] + [_fmt(v) for v in row] for row in rows]
+    tag = manifest.hash
+    tagged_rows = [[tag] + [_fmt(v) for v in row] for row in rows]
     if fmt == "csv":
         data_path = out / f"{name}.csv"
         lines = [",".join(tagged_header)] + [",".join(r) for r in tagged_rows]

@@ -308,26 +308,32 @@ def _distance_at(dist: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.take(dist, codes, mode="wrap")
 
 
-def _root_distances(g: MultiGraph, s_lo: int, s_hi: int, depth: int) -> np.ndarray:
-    """uint8 (s_hi - s_lo) x n table: row s - s_lo holds, for each v > s, the
-    fewest edges from v back to s through vertices above s when that is at
-    most ``depth``, else depth + 1 (a lower bound); entries for v <= s are
-    _FAR.  A breadth-first search from every root of the range at once."""
+def _dart_distances(g: MultiGraph, starts: np.ndarray, firsts: np.ndarray,
+                    depth: int) -> np.ndarray:
+    """uint8 rows x n table, one row per root dart s -> f (s = starts[i],
+    f = firsts[i]): row i holds, for each v > s, the fewest edges
+    from v back to s through vertices above s whose last step leaves a
+    neighbour l > f of s, when that is at most ``depth``, else depth + 1 (a
+    lower bound); entries for v <= s are _FAR.  A breadth-first search from
+    every row's seeds {l in N(s) : l > f} at once."""
     n, heads, out = g.n_vertices, g._heads, g._out_table
-    dist = np.full((s_hi - s_lo, n), depth + 1, dtype=np.uint8)
-    for s in range(s_lo, s_hi):
-        dist[s - s_lo, :s + 1] = _FAR
+    s_lo, s_hi = int(starts[0]), int(starts[-1])
+    dist = np.full((starts.size, n), depth + 1, dtype=np.uint8)
+    dist[:, :s_lo + 1] = _FAR
+    band = dist[:, s_lo + 1:s_hi + 1]           # the staircase v <= s between the rows' roots
+    band[np.arange(s_lo + 1, s_hi + 1) <= starts[:, None]] = _FAR
     dist = dist.ravel()
-    rows = np.arange(s_hi - s_lo)
-    front = rows + s_lo
+    seeds = heads[out[starts]]                  # neighbours of each root, phantom n
+    rows, cols = np.nonzero((seeds > firsts[:, None]) & (seeds < n))
+    codes = np.unique(rows * n + seeds[rows, cols])
     for k in range(1, depth + 1):
+        dist[codes] = k
+        if k == depth or codes.size == 0:
+            break
+        rows, front = np.divmod(codes, n)
         codes = (rows * n)[:, None] + heads[out[front]]
         codes = np.unique(codes[_distance_at(dist, codes) == depth + 1])  # above the root, not yet reached
-        if codes.size == 0:
-            break
-        dist[codes] = k
-        rows, front = np.divmod(codes, n)
-    return dist.reshape(s_hi - s_lo, n)
+    return dist.reshape(starts.size, n)
 
 
 def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
@@ -378,16 +384,20 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     size-2 circles; sizes >= 3 are vertex-disjoint cycles enumerated once each
     via min-vertex rooting and a fixed orientation (first vertex after the
     root below the last).  Paths grow along non-backtracking darts with their
-    visited vertices in a bitset of ceil(n/64) uint64 words.  A path that
-    reaches v with ``left`` steps to go is kept only if v is above the root s
-    and dist(v, s) <= left, the fewest edges from v back to s through vertices
-    above s.  A path is never farther from s than its length, so the test can
-    fail only for left <= (r_max - 1) // 2, and distances are searched to that
-    depth.  Root darts go sorted by root in chunks whose bitsets (chunk *
-    max_branch^(r_max-2) paths of ceil(n/64) words) and whose distance rows
-    (one of n entries per root vertex in the chunk's range) each stay within
-    _LAYER_LIMIT entries.  The distance rows and the bitsets are flat arrays,
-    indexed row * n + v and path * words + word.
+    visited vertices in a bitset of ceil(n/64) uint64 words.  Each root dart
+    s -> f has its own distance row: dist(v) is the fewest edges from v back
+    to s through vertices above s whose last step leaves a neighbour l > f of
+    s.  A path that reaches v with ``left`` steps to go is kept only if v is
+    above s and dist(v) <= left, so it survives only while it can still close
+    in the counted orientation, and each circle is walked once; the closing
+    test first < last stays as the guard.  Distances are searched to depth
+    (r_max - 1) // 2, and an entry the search does not reach holds depth + 1,
+    a lower bound, so the pruning is exact at any depth.  Root darts go sorted
+    by root in chunks whose bitsets (chunk * max_branch^(r_max-2) paths of
+    ceil(n/64) words) and whose distance rows (one of n entries per root dart)
+    each stay within _LAYER_LIMIT entries; a chunk stops once no path is left.
+    The distance rows and the bitsets are flat arrays, indexed row * n + v and
+    path * words + word.
     """
     if r_max < 0:
         raise GraphError("r_max must be nonnegative")
@@ -415,17 +425,12 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     bit = np.left_shift(np.uint64(1), (np.arange(n) & 63).astype(np.uint64))
     flat = g._out_csr[0]
     roots = flat[head[flat] > origin[flat]]     # first step ascends; sorted by root
-    root_of = origin[roots]
-    per_chunk = _roots_per_chunk(g, r_max - 2, words)
-    span = max(1, _LAYER_LIMIT // n)            # root vertices (distance rows) per chunk
-    lo = 0
-    while lo < roots.size:
-        s_lo = int(root_of[lo])
-        hi = min(lo + per_chunk, int(np.searchsorted(root_of, s_lo + span)))
-        dist = _root_distances(g, s_lo, int(root_of[hi - 1]) + 1, (r_max - 1) // 2).ravel()
-        live, lo = roots[lo:hi], hi
-        starts, firsts, lasts = origin[live], head[live], head[live]
-        row0 = (starts - s_lo) * n              # where each path's distance row begins
+    chunk = min(_roots_per_chunk(g, r_max - 2, words), max(1, _LAYER_LIMIT // n))
+    for lo in range(0, roots.size, chunk):
+        live = roots[lo:lo + chunk]
+        starts, firsts = origin[live], head[live]
+        dist = _dart_distances(g, starts, firsts, (r_max - 1) // 2).ravel()
+        row0, lasts = np.arange(live.size) * n, firsts  # where each path's distance row begins
         bits = np.zeros(live.size * words, dtype=np.uint64)
         bits[np.arange(live.size) * words + word[firsts]] = bit[firsts]
         for k in range(1, r_max):
@@ -435,7 +440,7 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
                 hit = np.flatnonzero(ends == starts[:, None]) // width
                 z[k + 1] += int(np.count_nonzero(firsts[hit] < lasts[hit]))
             left = r_max - k - 1                # steps left after this one
-            if left == 0:
+            if left == 0 or live.size == 0:
                 break
             keep = np.flatnonzero(_distance_at(dist, row0[:, None] + ends) <= left)  # so also ends > root
             rows, lasts = keep // width, ends.ravel()[keep]

@@ -6,7 +6,8 @@ factor is given as its column nonzeros (``ColumnNonzeros``), built once per
 sequence from the darts, and a product sums over them: in int64 when a bound
 on every term and partial sum stays below 2^63, in Python-int object arrays
 otherwise.  Circuit counts are traces of products of two dart-matrix powers,
-summed under the same rule.
+summed under the same rule, and so are the closed-NBW counts, as traces of
+products of two non-backtracking matrices A_j.
 """
 
 from __future__ import annotations
@@ -148,8 +149,25 @@ def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
 
 
 def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
-    """Closed-NBW counts f_0..f_{r_max} as traces of the A_r sequence."""
-    return [int(np.trace(m, dtype=object)) for m in nb_matrix_sequence(g, r_max)]
+    """Closed-NBW counts f_0..f_{r_max}, f_r = tr(A_r), from A_0..A_{ceil(r_max/2)}.
+
+    For 1 <= j <= k, A_j A_k = A_{j+k} + sum_{i=1}^{j-1} (q-1) q^(i-1) A_{j+k-2i}
+    + c_j A_{k-j}, with c_j = q^j if j < k and (q+1) q^(j-1) if j = k, so f_r
+    is tr(A_j A_k) at j = r // 2, k = r - j, less the traces of the lower
+    terms.  Entries of A_j count walks, so they are nonnegative, and a row of
+    A_j sums to (q+1) q^(j-1): its entries sum to n (q+1) q^(j-1), the bound
+    ``_pair_trace`` takes.
+    """
+    q = _require_regular(g) - 1
+    seq = nb_matrix_sequence(g, (r_max + 1) // 2)
+    f = [int(np.trace(m, dtype=object)) for m in seq[:2]]
+    for r in range(2, r_max + 1):
+        j, k = r // 2, r - r // 2
+        total = _pair_trace(seq[j], seq[k], g.n_vertices * (q + 1) * q ** (j - 1))
+        lower = sum((q - 1) * q ** (i - 1) * f[r - 2 * i] for i in range(1, j))
+        c_j = q ** j if j < k else (q + 1) * q ** (j - 1)
+        f.append(total - lower - c_j * f[k - j])
+    return f
 
 
 def _dart_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -39,14 +39,18 @@ def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
     ascending with multiplicity.
 
     Real input may deviate from its transpose by ``SYMMETRY_RTOL`` times its
-    largest entry, complex input from its adjoint by ``HERMITIAN_ATOL``.
+    largest entry, complex input from its adjoint by ``HERMITIAN_ATOL``; NaN
+    or infinite entries are rejected.
     """
     m = np.asarray(m)
     hermitian = np.iscomplexobj(m)
     m = m.astype(np.complex128 if hermitian else np.float64, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise EigenError(f"expected a square matrix, got shape {m.shape}")
-    scale, dev = _asymmetry(m)
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, rejected next
+        scale, dev = _asymmetry(m)
+    if not np.isfinite(dev):  # every entry meets its mirror, so NaN or inf shows here
+        raise EigenError("matrix has non-finite (NaN or inf) entries")
     if hermitian:
         if dev > HERMITIAN_ATOL:
             raise EigenError(f"matrix deviates from Hermitian by {dev:.3e}")

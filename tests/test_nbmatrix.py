@@ -233,6 +233,36 @@ def test_nb_traces_equal_brute(k4, c4):
             assert traces[r] == f[r]
 
 
+def _nb_traces_in_objects(g, r_max: int) -> list[int]:
+    """tr(A_r) for r = 0..r_max from the recurrence in Python-int objects."""
+    a = adjacency(g).astype(object)
+    q = int(g.degrees[0]) - 1
+    return [int(np.trace(m)) for m in nbmatrix._nb_recurrence(a, q, r_max, a.__rmatmul__)]
+
+
+@pytest.mark.parametrize("g", [build_from_edge_list([(0, 0)] * 3, 1), pairing_multigraph(10, 5, 3),
+                               pairing_multigraph(12, 4, 0), pairing_multigraph(9, 2, 1),
+                               petersen_graph()],
+                         ids=["bouquet", "pairing-d5", "pairing-d4", "pairing-d2", "petersen"])
+def test_nb_traces_from_half_the_sequence_match_object_recurrence(g):
+    # f_r is read from tr(A_j A_k), j = r // 2, k = r - j, for every r_max up
+    # to 38, odd and even; the traces pass 2^63 from degree 5 on
+    oracle = _nb_traces_in_objects(g, 38)
+    assert (oracle[38] > 2 ** 63) == (g.degrees[0] >= 5)
+    for r_max in range(39):
+        assert nb_trace_sequence(g, r_max) == oracle[:r_max + 1], r_max
+
+
+def test_nb_traces_take_half_the_products(monkeypatch):
+    calls = []
+    real = nbmatrix.exact_int_dot
+    monkeypatch.setattr(nbmatrix, "exact_int_dot", lambda a, b: calls.append(1) or real(a, b))
+    for r_max, products in ((1, 0), (2, 0), (3, 1), (4, 1), (8, 3), (38, 18)):
+        calls.clear()
+        nb_trace_sequence(petersen_graph(), r_max)
+        assert len(calls) == products, r_max
+
+
 def test_nb_sequence_symmetric_nonnegative(petersen):
     for m in nb_matrix_sequence(petersen, 8):
         assert (m == m.T).all()

@@ -104,6 +104,8 @@ def test_asymmetry_rule_follows_the_dtype(m, real_ok, complex_ok):
 def _full_scan_verdict(m: np.ndarray) -> str | None:
     """The symmetry check as a scan of the whole matrix against its mirror:
     None to accept, else the rejection message."""
+    if not np.isfinite(m).all():
+        return "matrix has non-finite (NaN or inf) entries"
     if np.iscomplexobj(m):
         dev = float(np.abs(m - m.conj().T).max(initial=0.0))
         if dev > HERMITIAN_ATOL:
@@ -151,11 +153,28 @@ def test_asymmetry_check_by_slabs_matches_full_scan(n, hermitian, monkeypatch):
     assert verdicts == (set() if n == 1 and not hermitian else {True, False})
     if n > 1:
         # a NaN makes the largest deviation NaN, which a large deviation in
-        # another slab does not override
+        # another slab does not override: the matrix is rejected as non-finite
         m = base.copy()
         m[0, 1] = np.nan
         m[n - 1, n - 2] += 1.0
-        assert _full_scan_verdict(m) is None
+        with pytest.raises(EigenError) as err:
+            eigenvalues_symmetric(m)
+        assert str(err.value) == _full_scan_verdict(m)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[np.nan, 1.0], [1.0, 0.0]]),           # NaN on the diagonal
+    np.array([[0.0, np.nan], [1.0, 0.0]]),           # NaN against a finite mirror
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),           # inf on the diagonal
+    np.array([[0.0, np.inf], [1.0, 0.0]]),           # inf within the relative rule's scale
+    np.array([[np.nan, 1j], [-1j, 0.0]]),            # Hermitian with a NaN on the diagonal
+], ids=["nan-diagonal", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal",
+        "hermitian-nan-diagonal"])
+def test_non_finite_input_is_rejected(m):
+    # these were accepted, giving [-1.414, 1.414], [-1, 1], [nan, nan],
+    # [-1, 1] and [-1.414, 1.414]: a NaN deviation passes every "dev > tol"
+    # test, and an inf one passes the relative rule against an inf scale
+    with pytest.raises(EigenError, match="non-finite"):
         eigenvalues_symmetric(m)
 
 
