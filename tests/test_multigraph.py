@@ -274,11 +274,11 @@ def test_circle_counts_do_not_depend_on_r_max():
 
 
 def test_circles_in_single_root_chunks(monkeypatch):
-    # Limit 1 runs every root dart alone.  Limit 6n caps a chunk at 6 root
-    # darts of distance rows, which binds at r = 3; at r = 5 the cap on
-    # paths binds first, at 6n // 3^3 = 3 root darts.
+    # Limit 1 runs every root dart alone.  Limit 3n caps a chunk at 3 root
+    # darts of distance rows, which binds at r = 3 and 4; at limit 6n and
+    # r = 5 the cap on paths binds first, at 6n // 3^3 = 3 root darts.
     g = pairing_multigraph(14, 4, 3)
-    for limit, r in ((1, 10), (6 * 14, 3), (6 * 14, 5)):
+    for limit, r in ((1, 10), (3 * 14, 3), (3 * 14, 4), (6 * 14, 5)):
         whole = enumerate_circles(g, r)
         with monkeypatch.context() as patch:
             patch.setattr(multigraph, "_LAYER_LIMIT", limit)
