@@ -125,6 +125,34 @@ def _require_distinct(flag: str, values: list) -> None:
             raise CliInputError(f"{flag} {v:g} given more than once")
 
 
+def _require_finite_moments(r_max: int, q: int, atoms: int, trials: int, cell: str) -> None:
+    """Reject an r_max whose moment statistics would leave float range.
+
+    Every atom lies within (q+1)/sqrt(q) of 0, where X_r = (q^(r+1) - 1) /
+    ((q-1) q^(r/2)) < 2 q^(r/2) for q >= 2 (at q = 1, |X_r| <= r + 1), so an
+    atom's X_{r,q} or Y_r is below 4 q^(r/2): a sum over ``atoms`` atoms or
+    ``trials`` trials is below 4 max(atoms, trials) q^(r/2), and a trial's
+    squared deviation from the mean below 64 q^r.  Both stay below the
+    largest float up to the largest allowed r_max.
+    """
+    if q < 2:
+        return
+    top, scale = int(sys.float_info.max), max(atoms, trials)
+
+    def finite(r: int) -> bool:
+        return (16 * scale ** 2 * q ** r < top ** 2
+                and (trials == 1 or 64 * trials * q ** r < top))
+
+    room = min(2 * math.log(top / (4 * scale)),
+               math.log(top / (64 * trials)) if trials > 1 else math.inf)
+    largest = int(room / math.log(q)) + 1  # at least the answer; finite() settles it
+    while not finite(largest):
+        largest -= 1
+    if r_max > largest:
+        raise CliInputError(f"--rmax {r_max} leaves float range for {cell} (q={q}): "
+                            f"the largest allowed --rmax is {largest}")
+
+
 def _trend_checks(means: dict, ladder: str) -> list[tuple[str, bool]]:
     return [(f"W_{p:g} decreasing along {ladder} ladder",
              all(a > b for a, b in zip(seq, seq[1:]))) for p, seq in means.items()]
@@ -190,6 +218,8 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
             raise CliInputError(f"block dimension N must be at least 1, got {fold}")
     _require_distinct("--N", folds)
     q = degree - 1
+    for fold in folds:
+        _require_finite_moments(r_max, q, base.n_vertices * fold, trials, f"N={fold}")
     target = kesten_mckay(float(q)) if q >= 2 else arcsine()
     root = RngStream(seed)
     distance_rows, residual_rows = [], []
@@ -256,6 +286,8 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
     _require_distinct("--p", p_list)
     if r_max < 0:
         raise CliInputError(f"r_max must be nonnegative, got {r_max}")
+    for n, q in zip(n_ladder, q_ladder):
+        _require_finite_moments(r_max, q, n, trials, f"n={n}")
     target = semicircle()
     root = RngStream(seed)
     distance_rows, circuit_rows = [], []

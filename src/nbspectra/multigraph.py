@@ -80,37 +80,17 @@ class MultiGraph:
         return orig
 
     @cached_property
-    def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Darts sorted by origin as (flat darts, offsets per vertex)."""
-        order = np.lexsort((np.arange(self.n_darts), self.origin))
-        flat = np.arange(self.n_darts, dtype=np.int64)[order]
-        counts = np.bincount(self.origin, minlength=self.n_vertices)
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        flat.setflags(write=False)
-        offsets.setflags(write=False)
-        return flat, offsets
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.bincount(self.origin, minlength=self.n_vertices)
         deg.setflags(write=False)
         return deg
 
-    @cached_property
-    def _nbw_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Allowed NBW successors per dart: out-darts of head(d) minus twin(d)."""
-        cand, counts = _expand_csr(*self._out_csr, self.head)
-        out = cand[cand != np.repeat(np.arange(self.n_darts) ^ 1, counts)]
-        offsets = np.concatenate(([0], np.cumsum(counts - 1))).astype(np.int64)
-        out.setflags(write=False)
-        offsets.setflags(write=False)
-        return out, offsets
-
-    # Fixed-width gathers: row i of a table lists the CSR entries of i, padded
-    # to the widest row with the phantom dart n_darts.  The phantom's head is
-    # the phantom vertex n_vertices (``_heads``), whose distance entry the
-    # circle enumeration reads as _FAR, so every phantom is pruned.  On a
-    # regular graph no row is padded.
+    # Incidence tables: row i lists the out-darts of vertex i or the NBW
+    # successors of dart i, ascending, padded to the widest row with the
+    # phantom dart n_darts.  The phantom's head is the phantom vertex
+    # n_vertices (``_heads``), whose distance entry the circle enumeration
+    # reads as _FAR, so every phantom is pruned.  On a regular graph no row
+    # is padded.
 
     @cached_property
     def _heads(self) -> np.ndarray:
@@ -121,13 +101,24 @@ class MultiGraph:
 
     @cached_property
     def _out_table(self) -> np.ndarray:
-        """Out-darts per vertex, one row each, in ``_out_csr`` order."""
-        return _pad_csr(*self._out_csr, self.n_darts)
+        """Out-darts per vertex, one row each."""
+        deg = self.degrees
+        order = np.argsort(self.origin, kind="stable")
+        slot = np.arange(self.n_darts) - np.repeat(np.cumsum(deg) - deg, deg)
+        table = np.full((self.n_vertices, int(deg.max(initial=0))), self.n_darts, dtype=np.int64)
+        table[self.origin[order], slot] = order
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def _nbw_table(self) -> np.ndarray:
-        """NBW successors per dart, one row each, in ``_nbw_csr`` order."""
-        return _pad_csr(*self._nbw_csr, self.n_darts)
+        """NBW successors per dart: the out-darts of its head but its twin,
+        which every row of ``_out_table[head]`` holds exactly once."""
+        cand = self._out_table[self.head]
+        keep = cand != (np.arange(self.n_darts) ^ 1)[:, None]
+        table = cand[keep].reshape(self.n_darts, max(0, cand.shape[1] - 1))
+        table.setflags(write=False)
+        return table
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges in construction order as (origin, head) of the even dart."""
@@ -269,28 +260,6 @@ def girth(g: MultiGraph):
 # ---------------------------------------------------------------------------
 # brute-force oracle (exhaustive dart enumeration)
 
-def _expand_csr(flat: np.ndarray, off: np.ndarray, cur: np.ndarray):
-    """Gather flat[off[c]:off[c+1]] for every c in cur; also return repeat counts."""
-    counts = off[cur + 1] - off[cur]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=flat.dtype), counts
-    base = np.repeat(off[cur], counts)
-    csum = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(csum - counts, counts)
-    return flat[base + within], counts
-
-
-def _pad_csr(flat: np.ndarray, off: np.ndarray, fill: int) -> np.ndarray:
-    """Rows flat[off[i]:off[i+1]] as one table, padded to the widest with ``fill``."""
-    counts = np.diff(off)
-    table = np.full((counts.size, int(counts.max(initial=0))), fill, dtype=np.int64)
-    table[np.repeat(np.arange(counts.size), counts),
-          np.arange(flat.size) - np.repeat(off[:-1], counts)] = flat
-    table.setflags(write=False)
-    return table
-
-
 def _roots_per_chunk(g: MultiGraph, depth: int, width: int = 1) -> int:
     """Root darts per chunk: chunk * width * (most NBW successors of a dart)^depth
     <= _LAYER_LIMIT, for paths that hold ``width`` entries each."""
@@ -358,7 +327,7 @@ def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
         return f, c
     table = g._nbw_table
     width = table.shape[1]
-    padded = table.size > g._nbw_csr[0].size
+    padded = bool((table == g.n_darts).any())
     head, origin = g.head, g.origin
     per_chunk = _roots_per_chunk(g, r_max - 1)
     for lo in range(0, g.n_darts, per_chunk):
@@ -423,8 +392,8 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     width, words = max(1, table.shape[1]), (n + 63) >> 6
     word = np.arange(n) >> 6
     bit = np.left_shift(np.uint64(1), (np.arange(n) & 63).astype(np.uint64))
-    flat = g._out_csr[0]
-    roots = flat[head[flat] > origin[flat]]     # first step ascends; sorted by root
+    out = g._out_table                          # first step ascends; sorted by root
+    roots = out[(out < g.n_darts) & (heads[out] > np.arange(n)[:, None])]
     chunk = min(_roots_per_chunk(g, r_max - 2, words), max(1, _LAYER_LIMIT // n))
     for lo in range(0, roots.size, chunk):
         live = roots[lo:lo + chunk]

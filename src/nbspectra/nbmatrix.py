@@ -1,20 +1,18 @@
 """Non-backtracking matrices, the dart (Hashimoto) matrix, and unitary colors.
 
-Exact integer arithmetic backs every count. Every product the census takes is
-by A or by the dart matrix, which have few nonzeros per column, so the right
-factor is given as its column nonzeros (``ColumnNonzeros``), built once per
-sequence from the darts, and a product sums over them: in int64 when a bound
-on every term and partial sum stays below 2^63, in Python-int object arrays
-otherwise.  Circuit counts are traces of products of two dart-matrix powers,
-summed under the same rule, and so are the closed-NBW counts, as traces of
-products of two non-backtracking matrices A_j.
+Exact integer arithmetic backs every count.  The census multiplies only by A
+and by the dart matrix B, each given as a gather table read off the graph's
+incidence tables.  Entries of A_r and B^k count walks, so the caller bounds
+each product in closed form: below 2^63 it runs in int64, else in Python-int
+object arrays.  The closed-NBW and circuit counts are traces of products of
+two A_j or of two powers of B, summed under the same rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +22,6 @@ from .multigraph import MultiGraph, _require_regular
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 COLOR_IDENTITY_TOL = 1e-8
-
-_BOUND_BLOCK = 1 << 18  # entries of a per block of the 2^63 bound check
 
 
 class ColorError(ValueError):
@@ -37,83 +33,25 @@ class ColorInvariantError(RuntimeError):
     (internal bug trap)."""
 
 
-def _max_abs_row_sum(a: np.ndarray) -> int:
-    """max_i sum_k |a_ik| of an int64 matrix, exactly and without overflow.
+def exact_int_dot(a: np.ndarray, b: tuple[np.ndarray, int]) -> np.ndarray:
+    """Exact product of an integer (int64 or object) matrix and the count
+    matrix given as ``b = (table, bound)``.
 
-    |a| is read as uint64 (abs maps int64 min to 2^63) and row-summed in
-    32-bit halves, a block of rows at a time, so no temporary is the size of
-    ``a``.
+    Row j of ``table`` lists the rows that column j sums, each listed row
+    counting once; an entry at or past a.shape[1] is a phantom and adds
+    nothing.  ``bound`` is at least max_i sum_k |a_ik| times the largest
+    entry (or 1), so it bounds every entry of a, term and partial sum:
+    below 2^63 the product runs in int64, else in Python-int objects.
     """
-    step = max(1, _BOUND_BLOCK // max(1, a.shape[1]))
-    best = 0
-    for lo in range(0, a.shape[0], step):
-        u = np.abs(a[lo:lo + step]).view(np.uint64)
-        rows = ((u >> 32).sum(axis=1).astype(object) << 32) + (u & 0xFFFFFFFF).sum(axis=1)
-        best = max(best, rows.max())
-    return best
-
-
-def _row_sum_below(a: np.ndarray, scale: int) -> bool:
-    """Whether max_i sum_k |a_ik| * scale < 2^63, for an int64 matrix a.
-
-    One float64 pass gives the row sums of |a| (taken in float, so int64 min
-    cannot wrap).  Each of a row's k terms is rounded once on conversion and
-    the sum adds at most k - 1 roundings, so with the product by ``scale``
-    the estimate is within (k + 2) u of the bound, u = 2^-53, to first order;
-    the margin (k + 4) 2^-52 is twice that.  Only an estimate within the
-    margin of 2^63 pays for the exact ``_max_abs_row_sum``.
-    """
-    step = max(1, _BOUND_BLOCK // max(1, a.shape[1]))
-    rows = max((float(np.abs(a[lo:lo + step], dtype=np.float64).sum(axis=1).max())
-                for lo in range(0, a.shape[0], step)), default=0.0)
-    estimate, margin = rows * float(scale), (a.shape[1] + 4) * 2.0 ** -52
-    if estimate * (1.0 + margin) < 2.0 ** 63:
-        return True
-    if estimate * (1.0 - margin) >= 2.0 ** 63:
-        return False
-    return _max_abs_row_sum(a) * scale < 2 ** 63
-
-
-class ColumnNonzeros(NamedTuple):
-    """Right factor of ``exact_int_dot`` as its column nonzeros, slot-major:
-    slot t of column j holds row rows[t, j] and value values[t, j], and
-    columns with fewer than rows.shape[0] nonzeros are padded with value 0."""
-
-    rows: np.ndarray    # int64
-    values: np.ndarray  # int64 or object
-
-    @classmethod
-    def from_entries(cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                     n_cols: int) -> "ColumnNonzeros":
-        """From the distinct nonzero entries (rows[i], cols[i]) of a matrix."""
-        order = np.lexsort((rows, cols))
-        rows, cols, values = rows[order], cols[order], values[order]
-        slot = np.arange(cols.size) - np.searchsorted(cols, cols)  # rank within its column
-        by_slot = np.zeros((slot.max(initial=-1) + 1, n_cols), dtype=np.int64)
-        values_by_slot = np.zeros(by_slot.shape, dtype=values.dtype)
-        by_slot[slot, cols], values_by_slot[slot, cols] = rows, values
-        return cls(by_slot, values_by_slot)
-
-
-def exact_int_dot(a: np.ndarray, b: ColumnNonzeros) -> np.ndarray:
-    """Exact product of an integer (int64 or object) matrix and the matrix
-    whose column nonzeros are ``b``.
-
-    Column j sums a[:, k] * b[k, j] over the nonzeros of column j of ``b``, the
-    t-th nonzero of every column (or zero) per step, in int64 when both inputs
-    are int64 and max_i sum_k |a_ik| * max|b| < 2^63 (this bounds every term
-    and partial sum), else in Python-int objects.
-    """
-    values = b.values
-    fits = (a.dtype != object and values.dtype != object and _row_sum_below(
-        a, max(int(values.max(initial=0)), -int(values.min(initial=0)))))
-    dtype = np.int64 if fits else object
-    out = np.zeros((a.shape[0], values.shape[1]), dtype=dtype)
+    table, bound = b
+    dtype = np.int64 if bound < 2 ** 63 else object
     a = a.astype(dtype, copy=False)
-    term = np.empty_like(out)  # the one temporary, reused by every step
-    for k, v in zip(b.rows, values):  # int64 v times object term gives Python ints
-        np.take(a, k, axis=1, out=term, mode="clip")  # k is in range; "raise" would buffer
-        term *= v
+    if table.size and table.max() >= a.shape[1]:  # phantoms gather a zero column
+        a = np.hstack((a, np.zeros((a.shape[0], 1), dtype=dtype)))
+    out = np.zeros((a.shape[0], table.shape[0]), dtype=dtype)
+    term = np.empty_like(out)  # the one temporary, reused by every slot
+    for k in table.T:
+        np.take(a, k, axis=1, out=term, mode="clip")  # clip sends every phantom to the zero column
         out += term
     return out
 
@@ -127,25 +65,30 @@ def adjacency(g: MultiGraph) -> np.ndarray:
 
 def _nb_recurrence(a: np.ndarray, q: int, r_max: int, times_a) -> list[np.ndarray]:
     """A_0..A_{r_max} from A_0 = I, A_1 = A, A_2 = A^2 - (q+1) I and
-    A_r = A_{r-1} A - q A_{r-2} for r >= 3, with ``times_a(m)`` giving m A."""
+    A_r = A_{r-1} A - q A_{r-2} for r >= 3, with ``times_a(A_{r-1}, r)``
+    giving A_{r-1} A."""
     eye = np.eye(a.shape[0], dtype=a.dtype)
     seq = [eye]
     if r_max >= 1:
         seq.append(a.copy())
     if r_max >= 2:
-        seq.append(times_a(a) - (q + 1) * eye)
-    for _ in range(3, r_max + 1):
-        prod = times_a(seq[-1])  # q * A_{r-2} may pass int64 once prod is object
+        seq.append(times_a(a, 2) - (q + 1) * eye)
+    for r in range(3, r_max + 1):
+        prod = times_a(seq[-1], r)  # q * A_{r-2} may pass int64 once prod is object
         seq.append(prod - q * seq[-2].astype(prod.dtype))
     return seq
 
 
 def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
-    """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph."""
-    d = _require_regular(g)
-    codes, counts = np.unique(g.origin * g.n_vertices + g.head, return_counts=True)
-    a = ColumnNonzeros.from_entries(*np.divmod(codes, g.n_vertices), counts, g.n_vertices)
-    return _nb_recurrence(adjacency(g), d - 1, r_max, lambda m: exact_int_dot(m, a))
+    """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph.
+
+    A row of A_{r-1} sums to (q+1) q^(r-2), so (q+1) q^(r-2) max A bounds
+    the product A_{r-1} A."""
+    q = _require_regular(g) - 1
+    a = adjacency(g)
+    gather, top = g.head[g._out_table], int(a.max())
+    return _nb_recurrence(a, q, r_max,
+                          lambda m, r: exact_int_dot(m, (gather, (q + 1) * q ** (r - 2) * top)))
 
 
 def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
@@ -170,16 +113,12 @@ def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
     return f
 
 
-def _dart_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(d, d') of the nonzeros of the dart matrix, from the NBW successors."""
-    flat, off = g._nbw_csr
-    return np.repeat(np.arange(g.n_darts), np.diff(off)), flat
-
-
 def hashimoto_matrix(g: MultiGraph) -> np.ndarray:
     """Dart transition matrix: B[d, d'] = 1 iff head(d) = origin(d'), d' != twin(d)."""
+    table = g._nbw_table
+    darts, slots = np.nonzero(table < g.n_darts)
     b = np.zeros((g.n_darts, g.n_darts), dtype=np.int64)
-    b[_dart_entries(g)] = 1
+    b[darts, table[darts, slots]] = 1
     return b
 
 
@@ -199,20 +138,20 @@ def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
     c_2k = tr(B^k B^k) and c_2k+1 = tr(B^{k+1} B^k), so only B^1..B^ceil(r_max/2)
     are formed, two consecutive powers at a time: ceil(r_max/2) - 1 products.
     A row of B^k sums to at most w^k, w the most successors of a dart, which
-    bounds each trace.  The dense dart matrix is only the first power; every
-    product takes the matrix as its column nonzeros."""
+    bounds each trace and each product.  The dense dart matrix is only the
+    first power; every product gathers the predecessors of each dart e, the
+    twins of the successors of twin(e)."""
     c = [0] * (r_max + 1)
     if r_max == 0:
         return c
-    rows, cols = _dart_entries(g)
-    b = ColumnNonzeros.from_entries(rows, cols, np.ones(cols.size, dtype=np.int64), g.n_darts)
+    predecessors = g._nbw_table[np.arange(g.n_darts) ^ 1] ^ 1  # phantoms land past n_darts
     width = g._nbw_table.shape[1]
     power = hashimoto_matrix(g)
     c[1] = int(np.trace(power, dtype=object))
     for k in range(1, r_max // 2 + 1):
         c[2 * k] = _pair_trace(power, power, g.n_darts * width ** k)
         if 2 * k < r_max:
-            following = exact_int_dot(power, b)
+            following = exact_int_dot(power, (predecessors, width ** k))
             c[2 * k + 1] = _pair_trace(following, power, g.n_darts * width ** (k + 1))
             power = following
     return c
@@ -358,7 +297,7 @@ def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):
     """
     q = _require_regular(g) - 1
     a_sigma = colored_adjacency(g, color)
-    seq = _nb_recurrence(a_sigma, q, r_max, lambda m: m @ a_sigma)
+    seq = _nb_recurrence(a_sigma, q, r_max, lambda m, r: m @ a_sigma)
     worst = _friedman_deviation(a_sigma, q, seq)
     if worst > COLOR_IDENTITY_TOL:
         raise ColorInvariantError(f"colored polynomial identity deviates by {worst:.3e}")

@@ -51,8 +51,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .multigraph import _expand_csr
-
 
 class SwitchingInvariantError(RuntimeError):
     """A switching count broke its bound or a switching left its class."""
@@ -154,6 +152,13 @@ class _Multiset:
         """The distinct keys in [lo, hi)."""
         return slice(int(np.searchsorted(self.keys, lo)),
                      int(np.searchsorted(self.keys, hi)))
+
+
+def _expand_csr(flat: np.ndarray, off: np.ndarray, cur: np.ndarray):
+    """Gather flat[off[c]:off[c+1]] for every c in cur; also return repeat counts."""
+    counts = off[cur + 1] - off[cur]
+    starts = np.repeat(off[cur] - np.cumsum(counts) + counts, counts)  # row start less its rank
+    return flat[starts + np.arange(starts.size)], counts
 
 
 class _Adjacency:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbspectra import cli
@@ -419,8 +420,28 @@ def cli_cases(draw):
     return argv, valid
 
 
+def _nonfinite_cells(out: Path) -> list[tuple[str, str, str]]:
+    """Data cells of the CSVs in ``out`` that are not finite numbers.  The
+    manifest hash column and true/false flags are not numeric data, and the
+    Wasserstein order column ``p`` echoes the input, where inf is valid."""
+    bad = []
+    for path in sorted(out.glob("*.csv")):
+        with path.open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        bad += [(path.name, column, cell) for row in rows
+                for column, cell in zip(header[1:], row[1:])
+                if cell not in ("true", "false")
+                and not (math.isfinite(float(cell)) or column == "p")]
+    return bad
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=cli_cases())
+# X_r at the trivial eigenvalue (q+1)/sqrt(q) grows like q^(r/2): these
+# moment statistics would leave float range, so the run is refused
+@example(case=(["lift", "{k4}", "--N", "2", "--trials", "1", "--rmax", "2400"], False))
+@example(case=(["grow", "--n", "64", "--schedule", "fixed", "--q", "7", "--trials", "1",
+                "--rmax", "800"], False))
 def test_exit_codes_follow_the_input_contract(case):
     argv, valid = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -432,11 +453,27 @@ def test_exit_codes_follow_the_input_contract(case):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
+        nonfinite = _nonfinite_cells(Path(tmp) / "out") if code == 0 else []
     if valid:
         assert code in (0, 1), (argv, err.getvalue())
     else:
         assert code == 2, (argv, err.getvalue())
         assert err.getvalue().startswith("error: "), argv
+    assert not nonfinite, (argv, nonfinite)
+
+
+@pytest.mark.parametrize("trials, largest", [(1, 2037), (2, 1016)])
+def test_lift_rmax_limit_is_the_largest_with_finite_output(k4_file, tmp_path, capsys,
+                                                          trials, largest):
+    # A 2-lift of K4 has q = 2 and 8 atoms.  At the largest allowed --rmax
+    # every statistic (and, over two trials, every squared deviation) is
+    # finite without a RuntimeWarning; one more is refused before sampling.
+    argv = ["lift", str(k4_file), "--N", "2", "--trials", str(trials),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ["--rmax", str(largest)]) == 0
+    assert not _nonfinite_cells(tmp_path / "out")
+    assert main(argv + ["--rmax", str(largest + 1)]) == 2
+    assert f"the largest allowed --rmax is {largest}" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pairing_multigraph
@@ -220,23 +220,28 @@ def test_circles_match_edge_subset_oracle_on_random_multigraphs(graph, r):
 
 
 
+def _padded(rows: list[list[int]], fill: int) -> list[list[int]]:
+    width = max(map(len, rows), default=0)
+    return [row + [fill] * (width - len(row)) for row in rows]
+
+
 @settings(max_examples=200, deadline=None)
-@given(small_multigraphs, st.data())
-def test_padded_gathers_match_expand_csr(graph, data):
-    # Each table row, read up to the first phantom, is the CSR row it pads.
+@given(small_multigraphs)
+@example((3, [(0, 0), (0, 1), (0, 1), (1, 2)]))  # loop, parallel pair, phantom rows
+def test_incidence_tables_match_plain_oracle(graph):
+    # Row v of the out-dart table lists the darts leaving v; row d of the
+    # successor table lists the darts leaving head(d) other than its twin;
+    # both ascending, padded with the phantom dart n_darts to the widest row.
     n, edges = graph
     g = build_from_edge_list(edges, n)
-    phantom = g.n_darts
-    assert g._heads[phantom] == n and (g._heads[:phantom] == g.head).all()
-    for table, (flat, off), size in ((g._nbw_table, g._nbw_csr, g.n_darts),
-                                     (g._out_table, g._out_csr, n)):
-        assert table.shape == (size, int(np.diff(off).max(initial=0)))
-        cur = np.array(data.draw(st.lists(st.integers(0, max(0, size - 1)),
-                                          max_size=12 if size else 0)), dtype=np.int64)
-        rows = table[cur]
-        gathered, counts = multigraph._expand_csr(flat, off, cur)
-        assert rows[rows != phantom].tolist() == gathered.tolist()
-        assert (rows != phantom).sum(axis=1).tolist() == counts.tolist()
+    darts, phantom = range(g.n_darts), g.n_darts
+    out = [[e for e in darts if g.origin[e] == v] for v in range(n)]
+    successors = [[e for e in darts if g.origin[e] == g.head[d] and e != d ^ 1] for d in darts]
+    assert g._heads.tolist() == g.head.tolist() + [n]
+    assert g._out_table.tolist() == _padded(out, phantom)
+    assert g._out_table.shape == (n, max(map(len, out), default=0))
+    assert g._nbw_table.tolist() == _padded(successors, phantom)
+    assert g._nbw_table.shape == (g.n_darts, max(map(len, successors), default=0))
 
 
 def test_regular_multigraph_tables_carry_no_padding():

@@ -16,7 +16,7 @@ from nbspectra.multigraph import (RegularityError, brute_walk_counts,
                                   cycle_graph, girth, petersen_graph,
                                   walk_census)
 from nbspectra.nbmatrix import (ColorAssignment, ColorError,
-                                ColorInvariantError, ColumnNonzeros, adjacency,
+                                ColorInvariantError, adjacency,
                                 circuit_count_sequence, colored_adjacency,
                                 colored_nb_sequence, exact_int_dot,
                                 hashimoto_matrix, nb_matrix_sequence,
@@ -55,111 +55,103 @@ def test_adjacency_symmetry_on_multigraph():
 
 # -- exact integer products ------------------------------------------------------
 
-def _nonzeros(b: np.ndarray) -> ColumnNonzeros:
-    """A dense right factor as its column nonzeros."""
-    rows, cols = np.nonzero(b)
-    return ColumnNonzeros.from_entries(rows, cols, b[rows, cols], b.shape[1])
-
-
-def _dense(b: ColumnNonzeros, n_rows: int) -> np.ndarray:
-    """The object matrix whose column nonzeros are ``b``."""
-    out = np.zeros((n_rows, b.rows.shape[1]), dtype=object)
-    np.add.at(out, (b.rows, np.arange(b.rows.shape[1])), b.values.astype(object))
+def _dense(b: tuple[np.ndarray, int], n_rows: int) -> np.ndarray:
+    """The object matrix whose gather table is b[0]: entry (k, j) counts
+    the slots of row j that list k; phantom slots (k >= n_rows) add nothing."""
+    table = b[0]
+    out = np.zeros((n_rows, table.shape[0]), dtype=object)
+    for j, listed in enumerate(table.tolist()):
+        for k in listed:
+            if k < n_rows:
+                out[k, j] += 1
     return out
 
 
-def test_column_nonzeros_round_trip():
-    rng = np.random.default_rng(4)
-    for shape in ((0, 0), (3, 0), (0, 4), (5, 7)):
-        b = rng.integers(-2, 3, size=shape) * rng.integers(0, 2, size=shape)
-        factor = _nonzeros(b)
-        assert factor.rows.shape == factor.values.shape
-        assert factor.rows.shape[0] == max((np.count_nonzero(col) for col in b.T), default=0)
-        assert _dense(factor, shape[0]).tolist() == b.tolist()
+def _bound(a: np.ndarray, table: np.ndarray) -> int:
+    """The least bound ``exact_int_dot`` takes: max_i sum_k |a_ik| times the
+    largest entry of the factor, or 1."""
+    row_sums = [sum(abs(int(x)) for x in row) for row in a]
+    return max(row_sums, default=0) * max([1, *_dense((table, 0), a.shape[1]).flat])
 
 
 def test_exact_dot_object_fallback_matches_small_case():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 5, size=(6, 6)).astype(np.int64)
-    b = rng.integers(0, 5, size=(6, 6)).astype(np.int64)
-    fast = exact_int_dot(a, _nonzeros(b))
-    slow = np.dot(a.astype(object), b.astype(object))
-    assert (fast == slow).all()
+    table = rng.integers(0, 8, size=(6, 4))  # repeats, and phantoms 6 and 7
+    fast = exact_int_dot(a, (table, _bound(a, table)))
+    assert fast.dtype == np.int64
+    assert (fast == np.dot(a.astype(object), _dense((table, 0), 6))).all()
     # force the arbitrary-precision path with huge entries
-    big = np.full((3, 3), 2 ** 40, dtype=np.int64)
-    exact = exact_int_dot(big, _nonzeros(big))
+    big = np.full((3, 3), 2 ** 62, dtype=np.int64)
+    table = np.array([[0, 1, 2]] * 3)
+    exact = exact_int_dot(big, (table, _bound(big, table)))
     assert exact.dtype == object
-    assert exact[0, 0] == 3 * (2 ** 40) ** 2
+    assert exact[0, 0] == 3 * 2 ** 62
 
 
 def test_exact_dot_bounds_negative_entries():
-    # max(a) = 1 would bound the product by 2 * max|b| < 2^34, but the negative
-    # entry takes it below -2^63, out of int64: the bound sums |a_ik|
-    a = np.array([[1, -(2 ** 31 + 1)]], dtype=np.int64)
-    b = np.array([[2 ** 32 + 3], [2 ** 32 + 1]], dtype=np.int64)
-    exact = exact_int_dot(a, _nonzeros(b))
+    # max(a) = 1 would bound the product by 2, but the negative entry takes
+    # it below -2^63, out of int64: the bound sums |a_ik|
+    a = np.array([[1, -(2 ** 62 + 1)]], dtype=np.int64)
+    table = np.array([[0, 1, 1]])
+    exact = exact_int_dot(a, (table, _bound(a, table)))
     assert exact.dtype == object
-    assert exact[0, 0] == (2 ** 32 + 3) - (2 ** 31 + 1) * (2 ** 32 + 1)
+    assert exact[0, 0] == 1 - 2 * (2 ** 62 + 1)
 
 
 @st.composite
-def _int_matrix_pairs(draw):
-    """Integer matrices a (n x m) and b (m x p): int64 entries of magnitude up
-    to 3, 2^31 or the int64 range, zero entries and zero columns of b, and
-    object inputs scaled past int64."""
-    n, m, p = (draw(st.integers(0, 5)) for _ in range(3))
-
-    def matrix(rows, cols):
-        scale = draw(st.sampled_from((3, 2 ** 31, 2 ** 63 - 1)))
-        entries = draw(st.lists(st.one_of(st.just(0), st.integers(-scale - 1, scale)),
-                                min_size=rows * cols, max_size=rows * cols))
-        out = np.array(entries, dtype=np.int64).reshape(rows, cols)
-        if draw(st.booleans()):
-            out = out.astype(object) * draw(st.sampled_from((1, 2 ** 40)))
-        return out
-
-    a, b = matrix(n, m), matrix(m, p)
-    zero_cols = draw(st.lists(st.booleans(), min_size=p, max_size=p))
-    b[:, np.array(zero_cols, dtype=bool)] = 0
-    return a, b
-
-
-def _edge(a_rows, b_rows):
-    return np.array(a_rows, dtype=np.int64), np.array(b_rows, dtype=np.int64)
+def _gather_products(draw):
+    """An integer matrix a (n x m) and a gather table of p columns whose
+    slots repeat rows and hold the phantoms m and m + 1: signed int64 entries
+    of magnitude up to 3, 2^31 or the int64 range, zero entries, and object
+    inputs scaled past int64."""
+    n, m, p, width = (draw(st.integers(0, 5)) for _ in range(4))
+    scale = draw(st.sampled_from((3, 2 ** 31, 2 ** 63 - 1)))
+    entries = draw(st.lists(st.one_of(st.just(0), st.integers(-scale - 1, scale)),
+                            min_size=n * m, max_size=n * m))
+    a = np.array(entries, dtype=np.int64).reshape(n, m)
+    if draw(st.booleans()):
+        a = a.astype(object) * draw(st.sampled_from((1, 2 ** 40)))
+    slots = draw(st.lists(st.integers(0, m + 1), min_size=p * width, max_size=p * width))
+    return a, np.array(slots, dtype=np.int64).reshape(p, width)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_int_matrix_pairs())
-@example(_edge([[2 ** 62, 2 ** 62 - 1]], [[1], [1]]))   # bound 2^63 - 1: int64
-@example(_edge([[2 ** 62, 2 ** 62]], [[1], [-1]]))      # bound 2^63: object
-@example(_edge([[-2 ** 63]], [[1]]))                    # |int64 min| = 2^63: object
-def test_exact_dot_matches_object_oracle(pair):
-    a, b = pair
-    prod = exact_int_dot(a, _nonzeros(b))
-    assert prod.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
-    row_sums = [sum(abs(int(x)) for x in row) for row in a]
-    bound = max(row_sums, default=0) * max((abs(int(x)) for x in b.flat), default=0)
-    in_int64 = a.dtype == np.int64 and b.dtype == np.int64 and bound < 2 ** 63
-    assert prod.dtype == (np.int64 if in_int64 else object)
+@given(_gather_products())
+@example((np.array([[2 ** 62, 2 ** 62 - 1]]), np.array([[0, 1, 2]])))  # bound 2^63 - 1: int64
+@example((np.array([[2 ** 62, 2 ** 62]]), np.array([[0, 1, 3]])))      # bound 2^63: object
+@example((np.array([[-2 ** 63]]), np.array([[0, 1]])))                 # |int64 min| = 2^63: object
+@example((np.array([[-1, 2 ** 40]]), np.array([[1, 1, 0], [2, 2, 2]])))  # repeats; phantoms only
+def test_exact_dot_matches_object_oracle(case):
+    # The least bound picks int64 below 2^63; any larger bound gives the
+    # same values in objects.
+    a, table = case
+    oracle = np.dot(a.astype(object), _dense((table, 0), a.shape[1])).tolist()
+    bound = _bound(a, table)
+    for given in (bound, max(bound, 2 ** 63)):
+        prod = exact_int_dot(a, (table, given))
+        assert prod.shape == (a.shape[0], table.shape[0])
+        assert prod.tolist() == oracle
+        assert prod.dtype == (np.int64 if given < 2 ** 63 else object)
 
 
-@pytest.mark.parametrize("a, b, in_int64", [
-    ([[2 ** 62 - 1]], [[2]], True),                     # bound 2^63 - 2, estimate 2^63
-    ([[2 ** 62, 2 ** 62 - 1]], [[1], [1]], True),       # bound 2^63 - 1, estimate 2^63
-    ([[89547301328687144]], [[103]], False),            # bound 2^63 + 24, estimate 2^63 - 1024
-    ([[-(2 ** 63 - 1)]], [[1]], True),                  # bound 2^63 - 1, estimate 2^63
-    ([[-2 ** 63, 0]], [[1], [0]], False),               # |int64 min| = 2^63, not its int64 abs
+@pytest.mark.parametrize("a, table, in_int64", [
+    ([[2 ** 62 - 1]], [[0, 0]], True),                  # bound 2^63 - 2
+    ([[2 ** 62, 2 ** 62 - 1]], [[0, 1]], True),         # bound 2^63 - 1
+    ([[89547301328687144]], [[0] * 103], False),        # bound 2^63 + 24
+    ([[-(2 ** 63 - 1)]], [[0, 1]], True),               # bound 2^63 - 1; 1 is a phantom
+    ([[-2 ** 63, 0]], [[0, 2]], False),                 # |int64 min| = 2^63; 2 is a phantom
 ], ids=["below-scaled", "below-summed", "above-scaled", "below-negative", "int64-min"])
-def test_exact_dot_decides_by_the_exact_bound_near_two_to_the_63(a, b, in_int64):
-    # Each float64 estimate of max_i sum_k |a_ik| * max|b| lies within the
-    # rounding margin of 2^63 but on the wrong side or on it, so only the
-    # exact bound picks the path.
-    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    estimate = np.abs(a, dtype=np.float64).sum(axis=1).max() * float(np.abs(b).max())
-    assert abs(estimate - 2.0 ** 63) <= 2.0 ** 63 * (a.shape[1] + 4) * 2.0 ** -52
-    prod = exact_int_dot(a, _nonzeros(b))
-    assert prod.dtype == (np.int64 if in_int64 else object)
-    assert prod.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
+def test_exact_dot_decides_by_the_exact_bound_near_two_to_the_63(a, table, in_int64):
+    # The caller's bound, within a few units of 2^63, alone picks the path:
+    # int64 exactly when it is below 2^63, for int64 and object a alike.
+    table = np.array(table)
+    for a in (np.array(a, dtype=np.int64), np.array(a, dtype=object)):
+        bound = _bound(a, table)
+        assert abs(bound - 2 ** 63) <= 24
+        prod = exact_int_dot(a, (table, bound))
+        assert prod.dtype == (np.int64 if in_int64 else object)
+        assert prod.tolist() == np.dot(a.astype(object), _dense((table, 0), a.shape[1])).tolist()
 
 
 def _dart_power_traces(g, r_max: int) -> list[int]:
@@ -186,6 +178,21 @@ def test_circuit_counts_match_dart_power_traces(g):
     assert oracle[38] > 2 ** 63
     for r_max in range(39):
         assert circuit_count_sequence(g, r_max) == oracle[:r_max + 1], r_max
+
+
+@pytest.mark.parametrize("loops", [2, 4])
+def test_bouquet_counts_match_closed_forms_across_int64(loops):
+    # On a one-vertex bouquet A_r = [(q+1) q^(r-1)], so every product
+    # A_{r-1} A meets its closed-form bound, and the dart matrix has
+    # eigenvalues q (once), 1 (``loops`` times) and -1 (loops - 1 times),
+    # so c_r = q^r + loops + (loops - 1)(-1)^r.  Both pass 2^63 by r = 60;
+    # at loops = 4, B^23 B is the first product past 2^63.
+    g = build_from_edge_list([(0, 0)] * loops, 1)
+    q = 2 * loops - 1
+    assert [int(m[0, 0]) for m in nb_matrix_sequence(g, 60)[1:]] == [
+        (q + 1) * q ** (r - 1) for r in range(1, 61)]
+    assert circuit_count_sequence(g, 60) == [0] + [
+        q ** r + loops + (loops - 1) * (-1) ** r for r in range(1, 61)]
 
 
 def test_circuit_counts_take_half_the_products(monkeypatch):
@@ -220,7 +227,7 @@ def test_nb_sequence_base_relations(k4):
     a = adjacency(k4)
     assert (seq[0] == np.eye(4, dtype=np.int64)).all()
     assert (seq[1] == a).all()
-    assert (seq[2] + 3 * np.eye(4, dtype=np.int64) == exact_int_dot(a, _nonzeros(a))).all()
+    assert (seq[2] + 3 * np.eye(4, dtype=np.int64) == a @ a).all()
 
 
 def test_nb_traces_equal_brute(k4, c4):
@@ -237,7 +244,7 @@ def _nb_traces_in_objects(g, r_max: int) -> list[int]:
     """tr(A_r) for r = 0..r_max from the recurrence in Python-int objects."""
     a = adjacency(g).astype(object)
     q = int(g.degrees[0]) - 1
-    return [int(np.trace(m)) for m in nbmatrix._nb_recurrence(a, q, r_max, a.__rmatmul__)]
+    return [int(np.trace(m)) for m in nbmatrix._nb_recurrence(a, q, r_max, lambda m, r: m @ a)]
 
 
 @pytest.mark.parametrize("g", [build_from_edge_list([(0, 0)] * 3, 1), pairing_multigraph(10, 5, 3),
