@@ -12,10 +12,12 @@ the change first in odd ones.  The ``--pairs`` pairs run once at the default
 BLAS thread count and once with ``OPENBLAS_NUM_THREADS=1`` (the workers inherit
 the environment).
 
-The output holds, per thread setting, the environment block of the first run,
-every run's end-to-end metrics and failure counts, and per workload and
-metric each side's median and quartiles and the number of pairs the change
-won (a tie counts for neither side).
+The output holds, per side, the revision and the size of its ``src/``
+(``scripts/src_stats.py``: lines and public names), so a change in size sits
+beside its timings; and per thread setting, the environment block of the
+first run, every run's end-to-end metrics and failure counts, and per
+workload and metric each side's median and quartiles and the number of pairs
+the change won (a tie counts for neither side).
 """
 
 from __future__ import annotations
@@ -28,12 +30,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from src_stats import src_stats
+
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
 
 def export(rev: str, dest: Path) -> dict:
-    """Write the committed tree of ``rev`` to ``dest``; return its identity."""
+    """Write the committed tree of ``rev`` to ``dest``; return its identity
+    and the size of its ``src/``."""
     dest.mkdir(parents=True)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
                              check=True, capture_output=True).stdout
@@ -42,7 +47,9 @@ def export(rev: str, dest: Path) -> dict:
     def parse(spec):
         return subprocess.run(["git", "-C", str(ROOT), "rev-parse", spec], check=True,
                               capture_output=True, text=True).stdout.strip()
-    return {"rev": rev, "commit": parse(f"{rev}^{{commit}}"), "src_tree": parse(f"{rev}:src")}
+    lines, names = src_stats(dest / "src")
+    return {"rev": rev, "commit": parse(f"{rev}^{{commit}}"), "src_tree": parse(f"{rev}:src"),
+            "src_lines": lines, "public_names": names}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:

@@ -31,11 +31,14 @@ from . import __version__
 from .multigraph import (MultiGraph, _require_regular, census_to_csv,
                          enumerate_circles, girth, load_graph_file, walk_census)
 from .nbmatrix import ColorAssignment
-from .random_models import (STREAM_POLICY, RngStream, haar_unitary_color,
-                            sample_lift, sample_regular_graph, trial_means)
+from .random_models import (DEFAULT_RETRY_BUDGET, STREAM_POLICY, RngStream,
+                            haar_unitary_color, sample_lift, sample_regular_graph,
+                            trial_means)
 from .spectra import (arcsine, cycle_spectral_measure, kesten_mckay,
                       moment_criterion_report, semicircle, spectral_measure,
                       wasserstein_p)
+from .spectra.wasserstein import _validate_p
+from .switchings import switching_caps
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -208,7 +211,7 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
     fold.  The residual means are the normalized colored non-backtracking
     traces q^{-r/2} tr(A_r^sigma) / (nN)."""
     degree = _require_regular(base)
-    _require_distinct("--p", p_list)
+    _require_distinct("--p", [_validate_p(p) for p in p_list])
     if r_max < 1:
         raise CliInputError(f"r_max must be at least 1, got {r_max}")
     if color not in _COLORS:
@@ -278,15 +281,30 @@ def schedule_branching(tag: str, n: int, q_fixed: int | None) -> int:
     raise CliInputError(f"unknown schedule {tag!r}")
 
 
+def _require_served(n: int, degree: int) -> None:
+    """Reject a cell the sampler cannot serve.  Without switchings (caps
+    (0, 0)) it is plain rejection, which keeps a pairing with probability
+    about exp((1 - d^2)/4) (Bender & Canfield, JCTA 24, 1978)."""
+    if not 2 <= degree <= MAX_SAMPLER_DEGREE:
+        raise CliInputError(f"schedule degree {degree} outside 2..{MAX_SAMPLER_DEGREE}")
+    if degree >= n or (n * degree) % 2 != 0:
+        raise CliInputError(f"no simple {degree}-regular graph on n={n} vertices")
+    kept = math.exp((1 - degree ** 2) / 4)
+    if switching_caps(n, degree) == (0, 0) and kept * DEFAULT_RETRY_BUDGET < 1:
+        raise CliInputError(f"n={n}, degree={degree}: pairing rejection keeps about {kept:.1e} "
+                            f"of pairings, under one in {DEFAULT_RETRY_BUDGET} attempts")
+
+
 def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
                    seed: int, p_list: list[float], r_max: int) -> dict:
     if len(n_ladder) != len(q_ladder):
         raise CliInputError("n ladder and q ladder must have equal length")
     _require_distinct("--n", n_ladder)
-    _require_distinct("--p", p_list)
+    _require_distinct("--p", [_validate_p(p) for p in p_list])
     if r_max < 0:
         raise CliInputError(f"r_max must be nonnegative, got {r_max}")
-    for n, q in zip(n_ladder, q_ladder):
+    for n, q in zip(n_ladder, q_ladder):  # every cell is checked before the first sample
+        _require_served(n, q + 1)
         _require_finite_moments(r_max, q, n, trials, f"n={n}")
     target = semicircle()
     root = RngStream(seed)
@@ -294,11 +312,6 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
     means = {p: [] for p in p_list}
     for n, q in zip(n_ladder, q_ladder):
         degree = q + 1
-        if degree > MAX_SAMPLER_DEGREE:
-            raise CliInputError(
-                f"schedule degree {degree} above sampler cap {MAX_SAMPLER_DEGREE}")
-        if (n * degree) % 2 != 0:
-            raise CliInputError(f"n * degree must be even, got n={n}, degree={degree}")
         nonsimple = 0
 
         def draw(stream: RngStream) -> list[float]:

@@ -1,11 +1,12 @@
 """Non-backtracking matrices, the dart (Hashimoto) matrix, and unitary colors.
 
-Exact integer arithmetic backs every count.  The census multiplies only by A
-and by the dart matrix B, each given as a gather table read off the graph's
-incidence tables.  Entries of A_r and B^k count walks, so the caller bounds
-each product in closed form: below 2^63 it runs in int64, else in Python-int
-object arrays.  The closed-NBW and circuit counts are traces of products of
-two A_j or of two powers of B, summed under the same rule.
+Exact integer arithmetic backs every count.  The census multiplies on the
+left by A and by the dart matrix B, as the graph stores them: the heads of
+each vertex's out-darts, the successors of each dart.  Entries of A_r and B^k
+count walks, so the caller bounds each product in closed form: below 2^63 it
+runs in int64, else in Python-int object arrays.  The closed-NBW and circuit
+counts are traces of products of two A_j or of two powers of B, summed under
+the same rule.
 """
 
 from __future__ import annotations
@@ -33,25 +34,23 @@ class ColorInvariantError(RuntimeError):
     (internal bug trap)."""
 
 
-def exact_int_dot(a: np.ndarray, b: tuple[np.ndarray, int]) -> np.ndarray:
-    """Exact product of an integer (int64 or object) matrix and the count
-    matrix given as ``b = (table, bound)``.
+def exact_int_dot(table: np.ndarray, a: np.ndarray, bound: int) -> np.ndarray:
+    """Exact product T a of a count matrix T and an integer (int64 or object) a.
 
-    Row j of ``table`` lists the rows that column j sums, each listed row
-    counting once; an entry at or past a.shape[1] is a phantom and adds
-    nothing.  ``bound`` is at least max_i sum_k |a_ik| times the largest
-    entry (or 1), so it bounds every entry of a, term and partial sum:
+    Row i of T a sums the rows of ``a`` that row i of ``table`` lists, each
+    listing once; an entry at or past a.shape[0] is a phantom and adds
+    nothing.  ``bound`` is at least max_j sum_k |a_kj| times the largest
+    entry of T (or 1), so it bounds every entry of a, term and partial sum:
     below 2^63 the product runs in int64, else in Python-int objects.
     """
-    table, bound = b
     dtype = np.int64 if bound < 2 ** 63 else object
     a = a.astype(dtype, copy=False)
-    if table.size and table.max() >= a.shape[1]:  # phantoms gather a zero column
-        a = np.hstack((a, np.zeros((a.shape[0], 1), dtype=dtype)))
-    out = np.zeros((a.shape[0], table.shape[0]), dtype=dtype)
+    if table.size and table.max() >= a.shape[0]:  # phantoms gather a zero row
+        a = np.vstack((a, np.zeros((1, a.shape[1]), dtype=dtype)))
+    out = np.zeros((table.shape[0], a.shape[1]), dtype=dtype)
     term = np.empty_like(out)  # the one temporary, reused by every slot
     for k in table.T:
-        np.take(a, k, axis=1, out=term, mode="clip")  # clip sends every phantom to the zero column
+        np.take(a, k, axis=0, out=term, mode="clip")  # clip sends every phantom to the zero row
         out += term
     return out
 
@@ -65,8 +64,8 @@ def adjacency(g: MultiGraph) -> np.ndarray:
 
 def _nb_recurrence(a: np.ndarray, q: int, r_max: int, times_a) -> list[np.ndarray]:
     """A_0..A_{r_max} from A_0 = I, A_1 = A, A_2 = A^2 - (q+1) I and
-    A_r = A_{r-1} A - q A_{r-2} for r >= 3, with ``times_a(A_{r-1}, r)``
-    giving A_{r-1} A."""
+    A_r = A A_{r-1} - q A_{r-2} for r >= 3, with ``times_a(A_{r-1}, r)``
+    giving A A_{r-1}, which is A_{r-1} A: both are polynomials in A."""
     eye = np.eye(a.shape[0], dtype=a.dtype)
     seq = [eye]
     if r_max >= 1:
@@ -82,13 +81,13 @@ def _nb_recurrence(a: np.ndarray, q: int, r_max: int, times_a) -> list[np.ndarra
 def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
     """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph.
 
-    A row of A_{r-1} sums to (q+1) q^(r-2), so (q+1) q^(r-2) max A bounds
-    the product A_{r-1} A."""
+    A_{r-1} is symmetric with rows summing to (q+1) q^(r-2), so (q+1) q^(r-2)
+    max A bounds the product A A_{r-1}."""
     q = _require_regular(g) - 1
     a = adjacency(g)
-    gather, top = g.head[g._out_table], int(a.max())
+    heads, top = g.head[g._out_table], int(a.max())
     return _nb_recurrence(a, q, r_max,
-                          lambda m, r: exact_int_dot(m, (gather, (q + 1) * q ** (r - 2) * top)))
+                          lambda m, r: exact_int_dot(heads, m, (q + 1) * q ** (r - 2) * top))
 
 
 def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
@@ -137,21 +136,19 @@ def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
 
     c_2k = tr(B^k B^k) and c_2k+1 = tr(B^{k+1} B^k), so only B^1..B^ceil(r_max/2)
     are formed, two consecutive powers at a time: ceil(r_max/2) - 1 products.
-    A row of B^k sums to at most w^k, w the most successors of a dart, which
-    bounds each trace and each product.  The dense dart matrix is only the
-    first power; every product gathers the predecessors of each dart e, the
-    twins of the successors of twin(e)."""
+    A row of B^k sums to at most w^k, w the most successors of a dart, and so
+    does a column (the row at the twin dart), which bounds each trace and each
+    product B B^k.  The dense dart matrix is only the first power."""
     c = [0] * (r_max + 1)
     if r_max == 0:
         return c
-    predecessors = g._nbw_table[np.arange(g.n_darts) ^ 1] ^ 1  # phantoms land past n_darts
     width = g._nbw_table.shape[1]
     power = hashimoto_matrix(g)
     c[1] = int(np.trace(power, dtype=object))
     for k in range(1, r_max // 2 + 1):
         c[2 * k] = _pair_trace(power, power, g.n_darts * width ** k)
         if 2 * k < r_max:
-            following = exact_int_dot(power, (predecessors, width ** k))
+            following = exact_int_dot(g._nbw_table, power, width ** k)
             c[2 * k + 1] = _pair_trace(following, power, g.n_darts * width ** (k + 1))
             power = following
     return c

@@ -19,7 +19,10 @@ by every order p and every measure of that size.
   quadrature in the angle, where dF = w(phi) dphi with the bounded, smooth
   weight w = ``ReferenceLaw.angle_weight``.  Each piece is cut into
   ceil(256 / m) equal panels and at its |.|^p kink, the atom's angle clipped
-  into it, and each panel gets 32-node Gauss-Legendre.
+  into it, and each panel gets 32-node Gauss-Legendre.  Kesten-McKay's w
+  turns over within h = (sqrt q - 1/sqrt q)/2 of phi = 0 and pi, narrower
+  than a panel as q -> 1, so panels also break at h, 16h, 256h and 4096h
+  from both ends.
 
 The closed forms combine O(1) moments, so they carry an absolute rounding
 floor rather than a relative one: below one ulp per atom in W_1 and a few
@@ -111,14 +114,15 @@ def _angle_quadrature(mu: DiscreteSpectralMeasure, law: ReferenceLaw, p) -> floa
     m = mu.size
     phi = _quantile_grid(law, m)[0]
     splits = max(1, -(-_TARGET_PANELS // m))
-    kink = np.arccos(np.clip(-mu.points / 2.0, -1.0, 1.0))
-    edges = np.sort(np.column_stack([
-        np.linspace(phi[:-1], phi[1:], splits + 1, axis=1),
-        np.clip(kink, phi[:-1], phi[1:])]), axis=1)
-    widths = np.diff(edges, axis=1)
+    kink = np.clip(np.arccos(np.clip(-mu.points / 2.0, -1.0, 1.0)), phi[:-1], phi[1:])
+    near = (law._c / 2.0 / math.sqrt(law._b) if law._b else 0.0) * 16.0 ** np.arange(4)
+    edges = np.unique(np.concatenate((np.linspace(phi[:-1], phi[1:], splits + 1, axis=1).ravel(),
+                                      kink, np.clip((near, np.pi - near), 0.0, np.pi).ravel())))
+    x = mu.points[np.searchsorted(phi, edges[:-1], side="right") - 1]  # each panel's piece
+    widths = np.diff(edges)
     nodes01, w01 = _gl01(_PANEL_GL)
-    t = edges[:, :-1, None] + widths[:, :, None] * nodes01
-    vals = np.abs(-2.0 * np.cos(t) - mu.points[:, None, None]) ** p * law.angle_weight(t)
+    t = edges[:-1, None] + widths[:, None] * nodes01
+    vals = np.abs(-2.0 * np.cos(t) - x[:, None]) ** p * law.angle_weight(t)
     return float(((vals @ w01) * widths).sum() ** (1.0 / p))
 
 

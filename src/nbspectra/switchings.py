@@ -13,9 +13,12 @@ double pairs with d-switchings; each step maps ``C(l, m)`` into
 is fixed by the starting class.  Two rejections keep every step uniform:
 
 * f-rejection: a labeled switching is drawn uniformly from the ``fbar``
-  candidates of the class (each labeled loop or double pair of the pairing,
-  with every ordered choice of the other points) and an invalid one restarts.
-  A valid switching from ``P`` is therefore taken with probability ``1/fbar``.
+  candidates of the pairing (each labeled loop or double pair, with every
+  ordered choice of the other points) and an invalid one restarts.  Every
+  pairing of ``C(l, m)`` has exactly ``fbar = 2 l M^2`` l-switching candidates
+  (two labels per loop) or ``fbar = 4 m M^2`` d-switching candidates (four
+  labels per double pair), so a valid switching from ``P`` is taken with
+  probability ``1/fbar``, the same for every ``P`` of the class.
 * b-rejection: the result ``P'`` is kept with probability ``blow / b(P')``,
   where ``b(P')`` is the exact number of labeled switchings into ``P'`` from
   the previous class and ``blow`` is a lower bound of ``b`` over the new class.
@@ -57,18 +60,6 @@ class SwitchingInvariantError(RuntimeError):
 
 
 # -- bounds ----------------------------------------------------------------------------
-
-def loop_forward_bound(n: int, d: int, loops: int) -> int:
-    """Labeled l-switching candidates of a pairing in C(loops, m):
-    two labels per loop times ``M^2`` choices of ``p3`` and ``p5``."""
-    return 2 * loops * (n * d) ** 2
-
-
-def double_forward_bound(n: int, d: int, doubles: int) -> int:
-    """Labeled d-switching candidates of a pairing in C(0, doubles): four
-    labels per double pair times ``M^2`` choices of ``p5`` and ``p7``."""
-    return 4 * doubles * (n * d) ** 2
-
 
 def _two_path_floor(d: int, loopless: int, doubles: int) -> int:
     """Lower bound of the number of ordered single-pair 2-paths at the
@@ -398,12 +389,6 @@ class _Pairing:
                 f"triple={self.triple}, double loop={self.double_loop}")
 
 
-def _forward_guard(candidates: int, bound: int, kind: str) -> None:
-    if candidates > bound:
-        raise SwitchingInvariantError(
-            f"{kind}: {candidates} candidate switchings exceed the bound {bound}")
-
-
 def _below(b: int, gen: np.random.Generator) -> int:
     """Uniform integer in ``[0, b)`` for a positive Python int ``b`` of any size.
 
@@ -446,19 +431,14 @@ def _backward_rejects(kind: str, bound: int, upper: int, count, gen) -> bool:
     return _below(exact * (upper - bound), gen) >= bound * (upper - exact)
 
 
-def _loop_switching(pairing: _Pairing, loops: int, gen: np.random.Generator) -> bool:
-    """One f-rejected l-switching from class C(loops, m), in place.
+def _loop_switching(pairing: _Pairing, gen: np.random.Generator) -> bool:
+    """One f-rejected l-switching, in place.
 
-    Draws one of the class's ``fbar`` labeled candidates; False (reject) when
-    it is not a valid switching of this pairing.
+    Draws one of the pairing's ``fbar`` labeled candidates (a loop label and
+    ``p3``, ``p5``); False (reject) when it is not a valid switching.
     """
-    n, d = pairing.n, pairing.d
-    points = n * d
-    fbar = loop_forward_bound(n, d, loops)
-    _forward_guard(2 * pairing.loops * points ** 2, fbar, "l-switching")
-    label, p3, p5 = (int(v) for v in gen.integers(0, [fbar // points ** 2, points, points]))
-    if label >= 2 * pairing.loops:
-        return False
+    d, points = pairing.d, pairing.n * pairing.d
+    label, p3, p5 = (int(v) for v in gen.integers(0, [2 * pairing.loops, points, points]))
     s0 = int(pairing.loop_slots[label // 2])
     p1, p2 = (int(v) for v in pairing.pairs[s0])
     if label % 2:
@@ -475,15 +455,11 @@ def _loop_switching(pairing: _Pairing, loops: int, gen: np.random.Generator) -> 
     return True
 
 
-def _double_switching(pairing: _Pairing, doubles: int, gen: np.random.Generator) -> bool:
-    """One f-rejected d-switching from class C(0, doubles), in place."""
-    n, d = pairing.n, pairing.d
-    points = n * d
-    fbar = double_forward_bound(n, d, doubles)
-    _forward_guard(4 * pairing.doubles * points ** 2, fbar, "d-switching")
-    label, p5, p7 = (int(v) for v in gen.integers(0, [fbar // points ** 2, points, points]))
-    if label >= 4 * pairing.doubles:
-        return False
+def _double_switching(pairing: _Pairing, gen: np.random.Generator) -> bool:
+    """One f-rejected d-switching, in place: a double pair label and ``p5``,
+    ``p7``, as ``_loop_switching`` draws."""
+    d, points = pairing.d, pairing.n * pairing.d
+    label, p5, p7 = (int(v) for v in gen.integers(0, [4 * pairing.doubles, points, points]))
     sa, sb = (int(v) for v in pairing.double_slots[label // 4])
     if label & 1:
         sa, sb = sb, sa
@@ -527,7 +503,7 @@ def switch_to_simple(pairs: np.ndarray, n: int, d: int, caps: tuple[int, int],
     if pairing.triple or pairing.double_loop or loops > caps[0] or doubles > caps[1]:
         return None
     for left in range(loops - 1, -1, -1):
-        if not _loop_switching(pairing, left + 1, gen):
+        if not _loop_switching(pairing, gen):
             return None
         pairing.require_class(left, doubles)
         paths, single_pairs = pairing.two_paths_and_pairs()
@@ -536,7 +512,7 @@ def switch_to_simple(pairs: np.ndarray, n: int, d: int, caps: tuple[int, int],
                              lambda: loop_inverse_count(pairing.cu, pairing.cv, n), gen):
             return None
     for left in range(doubles - 1, -1, -1):
-        if not _double_switching(pairing, left + 1, gen):
+        if not _double_switching(pairing, gen):
             return None
         pairing.require_class(0, left)
         paths, _ = pairing.two_paths_and_pairs()

@@ -12,7 +12,9 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,6 +160,19 @@ def test_grow_schedule_validation():
         growing_degree([10], [8], 1, 0, [2.0], 2)  # degree 9 above cap
     with pytest.raises(CliInputError):
         growing_degree([9], [2], 1, 0, [2.0], 2)  # odd n * degree
+    with pytest.raises(CliInputError, match="equal length"):
+        growing_degree([16, 32], [2], 1, 0, [2.0], 2)
+
+
+def test_grow_refuses_a_cell_plain_rejection_cannot_serve(tmp_path, capsys):
+    # (16, 8) gets no switchings, and a pairing is simple with probability
+    # about exp(-63/4) = 1.4e-7: under one in the retry budget of 10^6, so
+    # the cell is refused at once instead of after 10^6 pairings
+    start = time.perf_counter()
+    assert main(["grow", "--n", "16", "--schedule", "fixed", "--q", "7",
+                 "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "n=16, degree=8" in capsys.readouterr().err
 
 
 def test_grow_parity_error_exit_code(capsys):
@@ -442,7 +457,14 @@ def _nonfinite_cells(out: Path) -> list[tuple[str, str, str]]:
 @example(case=(["lift", "{k4}", "--N", "2", "--trials", "1", "--rmax", "2400"], False))
 @example(case=(["grow", "--n", "64", "--schedule", "fixed", "--q", "7", "--trials", "1",
                 "--rmax", "800"], False))
+# a later cell's degree, parity or degree < n, and an order p < 1, are refused
+# before the first cell samples
+@example(case=(["grow", "--n", "64", "--n", "1025", "--schedule", "fixed", "--q", "4"], False))
+@example(case=(["grow", "--n", "64", "--n", "4", "--schedule", "fixed", "--q", "4"], False))
+@example(case=(["grow", "--n", "64", "--p", "0.5", "--schedule", "fixed", "--q", "4"], False))
+@example(case=(["lift", "{k4}", "--p", "0.5"], False))
 def test_exit_codes_follow_the_input_contract(case):
+    # Invalid input exits 2 before any graph, lift or coloring is sampled.
     argv, valid = case
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -451,7 +473,11 @@ def test_exit_codes_follow_the_input_contract(case):
             save_graph_file(g, paths[name])
         argv = [a.format(**paths) for a in argv] + ["--out", str(Path(tmp) / "out")]
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch.object(cli, name, wraps=getattr(cli, name)))
+                     for name in ("sample_regular_graph", "sample_lift", "haar_unitary_color")]
+            stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+            stack.enter_context(contextlib.redirect_stderr(err))
             code = main(argv)
         nonfinite = _nonfinite_cells(Path(tmp) / "out") if code == 0 else []
     if valid:
@@ -459,6 +485,7 @@ def test_exit_codes_follow_the_input_contract(case):
     else:
         assert code == 2, (argv, err.getvalue())
         assert err.getvalue().startswith("error: "), argv
+        assert not any(spy.called for spy in spies), argv
     assert not nonfinite, (argv, nonfinite)
 
 

@@ -99,6 +99,11 @@ def test_build_rejects_bad_endpoint():
         build_from_edge_list([(0, 1), (0, 5)], 3)
 
 
+def test_build_rejects_an_endpoint_past_int64():
+    with pytest.raises(GraphError, match=r"edge 1: endpoint \(0, 18446744073709551616\)"):
+        build_from_edge_list([(0, 1), (0, 2 ** 64), (1, 2)], 3)
+
+
 def test_edge_list_round_trip():
     edges = [(0, 1), (1, 1), (0, 1), (2, 0)]
     g = build_from_edge_list(edges, 3)
@@ -112,6 +117,11 @@ def test_graph_text_round_trip():
     g = build_from_edge_list([(0, 1), (1, 1), (0, 1)], 2)
     again = parse_graph_text(format_graph_text(g))
     assert again.canonical_edge_list() == g.canonical_edge_list()
+
+
+def test_parse_skips_blank_lines():
+    g = parse_graph_text("3 2\n\n0 1\n   \n1 2\n\n")
+    assert g.canonical_edge_list() == [(0, 1), (1, 2)]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -140,6 +150,7 @@ def test_regular_degree_values():
     (build_from_edge_list([(0, 1), (1, 2)], 3), math.inf),
     (build_from_edge_list([(0, 0)], 1), 1),
     (build_from_edge_list([(0, 1), (0, 1)], 2), 2),
+    (build_from_edge_list([], 3), math.inf),
 ])
 def test_girth(graph, expected):
     assert girth(graph) == expected

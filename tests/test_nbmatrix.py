@@ -55,61 +55,60 @@ def test_adjacency_symmetry_on_multigraph():
 
 # -- exact integer products ------------------------------------------------------
 
-def _dense(b: tuple[np.ndarray, int], n_rows: int) -> np.ndarray:
-    """The object matrix whose gather table is b[0]: entry (k, j) counts
-    the slots of row j that list k; phantom slots (k >= n_rows) add nothing."""
-    table = b[0]
-    out = np.zeros((n_rows, table.shape[0]), dtype=object)
-    for j, listed in enumerate(table.tolist()):
+def _dense(table: np.ndarray, n_cols: int) -> np.ndarray:
+    """The object matrix whose gather table is ``table``: entry (i, k) counts
+    the slots of row i that list k; phantom slots (k >= n_cols) add nothing."""
+    out = np.zeros((table.shape[0], n_cols), dtype=object)
+    for i, listed in enumerate(table.tolist()):
         for k in listed:
-            if k < n_rows:
-                out[k, j] += 1
+            if k < n_cols:
+                out[i, k] += 1
     return out
 
 
-def _bound(a: np.ndarray, table: np.ndarray) -> int:
-    """The least bound ``exact_int_dot`` takes: max_i sum_k |a_ik| times the
+def _bound(table: np.ndarray, a: np.ndarray) -> int:
+    """The least bound ``exact_int_dot`` takes: max_j sum_k |a_kj| times the
     largest entry of the factor, or 1."""
-    row_sums = [sum(abs(int(x)) for x in row) for row in a]
-    return max(row_sums, default=0) * max([1, *_dense((table, 0), a.shape[1]).flat])
+    col_sums = [sum(abs(int(x)) for x in col) for col in a.T]
+    return max(col_sums, default=0) * max([1, *_dense(table, a.shape[0]).flat])
 
 
 def test_exact_dot_object_fallback_matches_small_case():
     rng = np.random.default_rng(3)
-    a = rng.integers(0, 5, size=(6, 6)).astype(np.int64)
+    a = rng.integers(0, 5, size=(6, 6)).astype(np.int64).T
     table = rng.integers(0, 8, size=(6, 4))  # repeats, and phantoms 6 and 7
-    fast = exact_int_dot(a, (table, _bound(a, table)))
+    fast = exact_int_dot(table, a, _bound(table, a))
     assert fast.dtype == np.int64
-    assert (fast == np.dot(a.astype(object), _dense((table, 0), 6))).all()
+    assert (fast == np.dot(_dense(table, 6), a.astype(object))).all()
     # force the arbitrary-precision path with huge entries
     big = np.full((3, 3), 2 ** 62, dtype=np.int64)
     table = np.array([[0, 1, 2]] * 3)
-    exact = exact_int_dot(big, (table, _bound(big, table)))
+    exact = exact_int_dot(table, big, _bound(table, big))
     assert exact.dtype == object
     assert exact[0, 0] == 3 * 2 ** 62
 
 
 def test_exact_dot_bounds_negative_entries():
     # max(a) = 1 would bound the product by 2, but the negative entry takes
-    # it below -2^63, out of int64: the bound sums |a_ik|
-    a = np.array([[1, -(2 ** 62 + 1)]], dtype=np.int64)
+    # it below -2^63, out of int64: the bound sums |a_kj|
+    a = np.array([[1], [-(2 ** 62 + 1)]], dtype=np.int64)
     table = np.array([[0, 1, 1]])
-    exact = exact_int_dot(a, (table, _bound(a, table)))
+    exact = exact_int_dot(table, a, _bound(table, a))
     assert exact.dtype == object
     assert exact[0, 0] == 1 - 2 * (2 ** 62 + 1)
 
 
 @st.composite
 def _gather_products(draw):
-    """An integer matrix a (n x m) and a gather table of p columns whose
-    slots repeat rows and hold the phantoms m and m + 1: signed int64 entries
+    """An integer matrix a (m x n) and a gather table of p rows whose slots
+    repeat rows of a and hold the phantoms m and m + 1: signed int64 entries
     of magnitude up to 3, 2^31 or the int64 range, zero entries, and object
     inputs scaled past int64."""
     n, m, p, width = (draw(st.integers(0, 5)) for _ in range(4))
     scale = draw(st.sampled_from((3, 2 ** 31, 2 ** 63 - 1)))
     entries = draw(st.lists(st.one_of(st.just(0), st.integers(-scale - 1, scale)),
                             min_size=n * m, max_size=n * m))
-    a = np.array(entries, dtype=np.int64).reshape(n, m)
+    a = np.array(entries, dtype=np.int64).reshape(m, n)
     if draw(st.booleans()):
         a = a.astype(object) * draw(st.sampled_from((1, 2 ** 40)))
     slots = draw(st.lists(st.integers(0, m + 1), min_size=p * width, max_size=p * width))
@@ -118,40 +117,40 @@ def _gather_products(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_gather_products())
-@example((np.array([[2 ** 62, 2 ** 62 - 1]]), np.array([[0, 1, 2]])))  # bound 2^63 - 1: int64
-@example((np.array([[2 ** 62, 2 ** 62]]), np.array([[0, 1, 3]])))      # bound 2^63: object
-@example((np.array([[-2 ** 63]]), np.array([[0, 1]])))                 # |int64 min| = 2^63: object
-@example((np.array([[-1, 2 ** 40]]), np.array([[1, 1, 0], [2, 2, 2]])))  # repeats; phantoms only
+@example((np.array([[2 ** 62], [2 ** 62 - 1]]), np.array([[0, 1, 2]])))  # bound 2^63 - 1: int64
+@example((np.array([[2 ** 62], [2 ** 62]]), np.array([[0, 1, 3]])))      # bound 2^63: object
+@example((np.array([[-2 ** 63]]), np.array([[0, 1]])))                   # |int64 min| = 2^63: object
+@example((np.array([[-1], [2 ** 40]]), np.array([[1, 1, 0], [2, 2, 2]])))  # repeats; phantoms only
 def test_exact_dot_matches_object_oracle(case):
     # The least bound picks int64 below 2^63; any larger bound gives the
     # same values in objects.
     a, table = case
-    oracle = np.dot(a.astype(object), _dense((table, 0), a.shape[1])).tolist()
-    bound = _bound(a, table)
+    oracle = np.dot(_dense(table, a.shape[0]), a.astype(object)).tolist()
+    bound = _bound(table, a)
     for given in (bound, max(bound, 2 ** 63)):
-        prod = exact_int_dot(a, (table, given))
-        assert prod.shape == (a.shape[0], table.shape[0])
+        prod = exact_int_dot(table, a, given)
+        assert prod.shape == (table.shape[0], a.shape[1])
         assert prod.tolist() == oracle
         assert prod.dtype == (np.int64 if given < 2 ** 63 else object)
 
 
 @pytest.mark.parametrize("a, table, in_int64", [
     ([[2 ** 62 - 1]], [[0, 0]], True),                  # bound 2^63 - 2
-    ([[2 ** 62, 2 ** 62 - 1]], [[0, 1]], True),         # bound 2^63 - 1
+    ([[2 ** 62], [2 ** 62 - 1]], [[0, 1]], True),       # bound 2^63 - 1
     ([[89547301328687144]], [[0] * 103], False),        # bound 2^63 + 24
     ([[-(2 ** 63 - 1)]], [[0, 1]], True),               # bound 2^63 - 1; 1 is a phantom
-    ([[-2 ** 63, 0]], [[0, 2]], False),                 # |int64 min| = 2^63; 2 is a phantom
+    ([[-2 ** 63], [0]], [[0, 2]], False),               # |int64 min| = 2^63; 2 is a phantom
 ], ids=["below-scaled", "below-summed", "above-scaled", "below-negative", "int64-min"])
 def test_exact_dot_decides_by_the_exact_bound_near_two_to_the_63(a, table, in_int64):
     # The caller's bound, within a few units of 2^63, alone picks the path:
     # int64 exactly when it is below 2^63, for int64 and object a alike.
     table = np.array(table)
     for a in (np.array(a, dtype=np.int64), np.array(a, dtype=object)):
-        bound = _bound(a, table)
+        bound = _bound(table, a)
         assert abs(bound - 2 ** 63) <= 24
-        prod = exact_int_dot(a, (table, bound))
+        prod = exact_int_dot(table, a, bound)
         assert prod.dtype == (np.int64 if in_int64 else object)
-        assert prod.tolist() == np.dot(a.astype(object), _dense((table, 0), a.shape[1])).tolist()
+        assert prod.tolist() == np.dot(_dense(table, a.shape[0]), a.astype(object)).tolist()
 
 
 def _dart_power_traces(g, r_max: int) -> list[int]:
@@ -198,7 +197,8 @@ def test_bouquet_counts_match_closed_forms_across_int64(loops):
 def test_circuit_counts_take_half_the_products(monkeypatch):
     calls = []
     real = nbmatrix.exact_int_dot
-    monkeypatch.setattr(nbmatrix, "exact_int_dot", lambda a, b: calls.append(1) or real(a, b))
+    monkeypatch.setattr(nbmatrix, "exact_int_dot",
+                        lambda table, a, bound: calls.append(1) or real(table, a, bound))
     for r_max, products in ((1, 0), (2, 0), (3, 1), (12, 5), (38, 18)):
         calls.clear()
         circuit_count_sequence(petersen_graph(), r_max)
@@ -214,7 +214,8 @@ def test_census_across_int64_matches_object_products(g, monkeypatch):
     census = walk_census(g, 42)
     assert max(census.f) > 2 ** 63 and max(census.c) > 2 ** 63
     monkeypatch.setattr(nbmatrix, "exact_int_dot",
-                        lambda a, b: np.dot(a.astype(object), _dense(b, a.shape[1])))
+                        lambda table, a, bound: np.dot(_dense(table, a.shape[0]),
+                                                       a.astype(object)))
     oracle = walk_census(g, 42)
     assert census.f == oracle.f
     assert census.c == oracle.c
@@ -263,7 +264,8 @@ def test_nb_traces_from_half_the_sequence_match_object_recurrence(g):
 def test_nb_traces_take_half_the_products(monkeypatch):
     calls = []
     real = nbmatrix.exact_int_dot
-    monkeypatch.setattr(nbmatrix, "exact_int_dot", lambda a, b: calls.append(1) or real(a, b))
+    monkeypatch.setattr(nbmatrix, "exact_int_dot",
+                        lambda table, a, bound: calls.append(1) or real(table, a, bound))
     for r_max, products in ((1, 0), (2, 0), (3, 1), (4, 1), (8, 3), (38, 18)):
         calls.clear()
         nb_trace_sequence(petersen_graph(), r_max)

@@ -291,11 +291,3 @@ def test_broken_bound_is_an_internal_error(monkeypatch, tmp_path):
     code = cli.main(["grow", "--n", "64", "--schedule", "fixed", "--q", "4",
                      "--trials", "3", "--seed", "1", "--out", str(tmp_path)])
     assert code == cli.EXIT_RUNTIME
-
-
-def test_forward_count_above_its_bound_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(switchings, "loop_forward_bound",
-                        lambda n, d, loops: 1)
-    with pytest.raises(SwitchingInvariantError, match="exceed the bound"):
-        for trial in range(50):
-            sample_regular_graph(64, 5, RngStream(6, trial))

@@ -58,6 +58,14 @@ def test_symmetry_discrete_and_law():
             wasserstein_p(sc, a, 2), rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize("law", [semicircle(), kesten_mckay(3.0)], ids=repr)
+def test_law_law_distance_is_symmetric_with_the_arcsine_law(law):
+    # the law-law engine integrates in the angle of the law that is not the
+    # arcsine law, so the arcsine law is swapped to the second place
+    for p in (1, 2, 3, INF):
+        assert wasserstein_p(arcsine(), law, p) == wasserstein_p(law, arcsine(), p)
+
+
 def test_triangle_inequality_random_triples():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -182,6 +190,15 @@ def test_closed_form_matches_angle_quadrature_across_q(q):
             for p in (1, 2):
                 assert wasserstein_p(mu, law, p) == pytest.approx(
                     _angle_quadrature(mu, law, p), rel=1e-11, abs=0.0), (m, p)
+
+
+def test_angle_quadrature_resolves_the_kesten_mckay_ends_as_q_nears_one():
+    # At q = 1.0001 the angle weight turns over within about 5e-5 of phi = 0
+    # and pi, far inside one of 256 equal panels; the reference is the same
+    # rule on 2^18 equal panels.
+    mu = DiscreteSpectralMeasure(np.array([0.0]))
+    assert wasserstein_p(mu, kesten_mckay(1.0001), 3) == pytest.approx(
+        1.5029682326500, rel=1e-11, abs=0.0)
 
 
 def test_huge_q_kesten_mckay_distances_are_the_semicircle_ones():
