@@ -54,11 +54,11 @@ class MultiGraph:
     """
 
     def __init__(self, n_vertices: int, head: np.ndarray):
+        if not 0 <= n_vertices < 2 ** 63:  # checked before any array is sized by it
+            raise GraphError(f"n_vertices must be nonnegative and fit in int64, got {n_vertices}")
         head = np.asarray(head, dtype=np.int64)
         if head.ndim != 1 or head.size % 2 != 0:
             raise GraphError("head array must be one-dimensional with even length")
-        if n_vertices < 0:
-            raise GraphError("n_vertices must be nonnegative")
         if head.size and (head.min() < 0 or head.max() >= n_vertices):
             raise GraphError("dart head out of vertex range")
         self.n_vertices = int(n_vertices)
@@ -136,11 +136,12 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]], n_vertices: int) -> M
     """Build a multigraph from unordered vertex pairs (repeats and loops allowed)."""
     try:
         ends = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-    except OverflowError:  # an endpoint past int64 is out of range too
-        ends = None
-    if ends is None or ((ends < 0) | (ends >= n_vertices)).any():
-        idx, (u, v) = next((i, (u, v)) for i, (u, v) in enumerate(edges)
-                           if not (0 <= u < n_vertices and 0 <= v < n_vertices))
+    except OverflowError:  # an endpoint past int64: out of range, or n is past it too
+        ends = np.array(edges, dtype=object).reshape(len(edges), 2)
+    bad = ((ends < 0) | (ends >= n_vertices)).any(axis=1)
+    if bad.any():
+        idx = int(bad.argmax())
+        u, v = edges[idx]
         raise GraphError(f"edge {idx}: endpoint ({u}, {v}) out of range for n={n_vertices}")
     return MultiGraph(n_vertices, ends[:, ::-1].ravel())  # dart 2k: u -> v, 2k+1: v -> u
 
@@ -437,12 +438,8 @@ class WalkCensus:
 
     def identity_nbw_circuit(self, r: int) -> bool:
         """f_r = c_r + (q-1) * sum_{1 <= i < r/2} q^(i-1) c_{r-2i}, exactly."""
-        rhs = self.c[r]
-        i = 1
-        while 2 * i < r:
-            rhs += (self.q - 1) * self.q ** (i - 1) * self.c[r - 2 * i]
-            i += 1
-        return self.f[r] == rhs
+        tails = sum(self.q ** (i - 1) * self.c[r - 2 * i] for i in range(1, (r + 1) // 2))
+        return self.f[r] == self.c[r] + (self.q - 1) * tails
 
     def identity_circle_bounds(self, r: int) -> bool:
         """2 r z_r <= c_r <= f_r <= (q+1)^2 q^(2r-2) * sum_{k<=r} k z_k, exactly."""
@@ -457,16 +454,16 @@ class WalkCensus:
         if self.c[0] != 0 or self.f[0] != self.n_vertices:
             raise CensusInvariantError("census base cases violated")
         for r in range(1, self.r_max + 1):
-            if not self.identity_nbw_circuit(r):
-                raise CensusInvariantError(f"NBW/circuit identity failed at r={r}")
+            if not (self.identity_nbw_circuit(r) and 0 <= self.c[r] <= self.f[r]):
+                raise CensusInvariantError(f"NBW/circuit identity or 0 <= c_r <= f_r failed at r={r}")
             if self.z is not None and not self.identity_circle_bounds(r):
                 raise CensusInvariantError(f"circle bound failed at r={r}")
 
 
 def walk_census(g: MultiGraph, r_max: int) -> WalkCensus:
     """Exact census on a regular graph: f via the non-backtracking matrix
-    recurrence, c via powers of the dart (Hashimoto) matrix, z via subgraph
-    enumeration when r_max is within the brute cap."""
+    recurrence, c from f in closed form (``nbmatrix.circuit_count_sequence``),
+    z via subgraph enumeration when r_max is within the brute cap."""
     from . import nbmatrix  # deferred: nbmatrix imports MultiGraph from here
 
     if r_max < 0:
@@ -474,7 +471,7 @@ def walk_census(g: MultiGraph, r_max: int) -> WalkCensus:
     d = _require_regular(g)
     q = d - 1
     f = nbmatrix.nb_trace_sequence(g, r_max)
-    c = nbmatrix.circuit_count_sequence(g, r_max)
+    c = nbmatrix._circuits_from_traces(f, q)
     z = tuple(enumerate_circles(g, r_max)) if r_max <= BRUTE_R_CAP else None
     census = WalkCensus(r_max=r_max, q=q, n_vertices=g.n_vertices,
                         f=tuple(f), c=tuple(c), z=z)

@@ -1,12 +1,12 @@
 """Non-backtracking matrices, the dart (Hashimoto) matrix, and unitary colors.
 
 Exact integer arithmetic backs every count.  The census multiplies on the
-left by A and by the dart matrix B, as the graph stores them: the heads of
-each vertex's out-darts, the successors of each dart.  Entries of A_r and B^k
-count walks, so the caller bounds each product in closed form: below 2^63 it
-runs in int64, else in Python-int object arrays.  The closed-NBW and circuit
-counts are traces of products of two A_j or of two powers of B, summed under
-the same rule.
+left by A as the graph stores it: the heads of each vertex's out-darts.
+Entries of A_r count walks, so the caller bounds each product in closed form:
+below 2^63 it runs in int64, else in Python-int object arrays.  The closed-NBW
+counts f_r are traces of products of two A_j, summed under the same rule; on
+a regular graph the circuit counts c_r = tr(B^r) of the dart matrix B follow
+from them in closed form, so B itself is never multiplied.
 """
 
 from __future__ import annotations
@@ -131,27 +131,24 @@ def _pair_trace(x: np.ndarray, y: np.ndarray, x_sum: int) -> int:
     return int((x.astype(object) * y.T.astype(object)).sum())
 
 
-def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
-    """Circuit counts c_0..c_{r_max} as traces of powers of the dart matrix B.
-
-    c_2k = tr(B^k B^k) and c_2k+1 = tr(B^{k+1} B^k), so only B^1..B^ceil(r_max/2)
-    are formed, two consecutive powers at a time: ceil(r_max/2) - 1 products.
-    A row of B^k sums to at most w^k, w the most successors of a dart, and so
-    does a column (the row at the twin dart), which bounds each trace and each
-    product B B^k.  The dense dart matrix is only the first power."""
-    c = [0] * (r_max + 1)
-    if r_max == 0:
-        return c
-    width = g._nbw_table.shape[1]
-    power = hashimoto_matrix(g)
-    c[1] = int(np.trace(power, dtype=object))
-    for k in range(1, r_max // 2 + 1):
-        c[2 * k] = _pair_trace(power, power, g.n_darts * width ** k)
-        if 2 * k < r_max:
-            following = exact_int_dot(g._nbw_table, power, width ** k)
-            c[2 * k + 1] = _pair_trace(following, power, g.n_darts * width ** (k + 1))
-            power = following
+def _circuits_from_traces(f: list[int], q: int) -> list[int]:
+    """c_0..c_r from f_0..f_r by c_0 = 0 and
+    c_r = f_r - (q-1) sum_{1 <= i < r/2} q^(i-1) c_{r-2i}, in Python ints."""
+    c = [0]
+    for r in range(1, len(f)):
+        c.append(f[r] - (q - 1) * sum(q ** (i - 1) * c[r - 2 * i] for i in range(1, (r + 1) // 2)))
     return c
+
+
+def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
+    """Circuit counts c_0..c_{r_max}, c_r = tr(B^r), of a (q+1)-regular graph.
+
+    A closed NBW that is not a circuit is a circuit of length r - 2i with one
+    of (q-1) q^(i-1) tails of length i >= 1 hung at its start, so
+    f_r = c_r + (q-1) sum_{1 <= i < r/2} q^(i-1) c_{r-2i}, and c is read off f
+    exactly.  The tail count needs q+1 darts at every vertex: like
+    ``nb_trace_sequence``, this raises RegularityError on an irregular graph."""
+    return _circuits_from_traces(nb_trace_sequence(g, r_max), _require_regular(g) - 1)
 
 
 def _chebyshev_matrix_table(m: np.ndarray, r_max: int) -> np.ndarray:

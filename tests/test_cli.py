@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nbspectra import cli
+from nbspectra import cli, nbmatrix
 from nbspectra.cli import (CliInputError, ExperimentManifest, build_parser,
                            growing_degree, lift_convergence, main,
                            schedule_branching)
@@ -80,6 +80,19 @@ def test_census_parse_error_carries_line(tmp_path, capsys):
     bad.write_text("2 1\n0 7\n")
     assert main(["census", str(bad)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["9223372036854775808 0\n", "9223372036854775808 1\n0 1\n",
+                                  "18446744073709551617 1\n0 18446744073709551616\n"],
+                         ids=["edgeless", "one-edge", "endpoint-past-int64"])
+def test_vertex_count_past_int64_is_input_error(text, tmp_path, capsys):
+    # n = 2^63 - 1 already fails in numpy ("array is too big"); from 2^63 on
+    # the graph itself refuses n, before any array of that size is asked for
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    for argv in (["census", str(path)], ["lift", str(path), "--N", "2", "--trials", "1"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "fit in int64" in capsys.readouterr().err
 
 
 def test_census_missing_file_is_input_error(capsys):
@@ -230,6 +243,9 @@ def test_laws_at_huge_q_write_finite_values(tmp_path):
     (["lift", "{k4}", "--color", "haar", "--N", "2", "--trials", "1"],
      ColorAssignment, "sigma",
      lambda self, dart: self._blocks[dart // 2]),
+    # past the circle cap no circle bound is checked; c_4 = 0 - (q-1) c_2 = -1
+    (["census", "{k4}", "--rmax", "16"], nbmatrix, "nb_trace_sequence",
+     lambda g, r_max: [4, 0, 1] + [0] * (r_max - 2)),
 ])
 def test_internal_invariant_failures_exit_1(argv, owner, attr, broken, k4_file,
                                             tmp_path, monkeypatch, capsys):

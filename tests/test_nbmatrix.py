@@ -165,14 +165,14 @@ def _dart_power_traces(g, r_max: int) -> list[int]:
 
 @pytest.mark.parametrize("g", [build_from_edge_list([(0, 0)] * 4, 1),
                                pairing_multigraph(6, 5, 2),
-                               build_from_edge_list([(0, 0), (0, 1), (0, 1), (1, 2), (2, 2),
-                                                     (2, 0), (1, 1)], 3)],
-                         ids=["bouquet", "pairing-d5", "irregular"])
+                               build_from_edge_list([(0, 0), (0, 0), (0, 1), (0, 2), (1, 1),
+                                                     (1, 2), (1, 2), (1, 2), (2, 2)], 3)],
+                         ids=["bouquet", "pairing-d5", "loops-and-triple-edge"])
 def test_circuit_counts_match_dart_power_traces(g):
-    # Every r_max up to 38, odd and even; the traces pass 2^63 on all three.
-    # The bouquet's c_23 (about 7^23, between 2^63 and 7 * 2^63) sits close
-    # to its int64 bound, so a bound short by one factor of q wraps there.
-    assert min(g.degrees) >= 2 and girth(g) == 1
+    # Every r_max up to 38, odd and even, against plain object powers of the
+    # dart matrix; the traces pass 2^63 on all three, so c is read off an f
+    # whose products run in int64 first and in Python ints later.
+    assert len(set(g.degrees)) == 1 and girth(g) == 1
     oracle = _dart_power_traces(g, 38)
     assert oracle[38] > 2 ** 63
     for r_max in range(39):
@@ -184,8 +184,7 @@ def test_bouquet_counts_match_closed_forms_across_int64(loops):
     # On a one-vertex bouquet A_r = [(q+1) q^(r-1)], so every product
     # A_{r-1} A meets its closed-form bound, and the dart matrix has
     # eigenvalues q (once), 1 (``loops`` times) and -1 (loops - 1 times),
-    # so c_r = q^r + loops + (loops - 1)(-1)^r.  Both pass 2^63 by r = 60;
-    # at loops = 4, B^23 B is the first product past 2^63.
+    # so c_r = q^r + loops + (loops - 1)(-1)^r.  Both pass 2^63 by r = 60.
     g = build_from_edge_list([(0, 0)] * loops, 1)
     q = 2 * loops - 1
     assert [int(m[0, 0]) for m in nb_matrix_sequence(g, 60)[1:]] == [
@@ -210,7 +209,7 @@ def test_circuit_counts_take_half_the_products(monkeypatch):
                          ids=["pairing12", "pairing16", "bouquet"])
 def test_census_across_int64_matches_object_products(g, monkeypatch):
     # the counts pass 2^63 by r = 42, so the products switch from int64 to
-    # Python ints partway through both sequences
+    # Python ints partway through the A_r sequence that f and c are read from
     census = walk_census(g, 42)
     assert max(census.f) > 2 ** 63 and max(census.c) > 2 ** 63
     monkeypatch.setattr(nbmatrix, "exact_int_dot",
@@ -270,6 +269,10 @@ def test_nb_traces_take_half_the_products(monkeypatch):
         calls.clear()
         nb_trace_sequence(petersen_graph(), r_max)
         assert len(calls) == products, r_max
+    # the census's only products are those of f: c follows in closed form
+    calls.clear()
+    walk_census(petersen_graph(), 38)
+    assert len(calls) == 18
 
 
 def test_nb_sequence_symmetric_nonnegative(petersen):
@@ -289,8 +292,9 @@ def test_nb_sequence_row_sums(petersen, c4):
 
 def test_nb_sequence_rejects_non_regular():
     path = build_from_edge_list([(0, 1), (1, 2)], 3)
-    with pytest.raises(RegularityError):
-        nb_matrix_sequence(path, 3)
+    for sequence in (nb_matrix_sequence, nb_trace_sequence, circuit_count_sequence):
+        with pytest.raises(RegularityError):
+            sequence(path, 3)
 
 
 # -- Hashimoto matrix ----------------------------------------------------------------
@@ -307,11 +311,6 @@ def test_hashimoto_matrix_matches_definition():
     darts = np.arange(g.n_darts)
     b = (g.head[:, None] == g.origin[None, :]) & (darts[None, :] != (darts ^ 1)[:, None])
     assert hashimoto_matrix(g).tolist() == b.astype(np.int64).tolist()
-
-
-def test_hashimoto_tree_has_no_circuits():
-    tree = build_from_edge_list([(0, 1), (1, 2), (1, 3)], 4)
-    assert circuit_count_sequence(tree, 6) == [0] * 7
 
 
 def test_hashimoto_matches_brute_on_samples():
