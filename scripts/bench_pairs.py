@@ -16,8 +16,9 @@ The output holds, per side, the revision and the size of its ``src/``
 (``scripts/src_stats.py``: lines and public names), so a change in size sits
 beside its timings; and per thread setting, the environment block of the
 first run, every run's end-to-end metrics and failure counts, and per
-workload and metric each side's median and quartiles and the number of pairs
-the change won (a tie counts for neither side).
+workload and metric each side's median and quartiles, the number of pairs
+the change won (a tie counts for neither side), whether a gain is claimable
+and whether the change is worse than its bound (see ``summarize``).
 """
 
 from __future__ import annotations
@@ -68,12 +69,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict) ->
             "environment": detail["environment"]}
 
 
-def summarize(runs: list[dict], better: dict) -> dict:
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the change won,
+    ``claim_met`` (it won at least 9 of 10 pairs and its median is better by
+    more than the parent's Q3 - Q1) and ``worse_beyond_bound`` (its median is
+    worse than the parent's by more than ``bound`` times the parent median)."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         values = {side: [r[side]["metrics"][name] for r in runs
                          if "metrics" in r[side]] for side in SIDES}
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if metric["better"] == "lower" else -1
         wins = sum(1 for r in runs if "metrics" in r["parent"] and "metrics" in r["change"]
                    and sign * (r["change"]["metrics"][name] - r["parent"]["metrics"][name]) < 0)
         out[name] = {side: {"median": statistics.median(v),
@@ -82,6 +88,12 @@ def summarize(runs: list[dict], better: dict) -> dict:
                      for side, v in values.items() if v}
         out[name]["change_wins"] = wins
         out[name]["pairs"] = len(runs)
+        if len(out[name]) == 4:  # both sides ran
+            parent, change = out[name]["parent"], out[name]["change"]
+            gain = sign * (parent["median"] - change["median"])
+            spread = parent["quartiles"][2] - parent["quartiles"][0]
+            out[name]["claim_met"] = 10 * wins >= 9 * len(runs) and gain > spread
+            out[name]["worse_beyond_bound"] = -gain > metric["bound"] * abs(parent["median"])
     return out
 
 
@@ -100,7 +112,6 @@ def main(argv=None) -> int:
     record = {side: export(rev, trees[side])
               for side, rev in zip(SIDES, (args.parent, args.change))}
     config = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in config["end_to_end"]}
     seconds = config["run_seconds"]
     record.update(command="python3 benchmarks/run.py --workload W --seed S "
                           f"--seconds {seconds:g} --trace 0", settings=[])
@@ -125,7 +136,7 @@ def main(argv=None) -> int:
             failed = {side: [sum(r[side].get(k, 1) for r in runs)
                              for k in ("failed", "attempted")] for side in SIDES}
             setting["workloads"][workload] = {
-                "runs": runs, "summary": summarize(runs, better),
+                "runs": runs, "summary": summarize(runs, config["end_to_end"]),
                 "failed_of_attempted": failed}
         record["settings"].append(setting)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

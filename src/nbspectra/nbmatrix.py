@@ -55,9 +55,10 @@ def exact_int_dot(table: np.ndarray, a: np.ndarray, bound: int) -> np.ndarray:
     return out
 
 
-def adjacency(g: MultiGraph) -> np.ndarray:
-    """Integer adjacency matrix; a loop contributes 2 to its diagonal entry."""
-    a = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
+def adjacency(g: MultiGraph, dtype=np.int64) -> np.ndarray:
+    """Adjacency matrix, a loop adding 2 to its diagonal entry: int64 for exact
+    counts, float64 for the one buffer an eigensolve reads (no cast copy)."""
+    a = np.zeros((g.n_vertices, g.n_vertices), dtype=dtype)
     np.add.at(a, (g.origin, g.head), 1)
     return a
 
@@ -209,7 +210,7 @@ def trace_identities_report(g: MultiGraph, r_max: int,
     n = g.n_vertices
     if census is None or census.r_max < r_max:
         census = walk_census(g, r_max)
-    m = adjacency(g).astype(np.float64) / math.sqrt(q)
+    m = adjacency(g, np.float64) / math.sqrt(q)
     traces = np.trace(_chebyshev_matrix_table(m, r_max), axis1=1, axis2=2)
     t_xrq = xrq_from_x(traces, q)
     t_y = xrq_from_x(traces, 1.0)
@@ -250,6 +251,8 @@ class ColorAssignment:
         for k, b in enumerate(blocks):
             if b.shape != (dim, dim):
                 raise ColorError(f"edge {k}: block shape {b.shape} != ({dim}, {dim})")
+            if not np.isfinite(b).all():
+                raise ColorError(f"edge {k}: block has non-finite (NaN or inf) entries")
             if np.abs(b @ b.conj().T - eye).max() > UNITARY_TOL:
                 raise ColorError(f"edge {k}: block is not unitary to {UNITARY_TOL:g}")
         self.graph = g
@@ -267,18 +270,30 @@ class ColorAssignment:
 
 
 def colored_adjacency(g: MultiGraph, color: ColorAssignment) -> np.ndarray:
-    """Hermitian block adjacency: block (i, j) sums sigma(d) over darts i -> j."""
+    """Hermitian block adjacency: block (i, j) sums sigma(d) over darts i -> j.
+
+    One (nN)^2 buffer: blocks summed in dart order through its (n, n, N, N)
+    view, the eigensolver's slab scan as the Hermitian check, then (A + A^*) / 2,
+    each entry (a_ij + conj(a_ji)) / 2, in place slab by slab."""
+    from .spectra.eigen import _asymmetry
     if color.graph is not g and color.graph.n_edges != g.n_edges:
         raise ColorError("color assignment does not cover this graph's darts")
     n, dim = g.n_vertices, color.block_dim
     out = np.zeros((n * dim, n * dim), dtype=np.complex128)
-    for dart in range(g.n_darts):
-        i, j = int(g.origin[dart]), int(g.head[dart])
-        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += color.sigma(dart)
-    dev = float(np.abs(out - out.conj().T).max())
-    if dev > HERMITIAN_TOL:
+    blocks = out.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
+    np.add.at(blocks, (g.origin, g.head), np.stack([color.sigma(d) for d in range(g.n_darts)]))
+    dev = _asymmetry(out)[1]
+    if not dev <= HERMITIAN_TOL:  # NaN fails too
         raise ColorInvariantError(f"colored adjacency deviates from Hermitian by {dev:.3e}")
-    return (out + out.conj().T) / 2.0
+    pair = np.empty((2, min(64, n * dim), n * dim), dtype=np.complex128)  # reused by every slab
+    for lo in range(0, n * dim, 64):
+        upper, lower = out[lo:lo + 64, lo:], out[lo:, lo:lo + 64].T
+        slab = pair[:, :upper.shape[0], :upper.shape[1]]
+        np.add(upper, np.conj(lower, out=slab[0]), out=slab[0])  # a_ij + conj(a_ji)
+        np.add(lower, np.conj(upper, out=slab[1]), out=slab[1])
+        slab /= 2.0
+        upper[...], lower[...] = slab
+    return out
 
 
 def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):

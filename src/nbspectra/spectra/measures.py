@@ -62,13 +62,13 @@ class DiscreteSpectralMeasure:
 
 def spectral_measure(g: MultiGraph,
                      color: ColorAssignment | None = None) -> DiscreteSpectralMeasure:
-    """Atoms at q^{-1/2} * eigenvalues of the adjacency matrix, or of the
-    colored block adjacency when ``color`` is given (an uncolored graph is
-    the coloring by 1 x 1 identity blocks)."""
+    """Atoms at q^{-1/2} * eigenvalues of the float64 adjacency matrix, or of
+    the complex block adjacency when ``color`` is given (an uncolored graph is
+    the coloring by 1 x 1 identity blocks), each built once in one buffer."""
     d = _require_regular(g)
     q = d - 1
     eigs = eigenvalues_symmetric(
-        adjacency(g) if color is None else colored_adjacency(g, color))
+        adjacency(g, np.float64) if color is None else colored_adjacency(g, color))
     return DiscreteSpectralMeasure(points=eigs / math.sqrt(q), q=float(q))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from nbspectra.nbmatrix import (ColorAssignment, ColorError,
 from nbspectra.random_models import (RngStream, haar_unitary_color,
                                      permutation_color, sample_lift,
                                      sample_regular_graph)
+from nbspectra.spectra import DiscreteSpectralMeasure, spectral_measure
+from nbspectra.spectra.eigen import eigenvalues_symmetric
 
 
 # -- adjacency ----------------------------------------------------------------
@@ -377,6 +380,23 @@ def test_color_rejects_non_unitary(k4):
         ColorAssignment(k4, blocks)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_color_rejects_non_finite_blocks(k4, bad):
+    for blocks in ([np.full((2, 2), bad, dtype=np.complex128)] * k4.n_edges,
+                   [np.eye(2, dtype=np.complex128)] * (k4.n_edges - 1)
+                   + [np.diag([1.0, bad]).astype(np.complex128)]):
+        with pytest.raises(ColorError, match="non-finite"):
+            ColorAssignment(k4, blocks)
+
+
+def test_nan_colored_adjacency_fails_the_hermitian_check(k4, monkeypatch):
+    color = ColorAssignment.trivial(k4, 2)
+    monkeypatch.setattr(ColorAssignment, "sigma",
+                        lambda self, dart: np.full((2, 2), np.nan, dtype=np.complex128))
+    with pytest.raises(ColorInvariantError, match="Hermitian"):
+        colored_adjacency(k4, color)
+
+
 def test_color_rejects_wrong_edge_count(k4):
     with pytest.raises(ColorError, match="one block per edge"):
         ColorAssignment(k4, [np.eye(1, dtype=np.complex128)])
@@ -460,3 +480,78 @@ def test_non_hermitian_colored_adjacency_is_an_internal_error(k4, monkeypatch):
                         lambda self, dart: self._blocks[dart // 2])
     with pytest.raises(ColorInvariantError, match="Hermitian"):
         colored_adjacency(k4, color)
+
+
+# -- one buffer per spectral matrix ---------------------------------------------------------
+
+# 6-regular: two loops at each vertex and a double edge between them
+_LOOPS = build_from_edge_list([(0, 0), (0, 0), (0, 1), (0, 1), (1, 1), (1, 1)], 2)
+
+
+@st.composite
+def _pairing_multigraphs(draw):
+    """Regular pairing multigraphs, loops and parallel edges kept."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 9))
+    return pairing_multigraph(n + (n * d) % 2, d, draw(st.integers(0, 2 ** 16)))
+
+
+def _colored_reference(g, color):
+    """colored_adjacency as a per-dart loop of block sums, then (A + A^*) / 2."""
+    n, dim = g.n_vertices, color.block_dim
+    out = np.zeros((n * dim, n * dim), dtype=np.complex128)
+    for dart in range(g.n_darts):
+        i, j = int(g.origin[dart]), int(g.head[dart])
+        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += color.sigma(dart)
+    return (out + out.conj().T) / 2.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(_pairing_multigraphs())
+@example(_LOOPS)
+def test_float_adjacency_and_measure_match_the_int64_cast(g):
+    want = adjacency(g).astype(np.float64)
+    got = adjacency(g, np.float64)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    q = g.n_darts // g.n_vertices - 1
+    cast = DiscreteSpectralMeasure(points=eigenvalues_symmetric(want) / math.sqrt(q), q=q)
+    assert spectral_measure(g).points.tobytes() == cast.points.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_pairing_multigraphs(), st.sampled_from(["trivial", "haar", "permutation"]),
+       st.integers(1, 4), st.integers(0, 2 ** 16))
+@example(_LOOPS, "haar", 3, 7)
+@example(build_from_edge_list([(0, 0), (0, 0), (0, 0)], 1), "haar", 5, 1)  # three loops
+def test_colored_adjacency_matches_the_loop_reference(g, kind, fold, seed):
+    if kind == "trivial":
+        color = ColorAssignment.trivial(g, fold)
+    elif kind == "haar":
+        color = haar_unitary_color(g, fold, RngStream(seed))
+    else:
+        color = permutation_color(sample_lift(g, fold, RngStream(seed))[0])
+    got = colored_adjacency(g, color)
+    assert got.tobytes() == _colored_reference(g, color).tobytes()
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes numpy and Python allocate during fn(*args); LAPACK's own
+    workspace is not traced."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_measure_takes_one_buffer():
+    # the int64 adjacency and its float64 cast made 2.0 matrices
+    assert _traced_peak(spectral_measure, cycle_graph(512)) <= 1.5 * 512 ** 2 * 8
+
+
+def test_colored_adjacency_takes_one_buffer():
+    # the sum, its adjoint and (A + A^*) / 2 made 3.0 matrices
+    g = cycle_graph(128)
+    color = haar_unitary_color(g, 4, RngStream(5))
+    assert _traced_peak(colored_adjacency, g, color) <= 1.5 * 512 ** 2 * 16
