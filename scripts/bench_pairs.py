@@ -88,7 +88,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                      for side, v in values.items() if v}
         out[name]["change_wins"] = wins
         out[name]["pairs"] = len(runs)
-        if len(out[name]) == 4:  # both sides ran
+        if all(side in out[name] for side in SIDES):
             parent, change = out[name]["parent"], out[name]["change"]
             gain = sign * (parent["median"] - change["median"])
             spread = parent["quartiles"][2] - parent["quartiles"][0]

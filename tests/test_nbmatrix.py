@@ -27,8 +27,8 @@ from nbspectra.nbmatrix import (ColorAssignment, ColorError,
 from nbspectra.random_models import (RngStream, haar_unitary_color,
                                      permutation_color, sample_lift,
                                      sample_regular_graph)
-from nbspectra.spectra import DiscreteSpectralMeasure, spectral_measure
-from nbspectra.spectra.eigen import eigenvalues_symmetric
+from nbspectra.spectra import (DiscreteSpectralMeasure, eigenvalues_symmetric,
+                               spectral_measure)
 
 
 # -- adjacency ----------------------------------------------------------------
@@ -546,12 +546,12 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_spectral_measure_takes_one_buffer():
-    # the int64 adjacency and its float64 cast made 2.0 matrices
+    # an int64 build followed by a float64 cast would hold 2.0 matrices
     assert _traced_peak(spectral_measure, cycle_graph(512)) <= 1.5 * 512 ** 2 * 8
 
 
 def test_colored_adjacency_takes_one_buffer():
-    # the sum, its adjoint and (A + A^*) / 2 made 3.0 matrices
+    # the sum, its adjoint and (A + A^*) / 2 as whole temporaries would hold 3.0
     g = cycle_graph(128)
     color = haar_unitary_color(g, 4, RngStream(5))
     assert _traced_peak(colored_adjacency, g, color) <= 1.5 * 512 ** 2 * 16
