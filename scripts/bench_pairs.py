@@ -17,8 +17,9 @@ The output holds, per side, the revision and the size of its ``src/``
 beside its timings; and per thread setting, the environment block of the
 first run, every run's end-to-end metrics and failure counts, and per
 workload and metric each side's median and quartiles, the number of pairs
-the change won (a tie counts for neither side), whether a gain is claimable
-and whether the change is worse than its bound (see ``summarize``).
+the change won (a tie counts for neither side), whether a gain is claimable,
+whether the change is worse than its bound and whether the parent's spread is
+too wide to tell (see ``summarize``).
 """
 
 from __future__ import annotations
@@ -69,11 +70,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict) ->
             "environment": detail["environment"]}
 
 
+def failed_of_attempted(runs: list[dict]) -> dict:
+    """Per side, [failed, attempted] operations summed over the runs; a run
+    that crashed counts as one failed of one attempted."""
+    return {side: [sum(r[side].get(k, 1) for r in runs) for k in ("failed", "attempted")]
+            for side in SIDES}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the pairs the change won,
-    ``claim_met`` (it won at least 9 of 10 pairs and its median is better by
-    more than the parent's Q3 - Q1) and ``worse_beyond_bound`` (its median is
-    worse than the parent's by more than ``bound`` times the parent median)."""
+    ``claim_met`` (it won at least 9 of 10 pairs, its median is better by more
+    than the parent's Q3 - Q1, and no larger share of its operations failed),
+    ``worse_beyond_bound`` (its median is worse than the parent's by more than
+    ``bound`` times the parent median) and ``unresolved`` (the parent's Q3 - Q1
+    is wider than that bound, so "not worse" cannot be told from "unchanged",
+    unless every change run beats every parent run)."""
+    fails = failed_of_attempted(runs)
+    more_failed = fails["change"][0] * fails["parent"][1] > fails["parent"][0] * fails["change"][1]
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -92,8 +105,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             parent, change = out[name]["parent"], out[name]["change"]
             gain = sign * (parent["median"] - change["median"])
             spread = parent["quartiles"][2] - parent["quartiles"][0]
-            out[name]["claim_met"] = 10 * wins >= 9 * len(runs) and gain > spread
-            out[name]["worse_beyond_bound"] = -gain > metric["bound"] * abs(parent["median"])
+            bound = metric["bound"] * abs(parent["median"])
+            beats_all = (max(sign * v for v in values["change"])
+                         < min(sign * v for v in values["parent"]))
+            out[name]["claim_met"] = (10 * wins >= 9 * len(runs) and gain > spread
+                                      and not more_failed)
+            out[name]["worse_beyond_bound"] = -gain > bound
+            out[name]["unresolved"] = spread > bound and not beats_all
     return out
 
 
@@ -133,11 +151,9 @@ def main(argv=None) -> int:
                     print(f"{threads} {workload} seed {seed} {side}: "
                           f"{run[side].get('metrics', run[side].get('error'))}", flush=True)
                 runs.append(run)
-            failed = {side: [sum(r[side].get(k, 1) for r in runs)
-                             for k in ("failed", "attempted")] for side in SIDES}
             setting["workloads"][workload] = {
                 "runs": runs, "summary": summarize(runs, config["end_to_end"]),
-                "failed_of_attempted": failed}
+                "failed_of_attempted": failed_of_attempted(runs)}
         record["settings"].append(setting)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

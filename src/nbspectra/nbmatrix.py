@@ -270,30 +270,18 @@ class ColorAssignment:
 
 
 def colored_adjacency(g: MultiGraph, color: ColorAssignment) -> np.ndarray:
-    """Hermitian block adjacency: block (i, j) sums sigma(d) over darts i -> j.
-
-    One (nN)^2 buffer: blocks summed in dart order through its (n, n, N, N)
-    view, the eigensolver's slab scan as the Hermitian check, then (A + A^*) / 2,
-    each entry (a_ij + conj(a_ji)) / 2, in place slab by slab."""
-    from .spectra.eigen import _asymmetry
+    """Hermitian block adjacency: block (i, j) sums sigma(d) over darts i -> j."""
     if color.graph is not g and color.graph.n_edges != g.n_edges:
         raise ColorError("color assignment does not cover this graph's darts")
     n, dim = g.n_vertices, color.block_dim
     out = np.zeros((n * dim, n * dim), dtype=np.complex128)
-    blocks = out.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
-    np.add.at(blocks, (g.origin, g.head), np.stack([color.sigma(d) for d in range(g.n_darts)]))
-    dev = _asymmetry(out)[1]
+    for dart in range(g.n_darts):
+        i, j = int(g.origin[dart]), int(g.head[dart])
+        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += color.sigma(dart)
+    dev = float(np.abs(out - out.conj().T).max())
     if not dev <= HERMITIAN_TOL:  # NaN fails too
         raise ColorInvariantError(f"colored adjacency deviates from Hermitian by {dev:.3e}")
-    pair = np.empty((2, min(64, n * dim), n * dim), dtype=np.complex128)  # reused by every slab
-    for lo in range(0, n * dim, 64):
-        upper, lower = out[lo:lo + 64, lo:], out[lo:, lo:lo + 64].T
-        slab = pair[:, :upper.shape[0], :upper.shape[1]]
-        np.add(upper, np.conj(lower, out=slab[0]), out=slab[0])  # a_ij + conj(a_ji)
-        np.add(lower, np.conj(upper, out=slab[1]), out=slab[1])
-        slab /= 2.0
-        upper[...], lower[...] = slab
-    return out
+    return (out + out.conj().T) / 2.0
 
 
 def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):

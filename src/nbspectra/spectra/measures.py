@@ -62,9 +62,10 @@ class DiscreteSpectralMeasure:
 
 def spectral_measure(g: MultiGraph,
                      color: ColorAssignment | None = None) -> DiscreteSpectralMeasure:
-    """Atoms at q^{-1/2} * eigenvalues of the float64 adjacency matrix, or of
-    the complex block adjacency when ``color`` is given (an uncolored graph is
-    the coloring by 1 x 1 identity blocks), each built once in one buffer."""
+    """Atoms at q^{-1/2} * eigenvalues of the adjacency matrix, built in
+    float64 so the eigensolver makes no cast copy, or of the complex block
+    adjacency when ``color`` is given (an uncolored graph is the coloring by
+    1 x 1 identity blocks)."""
     d = _require_regular(g)
     q = d - 1
     eigs = eigenvalues_symmetric(

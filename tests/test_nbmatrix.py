@@ -549,9 +549,3 @@ def test_spectral_measure_takes_one_buffer():
     # an int64 build followed by a float64 cast would hold 2.0 matrices
     assert _traced_peak(spectral_measure, cycle_graph(512)) <= 1.5 * 512 ** 2 * 8
 
-
-def test_colored_adjacency_takes_one_buffer():
-    # the sum, its adjoint and (A + A^*) / 2 as whole temporaries would hold 3.0
-    g = cycle_graph(128)
-    color = haar_unitary_color(g, 4, RngStream(5))
-    assert _traced_peak(colored_adjacency, g, color) <= 1.5 * 512 ** 2 * 16
