@@ -80,13 +80,13 @@ def failed_of_attempted(runs: list[dict]) -> dict:
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the pairs the change won,
     ``claim_met`` (it won at least 9 of 10 pairs, its median is better by more
-    than the parent's Q3 - Q1, and no larger share of its operations failed),
+    than the parent's Q3 - Q1, and no more of its operations failed),
     ``worse_beyond_bound`` (its median is worse than the parent's by more than
     ``bound`` times the parent median) and ``unresolved`` (the parent's Q3 - Q1
     is wider than that bound, so "not worse" cannot be told from "unchanged",
     unless every change run beats every parent run)."""
     fails = failed_of_attempted(runs)
-    more_failed = fails["change"][0] * fails["parent"][1] > fails["parent"][0] * fails["change"][1]
+    more_failed = fails["change"][0] > fails["parent"][0]
     out = {}
     for metric in metrics:
         name = metric["name"]
