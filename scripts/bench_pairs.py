@@ -79,12 +79,12 @@ def failed_of_attempted(runs: list[dict]) -> dict:
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the pairs the change won,
-    ``claim_met`` (it won at least 9 of 10 pairs, its median is better by more
-    than the parent's Q3 - Q1, and no more of its operations failed),
-    ``worse_beyond_bound`` (its median is worse than the parent's by more than
-    ``bound`` times the parent median) and ``unresolved`` (the parent's Q3 - Q1
-    is wider than that bound, so "not worse" cannot be told from "unchanged",
-    unless every change run beats every parent run)."""
+    ``claim_met`` (at least ten pairs ran, it won at least 9 of 10, its median
+    is better by more than the parent's Q3 - Q1, and no more of its operations
+    failed), ``worse_beyond_bound`` (its median is worse than the parent's by
+    more than ``bound`` times the parent median) and ``unresolved`` (the
+    parent's Q3 - Q1 is wider than that bound, so "not worse" cannot be told
+    from "unchanged", unless every change run beats every parent run)."""
     fails = failed_of_attempted(runs)
     more_failed = fails["change"][0] > fails["parent"][0]
     out = {}
@@ -108,8 +108,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             bound = metric["bound"] * abs(parent["median"])
             beats_all = (max(sign * v for v in values["change"])
                          < min(sign * v for v in values["parent"]))
-            out[name]["claim_met"] = (10 * wins >= 9 * len(runs) and gain > spread
-                                      and not more_failed)
+            out[name]["claim_met"] = (len(runs) >= 10 and 10 * wins >= 9 * len(runs)
+                                      and gain > spread and not more_failed)
             out[name]["worse_beyond_bound"] = -gain > bound
             out[name]["unresolved"] = spread > bound and not beats_all
     return out

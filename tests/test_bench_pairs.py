@@ -42,7 +42,7 @@ def test_clear_gain_meets_the_claim(bench_pairs):
     assert not summary["hits"]["claim_met"] and summary["hits"]["worse_beyond_bound"]
 
 
-def test_claim_needs_nine_wins_and_a_gap_past_the_spread(bench_pairs):
+def test_claim_needs_ten_pairs_nine_wins_and_a_gap_past_the_spread(bench_pairs):
     parent = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]
     eight = [p - 2.0 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]
     assert bench_pairs.summarize(_runs(parent, eight), METRICS)["t"]["change_wins"] == 8
@@ -51,6 +51,9 @@ def test_claim_needs_nine_wins_and_a_gap_past_the_spread(bench_pairs):
     small = [p - 0.05 for p in parent]
     summary = bench_pairs.summarize(_runs(parent, small), METRICS)["t"]
     assert summary["change_wins"] == 10 and not summary["claim_met"]
+    # nor on fewer than ten pairs, however clear
+    five = bench_pairs.summarize(_runs(parent[:5], [p - 2.0 for p in parent[:5]]), METRICS)
+    assert five["t"]["change_wins"] == 5 and not five["t"]["claim_met"]
 
 
 def test_worse_beyond_bound_is_a_fraction_of_the_parent_median(bench_pairs):
