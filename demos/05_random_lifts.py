@@ -13,9 +13,9 @@ from nbspectra.random_models import (RngStream, haar_unitary_color,
 from nbspectra.spectra import kesten_mckay, spectral_measure, wasserstein_p
 
 k4 = complete_graph(4)
-spec, lifted = sample_lift(k4, 8, RngStream(7))
+perms, lifted = sample_lift(k4, 8, RngStream(7))
 mu_lift = spectral_measure(lifted)
-mu_color = spectral_measure(k4, permutation_color(spec))
+mu_color = spectral_measure(k4, permutation_color(k4, perms))
 print("lift of K4 with fold 8:", lifted.n_vertices, "vertices;",
       "colored-matrix spectrum matches the lift spectrum to",
       f"{np.abs(mu_lift.points - mu_color.points).max():.2e}")

@@ -377,8 +377,7 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     if g.n_darts == 0 or r_max == 0:
         return z
     head, origin = g.head, g.origin
-    if r_max >= 1:
-        z[1] = int((head == origin).sum()) // 2
+    z[1] = int((head == origin).sum()) // 2
     if r_max >= 2:
         mask = head[0::2] != origin[0::2]
         u = np.minimum(head[0::2][mask], origin[0::2][mask])

@@ -12,13 +12,14 @@ from them in closed form, so B itself is never multiplied.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .chebyshev import xrq_from_x
-from .multigraph import MultiGraph, _require_regular
+from .multigraph import MultiGraph, _require_regular, walk_census
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -163,25 +164,33 @@ def _chebyshev_matrix_table(m: np.ndarray, r_max: int) -> np.ndarray:
     return table
 
 
+def _require_float_walks(q: int, r_max: int) -> None:
+    """Reject an r_max at which an A_r entry, colored or not, can pass the largest
+    float: it is at most (q+1) q^(r-1), the NB walks of length r from a vertex."""
+    largest = r_max if q < 2 else int(math.log(sys.float_info.max / (q + 1), q)) + 1
+    if r_max > largest:
+        raise ValueError(f"r_max {r_max} takes A_r entries past float range (q={q}): "
+                         f"the largest allowed r_max is {largest}")
+
+
 def _friedman_deviation(a: np.ndarray, q: int, seq: list[np.ndarray]) -> float:
-    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over the sequence.
+    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over the sequence, NaN
+    if any deviation is NaN.
 
     The left side is evaluated in floating point through the polynomial
     recurrence; the right side is the sequence built by ``_nb_recurrence``.
     """
     family = xrq_from_x(_chebyshev_matrix_table(a / math.sqrt(q), len(seq) - 1), q)
-    worst = 0.0
-    for r, exact in enumerate(seq):
-        approx = q ** (r / 2.0) * family[r]
-        dev = float(np.abs(approx - np.asarray(exact, dtype=family.dtype)).max())
-        worst = max(worst, dev)
-    return worst
+    devs = [np.abs(q ** (r / 2.0) * family[r] - np.asarray(exact, dtype=family.dtype)).max()
+            for r, exact in enumerate(seq)]
+    return float(np.max(devs))
 
 
 def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:
     """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over r <= r_max,
     against the exact integer matrices A_r."""
     q = _require_regular(g) - 1
+    _require_float_walks(q, r_max)
     return _friedman_deviation(adjacency(g), q, nb_matrix_sequence(g, r_max))
 
 
@@ -203,8 +212,6 @@ class TraceIdentityReport:
 def trace_identities_report(g: MultiGraph, r_max: int,
                             census=None) -> TraceIdentityReport:
     """Check the three trace identities against the exact walk census."""
-    from .multigraph import walk_census
-
     d = _require_regular(g)
     q = d - 1
     n = g.n_vertices
@@ -293,9 +300,10 @@ def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):
     ``COLOR_IDENTITY_TOL``.
     """
     q = _require_regular(g) - 1
+    _require_float_walks(q, r_max)
     a_sigma = colored_adjacency(g, color)
     seq = _nb_recurrence(a_sigma, q, r_max, lambda m, r: m @ a_sigma)
     worst = _friedman_deviation(a_sigma, q, seq)
-    if worst > COLOR_IDENTITY_TOL:
+    if not worst <= COLOR_IDENTITY_TOL:  # NaN fails too
         raise ColorInvariantError(f"colored polynomial identity deviates by {worst:.3e}")
     return seq, worst

@@ -130,78 +130,56 @@ def sample_regular_graph(n: int, degree: int, rng: RngStream,
     raise RetryBudgetError(retry_budget, f"n={n}, degree={degree}")
 
 
-@dataclass(frozen=True)
-class LiftSpec:
-    """An N-lift: one permutation of {0..N-1} per undirected base edge."""
-
-    base: MultiGraph
-    fold: int
-    permutations: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.fold < 1:
-            raise SamplerError(f"fold must be >= 1, got {self.fold}")
-        if len(self.permutations) != self.base.n_edges:
-            raise SamplerError("need one permutation per base edge")
+def _require_lift(base: MultiGraph, perms) -> np.ndarray:
+    """``perms`` as an int64 (edges, N) array whose rows permute {0..N-1}."""
+    perms = np.asarray(perms)
+    if (perms.ndim != 2 or perms.shape[0] != base.n_edges or perms.shape[1] < 1
+            or (np.sort(perms, axis=1) != np.arange(perms.shape[1])).any()):
+        raise SamplerError(f"need one permutation of 0..N-1 per base edge ({base.n_edges}), "
+                           f"got a {perms.dtype} array of shape {perms.shape}")
+    return perms.astype(np.int64, copy=False)
 
 
-def lift_graph(spec: LiftSpec) -> MultiGraph:
-    """Explicit covering graph: fiber vertex (u, i) is index u * N + i."""
-    base, n_fold = spec.base, spec.fold
-    perms = np.array(spec.permutations, dtype=np.int64).reshape(base.n_edges, n_fold)
+def lift_graph(base: MultiGraph, perms) -> MultiGraph:
+    """Covering graph of the N-lift ``perms``: fiber vertex (u, i) is index u * N + i."""
+    perms = _require_lift(base, perms)
+    n_fold = perms.shape[1]
     tails = base.origin[0::2, None] * n_fold + np.arange(n_fold)  # edge k, fiber i
     heads = base.head[0::2, None] * n_fold + perms
     return build_from_edge_list(np.stack((tails, heads), axis=-1).reshape(-1, 2),
                                 base.n_vertices * n_fold)
 
 
-def sample_lift(base: MultiGraph, n_fold: int, rng: RngStream) -> tuple[LiftSpec, MultiGraph]:
-    """Uniform random N-lift: independent uniform permutation per base edge."""
-    if base.n_edges < 1:
-        raise SamplerError("base graph needs at least one edge")
-    if n_fold < 1:
-        raise SamplerError(f"fold must be >= 1, got {n_fold}")
-    gen = rng.generator()
-    perms = tuple(tuple(int(x) for x in gen.permutation(n_fold))
-                  for _ in range(base.n_edges))
-    spec = LiftSpec(base=base, fold=n_fold, permutations=perms)
-    return spec, lift_graph(spec)
+def sample_lift(base: MultiGraph, n_fold: int, rng: RngStream) -> tuple[np.ndarray, MultiGraph]:
+    """Uniform random N-lift: the (edges, N) array of independent uniform
+    permutations, row k the k-th ``permutation(N)`` draw, and its covering graph."""
+    perms = rng.generator().permuted(np.tile(np.arange(n_fold), (base.n_edges, 1)), axis=1)
+    return perms, lift_graph(base, perms)
 
 
-def permutation_color(spec: LiftSpec) -> ColorAssignment:
+def permutation_color(base: MultiGraph, perms) -> ColorAssignment:
     """Permutation-matrix color whose block adjacency is the lift adjacency."""
-    blocks = []
-    for pi in spec.permutations:
-        mat = np.zeros((spec.fold, spec.fold), dtype=np.complex128)
-        mat[np.arange(spec.fold), np.asarray(pi)] = 1.0
-        blocks.append(mat)
-    return ColorAssignment(spec.base, blocks)
+    perms = _require_lift(base, perms)
+    return ColorAssignment(base, np.eye(perms.shape[1], dtype=np.complex128)[perms])
 
 
 def haar_unitary_color(g: MultiGraph, block_dim: int, rng: RngStream) -> ColorAssignment:
     """Independent Haar-distributed unitary block per undirected edge.
 
-    Complex Gaussian matrix, QR factorization, then the diagonal phase fix
-    that makes the distribution exactly Haar.
+    One batch of complex Gaussian blocks (edge k: real, then imaginary part),
+    batched QR, then the diagonal phase fix that makes the law exactly Haar.
     """
     if block_dim < 1:
         raise SamplerError(f"block dimension must be >= 1, got {block_dim}")
-    gen = rng.generator()
-    blocks = []
-    for _ in range(g.n_edges):
-        z = (gen.standard_normal((block_dim, block_dim))
-             + 1j * gen.standard_normal((block_dim, block_dim))) / math.sqrt(2.0)
-        q_mat, r_mat = np.linalg.qr(z)
-        d = np.diagonal(r_mat)
-        blocks.append(q_mat * (d / np.abs(d)))
-    return ColorAssignment(g, blocks)
+    z = rng.generator().standard_normal((g.n_edges, 2, block_dim, block_dim))
+    q_mat, r_mat = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
+    d = np.diagonal(r_mat, axis1=-2, axis2=-1)
+    return ColorAssignment(g, q_mat * (d / np.abs(d))[:, None, :])
 
 
 def _permutation_power(perm: np.ndarray, exponent: int) -> np.ndarray:
-    if exponent < 0:
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        perm, exponent = inv, -exponent
+    if exponent < 0:  # the inverse permutation
+        perm, exponent = np.argsort(perm), -exponent
     out = np.arange(perm.size)
     for _ in range(exponent):
         out = perm[out]

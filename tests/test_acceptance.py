@@ -80,8 +80,8 @@ def test_criterion_02_friedman_identity(graph_set):
                        ("Petersen", petersen_graph())]
     for name, g in colored_targets:
         for fold in (4, 16):
-            spec, _ = sample_lift(g, fold, RngStream(seed=90 + fold))
-            _, dev = colored_nb_sequence(g, permutation_color(spec), 12)
+            perms, _ = sample_lift(g, fold, RngStream(seed=90 + fold))
+            _, dev = colored_nb_sequence(g, permutation_color(g, perms), 12)
             assert dev <= 1e-8, (name, "permutation", fold)
         for fold in (2, 4):
             color = haar_unitary_color(g, fold, RngStream(seed=70 + fold))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -341,6 +342,38 @@ def test_friedman_identity_random_regular():
         assert dev <= 1e-8 * (q + 1) * q ** 11
 
 
+def test_friedman_check_refuses_r_max_past_float_range(k4):
+    # A_r entries of K4 reach 3 * 2^(r-1), past the largest float at r = 1024
+    for r_max in (1024, 1100):
+        with pytest.raises(ValueError, match="largest allowed r_max is 1023"):
+            verify_friedman_identity(k4, r_max)
+    with pytest.raises(ValueError, match="largest allowed r_max is 1023"):
+        colored_nb_sequence(k4, ColorAssignment.trivial(k4, 2), 1024)
+    assert math.isfinite(verify_friedman_identity(k4, 1023))
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 1000])
+def test_float_walk_bound_names_the_exact_largest_r_max(q):
+    with pytest.raises(ValueError, match="largest allowed r_max") as info:
+        nbmatrix._require_float_walks(q, 10 ** 6)
+    largest = int(str(info.value).rsplit(" ", 1)[1])
+    assert (q + 1) * q ** (largest - 1) <= sys.float_info.max < (q + 1) * q ** largest
+    nbmatrix._require_float_walks(q, largest)
+
+
+def test_friedman_deviation_keeps_nan(k4):
+    seq = nb_matrix_sequence(k4, 4)
+    seq[3] = seq[3].astype(np.float64)
+    seq[3][0, 1] = np.nan
+    assert math.isnan(nbmatrix._friedman_deviation(adjacency(k4), 2, seq))
+
+
+def test_colored_sequence_rejects_a_nan_deviation(k4, monkeypatch):
+    monkeypatch.setattr(nbmatrix, "_friedman_deviation", lambda a, q, seq: math.nan)
+    with pytest.raises(ColorInvariantError, match="nan"):
+        colored_nb_sequence(k4, ColorAssignment.trivial(k4), 4)
+
+
 # -- trace identities ---------------------------------------------------------------------
 
 def test_trace_identities_named(k4, c4):
@@ -438,8 +471,8 @@ def test_colored_sequence_trivial_matches_integer(k4):
 
 
 def test_colored_sequence_permutation_matches_lift(k4):
-    spec, lifted = sample_lift(k4, 4, RngStream(21))
-    color = permutation_color(spec)
+    perms, lifted = sample_lift(k4, 4, RngStream(21))
+    color = permutation_color(k4, perms)
     seq, dev = colored_nb_sequence(k4, color, 8)
     assert dev <= 1e-8
     lift_seq = nb_matrix_sequence(lifted, 8)
@@ -529,7 +562,7 @@ def test_colored_adjacency_matches_the_loop_reference(g, kind, fold, seed):
     elif kind == "haar":
         color = haar_unitary_color(g, fold, RngStream(seed))
     else:
-        color = permutation_color(sample_lift(g, fold, RngStream(seed))[0])
+        color = permutation_color(g, sample_lift(g, fold, RngStream(seed))[0])
     got = colored_adjacency(g, color)
     assert got.tobytes() == _colored_reference(g, color).tobytes()
 

@@ -15,7 +15,7 @@ from nbspectra import random_models
 from nbspectra.multigraph import (build_from_edge_list, complete_graph,
                                   cycle_graph, enumerate_circles, girth)
 from nbspectra.nbmatrix import adjacency, colored_adjacency
-from nbspectra.random_models import (LiftSpec, RetryBudgetError, RngStream,
+from nbspectra.random_models import (RetryBudgetError, RngStream,
                                      SamplerError, cycle_moment_estimate,
                                      haar_unitary_color, lift_graph,
                                      nica_trace_estimate, permutation_color,
@@ -204,9 +204,7 @@ def test_switched_samples_are_uniform_over_labeled_two_regular_graphs(caplog):
 # -- lifts ------------------------------------------------------------------------
 
 def test_identity_lift_is_disjoint_copies(k4):
-    spec = LiftSpec(base=k4, fold=3,
-                    permutations=tuple((0, 1, 2) for _ in range(k4.n_edges)))
-    lifted = lift_graph(spec)
+    lifted = lift_graph(k4, np.tile(np.arange(3), (k4.n_edges, 1)))
     mu_base = spectral_measure(k4)
     mu_lift = spectral_measure(lifted)
     assert np.allclose(mu_lift.points, np.sort(np.tile(mu_base.points, 3)),
@@ -214,26 +212,27 @@ def test_identity_lift_is_disjoint_copies(k4):
 
 
 def test_fold_one_lift_is_base(k4):
-    spec, lifted = sample_lift(k4, 1, RngStream(2))
+    perms, lifted = sample_lift(k4, 1, RngStream(2))
+    assert np.array_equal(perms, np.zeros((k4.n_edges, 1)))
     assert lifted.canonical_edge_list() == k4.canonical_edge_list()
 
 
 def test_loop_lift_three_cycle():
     base = build_from_edge_list([(0, 0)], 1)
-    spec = LiftSpec(base=base, fold=3, permutations=((1, 2, 0),))
-    lifted = lift_graph(spec)
+    lifted = lift_graph(base, [(1, 2, 0)])
     assert lifted.canonical_edge_list() == cycle_graph(3).canonical_edge_list()
 
 
 def test_lift_regularity_and_size(petersen):
-    spec, lifted = sample_lift(petersen, 4, RngStream(3))
+    perms, lifted = sample_lift(petersen, 4, RngStream(3))
+    assert perms.shape == (petersen.n_edges, 4)
     assert lifted.n_vertices == 40
     assert list(lifted.degrees) == [3] * 40
 
 
 def test_permutation_color_reproduces_lift(c4):
-    spec, lifted = sample_lift(c4, 2, RngStream(8))
-    color = permutation_color(spec)
+    perms, lifted = sample_lift(c4, 2, RngStream(8))
+    color = permutation_color(c4, perms)
     a_sigma = colored_adjacency(c4, color)
     assert np.abs(a_sigma.imag).max() == 0.0
     assert np.array_equal(a_sigma.real.astype(np.int64), adjacency(lifted))
@@ -243,8 +242,8 @@ def test_loop_base_lift_matches_colored_adjacency():
     # loops are the delicate convention: each one carries a block and its
     # adjoint, and fixed points of the permutation become lift loops
     base = build_from_edge_list([(0, 0), (0, 0)], 1)  # 4-regular bouquet
-    spec, lifted = sample_lift(base, 5, RngStream(44))
-    color = permutation_color(spec)
+    perms, lifted = sample_lift(base, 5, RngStream(44))
+    color = permutation_color(base, perms)
     a_sigma = colored_adjacency(base, color)
     assert np.abs(a_sigma.imag).max() == 0.0
     assert np.array_equal(a_sigma.real.astype(np.int64), adjacency(lifted))
@@ -255,12 +254,78 @@ def test_loop_base_lift_matches_colored_adjacency():
 
 def test_single_swap_lift_of_c4_is_c8(c4):
     perms = [(0, 1), (0, 1), (0, 1), (1, 0)]
-    spec = LiftSpec(base=c4, fold=2, permutations=tuple(perms))
-    lifted = lift_graph(spec)
+    lifted = lift_graph(c4, perms)
     assert girth(lifted) == 8
     mu = spectral_measure(lifted)
     expect = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(8) / 8))
     assert np.allclose(mu.points, expect, atol=1e-9)
+
+
+_LOOPS_AND_DOUBLES = build_from_edge_list([(0, 0), (0, 1), (0, 1), (1, 1), (1, 2),
+                                           (2, 2), (2, 0)], 3)
+
+
+@pytest.mark.parametrize("bad, what", [
+    (np.zeros((6, 3), dtype=np.int64), "one permutation of 0..N-1 per base edge"),    # repeated entries
+    (np.tile([0, 1, 5], (6, 1)), "one permutation of 0..N-1 per base edge"),          # entry past N - 1
+    (np.tile([0, -1, 2], (6, 1)), "one permutation of 0..N-1 per base edge"),         # negative entry
+    (np.tile(np.arange(3), (5, 1)), "one permutation of 0..N-1 per base edge"),  # too few rows
+    (np.arange(3), "one permutation of 0..N-1 per base edge"),            # not 2-D
+    (np.zeros((6, 0), dtype=np.int64), "one permutation of 0..N-1 per base edge"),  # N = 0
+    (np.tile([0.5, 1.0, 2.0], (6, 1)), "one permutation of 0..N-1 per base edge"),  # not integer
+])
+def test_lift_rejects_rows_that_are_not_permutations(k4, bad, what):
+    with pytest.raises(SamplerError, match=what):
+        lift_graph(k4, bad)
+    with pytest.raises(SamplerError, match=what):
+        permutation_color(k4, bad)
+
+
+@pytest.mark.parametrize("fold", [0, -2])
+def test_sample_lift_rejects_a_fold_below_one(k4, fold):
+    with pytest.raises(SamplerError, match="one permutation of 0..N-1 per base edge"):
+        sample_lift(k4, fold, RngStream(0))
+
+
+def _lift_reference(base, n_fold, rng):
+    """One ``permutation(N)`` draw per base edge, in edge order."""
+    gen = rng.generator()
+    return np.array([gen.permutation(n_fold) for _ in range(base.n_edges)])
+
+
+def _haar_reference(g, block_dim, rng):
+    """Per-edge Haar blocks: Gaussian real then imaginary part, QR, phase fix."""
+    gen = rng.generator()
+    blocks = []
+    for _ in range(g.n_edges):
+        z = (gen.standard_normal((block_dim, block_dim))
+             + 1j * gen.standard_normal((block_dim, block_dim))) / math.sqrt(2.0)
+        q_mat, r_mat = np.linalg.qr(z)
+        d = np.diagonal(r_mat)
+        blocks.append(q_mat * (d / np.abs(d)))
+    return blocks
+
+
+@pytest.mark.parametrize("fold", [1, 3, 5])
+@pytest.mark.parametrize("seed", [0, 17])
+def test_edge_arrays_match_the_per_edge_references(k4, petersen, fold, seed):
+    for g in (k4, petersen, _LOOPS_AND_DOUBLES):
+        rng = RngStream(seed, 3)
+        perms, lifted = sample_lift(g, fold, rng)
+        want = _lift_reference(g, fold, rng)
+        assert perms.dtype == np.int64 and perms.tobytes() == want.tobytes()
+        tails = np.repeat(g.origin[0::2], fold) * fold + np.tile(np.arange(fold), g.n_edges)
+        heads = (g.head[0::2, None] * fold + want).ravel()
+        assert lifted.canonical_edge_list() == build_from_edge_list(
+            np.stack((tails, heads), axis=-1), g.n_vertices * fold).canonical_edge_list()
+        color = permutation_color(g, perms)
+        for k, pi in enumerate(want):
+            block = np.zeros((fold, fold), dtype=np.complex128)
+            block[np.arange(fold), pi] = 1.0
+            assert color.sigma(2 * k).tobytes() == block.tobytes()
+        haar = haar_unitary_color(g, fold, rng)
+        for k, block in enumerate(_haar_reference(g, fold, rng)):
+            assert haar.sigma(2 * k).tobytes() == block.tobytes()
 
 
 # -- haar colors --------------------------------------------------------------------
@@ -299,6 +364,13 @@ def test_haar_trace_power_moments():
 
 
 # -- Nica estimates --------------------------------------------------------------------
+
+def test_permutation_power_inverts_negative_exponents():
+    perm = RngStream(6).generator().permutation(9)
+    assert (random_models._permutation_power(perm, -1)[perm] == np.arange(9)).all()
+    assert (random_models._permutation_power(perm, -3)[random_models._permutation_power(perm, 3)]
+            == np.arange(9)).all()
+
 
 def test_nica_empty_word_is_identity():
     assert nica_trace_estimate([], 10, 5, RngStream(0)) == 1.0

@@ -224,9 +224,9 @@ def test_colored_measure_trivial_and_permutation(k4):
     mu = spectral_measure(k4)
     col = ColorAssignment.trivial(k4)
     assert np.allclose(spectral_measure(k4, col).points, mu.points, atol=1e-9)
-    spec, lifted = sample_lift(k4, 6, RngStream(31))
+    perms, lifted = sample_lift(k4, 6, RngStream(31))
     mu_lift = spectral_measure(lifted)
-    mu_col = spectral_measure(k4, permutation_color(spec))
+    mu_col = spectral_measure(k4, permutation_color(k4, perms))
     assert mu_col.size == 24
     assert np.abs(mu_lift.points - mu_col.points).max() <= 1e-9
 
