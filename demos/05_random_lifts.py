@@ -1,7 +1,9 @@
 """Random N-lifts: spectra converge to the Kesten-McKay law as N grows.
 
-Also shows that permutation colors reproduce lift adjacency exactly, and that
-Haar-unitary colors stay controlled by the same NBW statistic.
+A lift is its (edges, N) array of permutations, one row per base edge: the
+same array builds the covering graph and the permutation color, whose block
+adjacency is the lift adjacency exactly.  Haar-unitary colors stay controlled
+by the same NBW statistic.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ k4 = complete_graph(4)
 perms, lifted = sample_lift(k4, 8, RngStream(7))
 mu_lift = spectral_measure(lifted)
 mu_color = spectral_measure(k4, permutation_color(k4, perms))
-print("lift of K4 with fold 8:", lifted.n_vertices, "vertices;",
+print("lift of K4 with fold 8:", perms.shape, "permutation array,",
+      lifted.n_vertices, "vertices;",
       "colored-matrix spectrum matches the lift spectrum to",
       f"{np.abs(mu_lift.points - mu_color.points).max():.2e}")
 
