@@ -1,0 +1,61 @@
+"""One sha256 per fixed ``nbspectra`` invocation, to check that two trees
+write the same outputs.
+
+    PYTHONPATH=<tree>/src python3 scripts/output_digest.py > digests.txt
+
+Each invocation runs as ``python -m nbspectra.cli`` in a fresh temporary
+directory that holds the input graphs and the ``--out`` directory.  Its
+digest covers the exit code, stdout with that directory masked, and every
+file it wrote (data files and manifests), name and bytes.  Diff the output
+of two trees: a line differs exactly where an invocation's outputs do.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GRAPHS = {
+    "k4": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+    "c5": "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n",
+    "petersen": "10 15\n" + "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
+                                     for i in range(5)),
+}
+LIFT_POOL = "lift {k4} --N 8 --N 32 --N 128 --p 1 --p 2 --trials 1 --rmax 6 --seed "
+GROW_POOL = "grow --n 64 --n 256 --n 1024 --schedule loglog --p 2 --trials 1 --rmax 4 --seed "
+INVOCATIONS = ([LIFT_POOL + str(seed) for seed in range(32)]
+               + [GROW_POOL + str(seed) for seed in range(3)]
+               + [f"lift {{k4}} --color {color} --N 2 --N 8 --trials 3 --rmax 4"
+                  for color in ("permutation", "haar", "trivial")]
+               + ["lift {c5} --N 2 --N 8 --trials 5", "lift {k4} --trials 50",
+                  "grow --rmax 0 --trials 3", "grow",
+                  "census {k4}", "census {petersen} --rmax 10"])
+
+
+def digest(invocation: str) -> str:
+    """sha256 of one invocation's exit code, masked stdout and written files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.txt" for name in GRAPHS}
+        for name, text in GRAPHS.items():
+            paths[name].write_text(text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        argv = invocation.format(**paths).split() + ["--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "nbspectra.cli", *argv],
+                              capture_output=True, text=True)
+        h = hashlib.sha256(f"{done.returncode}\n{done.stdout.replace(tmp, '<tmp>')}".encode())
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            h.update(f"\n{path.relative_to(out)}\n".encode() + path.read_bytes())
+        return h.hexdigest()
+
+
+def main() -> int:
+    for invocation in INVOCATIONS:
+        print(f"{digest(invocation)}  {invocation}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -156,6 +156,28 @@ def _require_finite_moments(r_max: int, q: int, atoms: int, trials: int, cell: s
                             f"the largest allowed --rmax is {largest}")
 
 
+def _ladder(seed: int, cells: list[tuple], trials: int, p_list: list[float], target,
+            sample, statistics) -> tuple[list, list, dict]:
+    """Trial means of each ``(key, path)`` cell of a ``lift`` or ``grow`` ladder, drawn from
+    RngStream(seed) taken down ``path`` by ``child``: a trial draws mu = sample(key, stream) and
+    yields W_p(mu, target) for each p, then statistics(key, mu).  Returns the rows (key, p,
+    mean, stderr, trials) and (key, r, mean), r >= 1, and each p's means along the ladder."""
+    root = RngStream(seed)
+    distance_rows, statistic_rows = [], []
+    means = {p: [] for p in p_list}
+    for key, path in cells:
+        def draw(stream: RngStream) -> list[float]:
+            mu = sample(key, stream)
+            return [wasserstein_p(mu, target, p) for p in p_list] + list(statistics(key, mu))
+
+        mean, stderr = trial_means(functools.reduce(RngStream.child, path, root), trials, draw)
+        for p, m, se in zip(p_list, mean, stderr):
+            means[p].append(m)
+            distance_rows.append([*key, p, m, se, trials])
+        statistic_rows += [[*key, r, m] for r, m in enumerate(mean[len(p_list):], 1)]
+    return distance_rows, statistic_rows, means
+
+
 def _trend_checks(means: dict, ladder: str) -> list[tuple[str, bool]]:
     return [(f"W_{p:g} decreasing along {ladder} ladder",
              all(a > b for a, b in zip(seq, seq[1:]))) for p, seq in means.items()]
@@ -224,24 +246,14 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
     for fold in folds:
         _require_finite_moments(r_max, q, base.n_vertices * fold, trials, f"N={fold}")
     target = kesten_mckay(float(q)) if q >= 2 else arcsine()
-    root = RngStream(seed)
-    distance_rows, residual_rows = [], []
-    means = {p: [] for p in p_list}
-    for fold in folds:
-        cell = root.child(fold)
-        # the trivial coloring draws nothing, so one measure serves every trial
-        once = _colored_measure(base, fold, color, cell) if color == "trivial" else None
 
-        def draw(stream: RngStream) -> list[float]:
-            mu = once or _colored_measure(base, fold, color, stream)
-            return ([wasserstein_p(mu, target, p) for p in p_list]
-                    + list(moment_criterion_report(mu, target, r_max)))
-
-        mean, stderr = trial_means(cell, trials, draw)
-        for p, m, se in zip(p_list, mean, stderr):
-            means[p].append(m)
-            distance_rows.append([fold, p, m, se, trials])
-        residual_rows += [[fold, r, m] for r, m in enumerate(mean[len(p_list):], 1)]
+    # the trivial coloring draws nothing, so one measure per fold serves every trial
+    trivial = functools.cache(lambda fold: _colored_measure(base, fold, color, RngStream(seed)))
+    distance_rows, residual_rows, means = _ladder(
+        seed, [((fold,), (fold,)) for fold in folds], trials, p_list, target,
+        lambda cell, stream: (trivial(cell[0]) if color == "trivial"
+                              else _colored_measure(base, cell[0], color, stream)),
+        lambda _, mu: moment_criterion_report(mu, target, r_max))
     return {"distance_rows": distance_rows, "residual_rows": residual_rows,
             "means": means, "q": q}
 
@@ -297,6 +309,9 @@ def _require_served(n: int, degree: int) -> None:
 
 def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
                    seed: int, p_list: list[float], r_max: int) -> dict:
+    """Distance rows (n, q, p, mean, stderr, trials, samples with a loop or double edge) and
+    circuit rows (n, q, r, mean of q^{-r/2} c_r / n) of ``trials`` uniform simple
+    (q+1)-regular graphs on n vertices per (n, q) cell, against the semicircle."""
     if len(n_ladder) != len(q_ladder):
         raise CliInputError("n ladder and q ladder must have equal length")
     _require_distinct("--n", n_ladder)
@@ -306,31 +321,24 @@ def growing_degree(n_ladder: list[int], q_ladder: list[int], trials: int,
     for n, q in zip(n_ladder, q_ladder):  # every cell is checked before the first sample
         _require_served(n, q + 1)
         _require_finite_moments(r_max, q, n, trials, f"n={n}")
-    target = semicircle()
-    root = RngStream(seed)
-    distance_rows, circuit_rows = [], []
-    means = {p: [] for p in p_list}
-    for n, q in zip(n_ladder, q_ladder):
-        degree = q + 1
-        nonsimple = 0
+    nonsimple = dict.fromkeys(n_ladder, 0)
 
-        def draw(stream: RngStream) -> list[float]:
-            nonlocal nonsimple
-            g = sample_regular_graph(n, degree, stream)
-            z12 = enumerate_circles(g, 2)
-            nonsimple += int(z12[1] != 0 or z12[2] != 0)
-            mu = spectral_measure(g)
-            dists = [wasserstein_p(mu, target, p) for p in p_list]
-            y = mu.family_moments(r_max, 1.0)[1:]
-            return dists + [y[r - 1] + ((q - 1) * q ** (-r / 2.0) if r % 2 == 0 else 0.0)
-                            for r in range(1, r_max + 1)]
+    def sample(cell: tuple, stream: RngStream):
+        g = sample_regular_graph(cell[0], cell[1] + 1, stream)
+        z12 = enumerate_circles(g, 2)
+        nonsimple[cell[0]] += int(z12[1] != 0 or z12[2] != 0)
+        return spectral_measure(g)
 
-        mean, stderr = trial_means(root.child(n).child(degree), trials, draw)
-        for p, m, se in zip(p_list, mean, stderr):
-            means[p].append(m)
-            distance_rows.append([n, q, p, m, se, trials, nonsimple])
-        circuit_rows += [[n, q, r, m] for r, m in enumerate(mean[len(p_list):], 1)]
-    return {"distance_rows": distance_rows, "circuit_rows": circuit_rows, "means": means}
+    def circuits(cell: tuple, mu) -> list[float]:
+        q, y = cell[1], mu.family_moments(r_max, 1.0)
+        return [y[r] + ((q - 1) * q ** (-r / 2.0) if r % 2 == 0 else 0.0)
+                for r in range(1, r_max + 1)]
+
+    distance_rows, circuit_rows, means = _ladder(
+        seed, [((n, q), (n, q + 1)) for n, q in zip(n_ladder, q_ladder)], trials, p_list,
+        semicircle(), sample, circuits)
+    return {"distance_rows": [row + [nonsimple[row[0]]] for row in distance_rows],
+            "circuit_rows": circuit_rows, "means": means}
 
 
 def run_grow(args) -> int:

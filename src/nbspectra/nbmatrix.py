@@ -1,4 +1,4 @@
-"""Non-backtracking matrices, the dart (Hashimoto) matrix, and unitary colors.
+"""Non-backtracking matrices, exact walk and circuit counts, and unitary colors.
 
 Exact integer arithmetic backs every count.  The census multiplies on the
 left by A as the graph stores it: the heads of each vertex's out-darts.
@@ -39,19 +39,19 @@ def exact_int_dot(table: np.ndarray, a: np.ndarray, bound: int) -> np.ndarray:
     """Exact product T a of a count matrix T and an integer (int64 or object) a.
 
     Row i of T a sums the rows of ``a`` that row i of ``table`` lists, each
-    listing once; an entry at or past a.shape[0] is a phantom and adds
-    nothing.  ``bound`` is at least max_j sum_k |a_kj| times the largest
-    entry of T (or 1), so it bounds every entry of a, term and partial sum:
-    below 2^63 the product runs in int64, else in Python-int objects.
+    listing once; every entry indexes a row of ``a``, else ValueError.
+    ``bound`` is at least max_j sum_k |a_kj| times the largest entry of T
+    (or 1), so it bounds every entry of a, term and partial sum: below 2^63
+    the product runs in int64, else in Python-int objects.
     """
+    if table.size and not 0 <= table.min() <= table.max() < a.shape[0]:
+        raise ValueError(f"table entries must index the {a.shape[0]} rows of a")
     dtype = np.int64 if bound < 2 ** 63 else object
     a = a.astype(dtype, copy=False)
-    if table.size and table.max() >= a.shape[0]:  # phantoms gather a zero row
-        a = np.vstack((a, np.zeros((1, a.shape[1]), dtype=dtype)))
     out = np.zeros((table.shape[0], a.shape[1]), dtype=dtype)
     term = np.empty_like(out)  # the one temporary, reused by every slot
     for k in table.T:
-        np.take(a, k, axis=0, out=term, mode="clip")  # clip sends every phantom to the zero row
+        np.take(a, k, axis=0, out=term, mode="clip")  # "raise" would buffer out=: slower
         out += term
     return out
 
@@ -114,15 +114,6 @@ def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
     return f
 
 
-def hashimoto_matrix(g: MultiGraph) -> np.ndarray:
-    """Dart transition matrix: B[d, d'] = 1 iff head(d) = origin(d'), d' != twin(d)."""
-    table = g._nbw_table
-    darts, slots = np.nonzero(table < g.n_darts)
-    b = np.zeros((g.n_darts, g.n_darts), dtype=np.int64)
-    b[darts, table[darts, slots]] = 1
-    return b
-
-
 def _pair_trace(x: np.ndarray, y: np.ndarray, x_sum: int) -> int:
     """tr(x y) = sum_ij x_ij y_ji of nonnegative integer matrices, where the
     entries of x sum to at most ``x_sum``.  Every term and partial sum is at
@@ -173,17 +164,13 @@ def _require_float_walks(q: int, r_max: int) -> None:
                          f"the largest allowed r_max is {largest}")
 
 
-def _friedman_deviation(a: np.ndarray, q: int, seq: list[np.ndarray]) -> float:
-    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over the sequence, NaN
-    if any deviation is NaN.
-
-    The left side is evaluated in floating point through the polynomial
-    recurrence; the right side is the sequence built by ``_nb_recurrence``.
-    """
+def _friedman_deviations(a: np.ndarray, q: int, seq: list[np.ndarray]) -> list[float]:
+    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| at each r, NaN where a
+    deviation is NaN: the left side in floating point through the polynomial
+    recurrence, the right side the sequence built by ``_nb_recurrence``."""
     family = xrq_from_x(_chebyshev_matrix_table(a / math.sqrt(q), len(seq) - 1), q)
-    devs = [np.abs(q ** (r / 2.0) * family[r] - np.asarray(exact, dtype=family.dtype)).max()
-            for r, exact in enumerate(seq)]
-    return float(np.max(devs))
+    return [float(np.abs(q ** (r / 2.0) * family[r] - np.asarray(m, dtype=family.dtype)).max())
+            for r, m in enumerate(seq)]
 
 
 def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:
@@ -191,7 +178,7 @@ def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:
     against the exact integer matrices A_r."""
     q = _require_regular(g) - 1
     _require_float_walks(q, r_max)
-    return _friedman_deviation(adjacency(g), q, nb_matrix_sequence(g, r_max))
+    return float(np.max(_friedman_deviations(adjacency(g), q, nb_matrix_sequence(g, r_max))))
 
 
 @dataclass(frozen=True)
@@ -296,14 +283,16 @@ def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):
 
     Returns (sequence, max polynomial deviation).  The sequence follows the
     non-backtracking recurrence on the colored adjacency A^s; each term is
-    compared against q^{r/2} X_{r,q}(A^s / sqrt(q)) and the run rejects past
-    ``COLOR_IDENTITY_TOL``.
+    compared against q^{r/2} X_{r,q}(A^s / sqrt(q)) and the run rejects a
+    deviation past ``COLOR_IDENTITY_TOL`` times max(1, (q+1) q^(r-1)), the
+    bound ``_require_float_walks`` puts on an A_r entry.
     """
     q = _require_regular(g) - 1
     _require_float_walks(q, r_max)
     a_sigma = colored_adjacency(g, color)
     seq = _nb_recurrence(a_sigma, q, r_max, lambda m, r: m @ a_sigma)
-    worst = _friedman_deviation(a_sigma, q, seq)
-    if not worst <= COLOR_IDENTITY_TOL:  # NaN fails too
-        raise ColorInvariantError(f"colored polynomial identity deviates by {worst:.3e}")
-    return seq, worst
+    devs = _friedman_deviations(a_sigma, q, seq)
+    for r, dev in enumerate(devs):  # a NaN deviation fails too
+        if not dev <= COLOR_IDENTITY_TOL * max(1, (q + 1) * q ** (r - 1) if r else 1):
+            raise ColorInvariantError(f"colored polynomial identity deviates by {dev:.3e} at r={r}")
+    return seq, float(np.max(devs))

@@ -387,6 +387,25 @@ def test_grow_reports_zero_short_circles(tmp_path):
         assert row[-1] == 0  # nonsimple_samples column
 
 
+def test_a_cells_rows_depend_only_on_the_seed_and_the_cell():
+    # Each cell draws from the stream keyed by (seed, cell), so a cell's rows
+    # are the same on any ladder that holds it.
+    def rows(result, keys, first):
+        return [[row for row in result[k] if row[0] == first] for k in keys]
+
+    keys = ("distance_rows", "residual_rows")
+    ladder = lift_convergence(complete_graph(4), [2, 8], trials=3, seed=9, r_max=3,
+                              p_list=[1.0, 2.0])
+    alone = lift_convergence(complete_graph(4), [8], trials=3, seed=9, r_max=3,
+                             p_list=[1.0, 2.0])
+    assert rows(ladder, keys, 8) == rows(alone, keys, 8) == [alone[k] for k in keys]
+    keys = ("distance_rows", "circuit_rows")
+    ladder = growing_degree([64, 128], [3, 3], trials=2, seed=9, p_list=[2.0], r_max=3)
+    alone = growing_degree([128], [3], trials=2, seed=9, p_list=[2.0], r_max=3)
+    assert rows(ladder, keys, 128) == rows(alone, keys, 128) == [alone[k] for k in keys]
+    assert alone["means"][2.0] == ladder["means"][2.0][1:]
+
+
 # -- property: exit codes over generated argument lists ---------------------------
 
 GRAPHS = {"k4": complete_graph(4), "c4": cycle_graph(4),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import pairing_multigraph
 from nbspectra import nbmatrix
-from nbspectra.multigraph import (RegularityError, brute_walk_counts,
+from nbspectra.multigraph import (MultiGraph, RegularityError, brute_walk_counts,
                                   build_from_edge_list, complete_graph,
                                   cycle_graph, girth, petersen_graph,
                                   walk_census)
@@ -21,7 +21,7 @@ from nbspectra.nbmatrix import (ColorAssignment, ColorError,
                                 ColorInvariantError, adjacency,
                                 circuit_count_sequence, colored_adjacency,
                                 colored_nb_sequence, exact_int_dot,
-                                hashimoto_matrix, nb_matrix_sequence,
+                                nb_matrix_sequence,
                                 nb_trace_sequence,
                                 trace_identities_report,
                                 verify_friedman_identity)
@@ -61,12 +61,11 @@ def test_adjacency_symmetry_on_multigraph():
 
 def _dense(table: np.ndarray, n_cols: int) -> np.ndarray:
     """The object matrix whose gather table is ``table``: entry (i, k) counts
-    the slots of row i that list k; phantom slots (k >= n_cols) add nothing."""
+    the slots of row i that list k."""
     out = np.zeros((table.shape[0], n_cols), dtype=object)
     for i, listed in enumerate(table.tolist()):
         for k in listed:
-            if k < n_cols:
-                out[i, k] += 1
+            out[i, k] += 1
     return out
 
 
@@ -80,7 +79,7 @@ def _bound(table: np.ndarray, a: np.ndarray) -> int:
 def test_exact_dot_object_fallback_matches_small_case():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 5, size=(6, 6)).astype(np.int64).T
-    table = rng.integers(0, 8, size=(6, 4))  # repeats, and phantoms 6 and 7
+    table = rng.integers(0, 6, size=(6, 4))  # repeats
     fast = exact_int_dot(table, a, _bound(table, a))
     assert fast.dtype == np.int64
     assert (fast == np.dot(_dense(table, 6), a.astype(object))).all()
@@ -105,9 +104,8 @@ def test_exact_dot_bounds_negative_entries():
 @st.composite
 def _gather_products(draw):
     """An integer matrix a (m x n) and a gather table of p rows whose slots
-    repeat rows of a and hold the phantoms m and m + 1: signed int64 entries
-    of magnitude up to 3, 2^31 or the int64 range, zero entries, and object
-    inputs scaled past int64."""
+    repeat rows of a: signed int64 entries of magnitude up to 3, 2^31 or the
+    int64 range, zero entries, and object inputs scaled past int64."""
     n, m, p, width = (draw(st.integers(0, 5)) for _ in range(4))
     scale = draw(st.sampled_from((3, 2 ** 31, 2 ** 63 - 1)))
     entries = draw(st.lists(st.one_of(st.just(0), st.integers(-scale - 1, scale)),
@@ -115,16 +113,17 @@ def _gather_products(draw):
     a = np.array(entries, dtype=np.int64).reshape(m, n)
     if draw(st.booleans()):
         a = a.astype(object) * draw(st.sampled_from((1, 2 ** 40)))
-    slots = draw(st.lists(st.integers(0, m + 1), min_size=p * width, max_size=p * width))
+    width *= m > 0  # an a with no rows has none to list
+    slots = draw(st.lists(st.integers(0, max(m - 1, 0)), min_size=p * width, max_size=p * width))
     return a, np.array(slots, dtype=np.int64).reshape(p, width)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_gather_products())
-@example((np.array([[2 ** 62], [2 ** 62 - 1]]), np.array([[0, 1, 2]])))  # bound 2^63 - 1: int64
-@example((np.array([[2 ** 62], [2 ** 62]]), np.array([[0, 1, 3]])))      # bound 2^63: object
-@example((np.array([[-2 ** 63]]), np.array([[0, 1]])))                   # |int64 min| = 2^63: object
-@example((np.array([[-1], [2 ** 40]]), np.array([[1, 1, 0], [2, 2, 2]])))  # repeats; phantoms only
+@example((np.array([[2 ** 62], [2 ** 62 - 1]]), np.array([[0, 1]])))     # bound 2^63 - 1: int64
+@example((np.array([[2 ** 62], [2 ** 62]]), np.array([[0, 1]])))         # bound 2^63: object
+@example((np.array([[-2 ** 63]]), np.array([[0]])))                      # |int64 min| = 2^63: object
+@example((np.array([[-1], [2 ** 40]]), np.array([[1, 1, 0], [0, 0, 0]])))  # repeats
 def test_exact_dot_matches_object_oracle(case):
     # The least bound picks int64 below 2^63; any larger bound gives the
     # same values in objects.
@@ -142,8 +141,8 @@ def test_exact_dot_matches_object_oracle(case):
     ([[2 ** 62 - 1]], [[0, 0]], True),                  # bound 2^63 - 2
     ([[2 ** 62], [2 ** 62 - 1]], [[0, 1]], True),       # bound 2^63 - 1
     ([[89547301328687144]], [[0] * 103], False),        # bound 2^63 + 24
-    ([[-(2 ** 63 - 1)]], [[0, 1]], True),               # bound 2^63 - 1; 1 is a phantom
-    ([[-2 ** 63], [0]], [[0, 2]], False),               # |int64 min| = 2^63; 2 is a phantom
+    ([[-(2 ** 63 - 1)]], [[0]], True),                  # bound 2^63 - 1
+    ([[-2 ** 63], [0]], [[0, 1]], False),               # |int64 min| = 2^63
 ], ids=["below-scaled", "below-summed", "above-scaled", "below-negative", "int64-min"])
 def test_exact_dot_decides_by_the_exact_bound_near_two_to_the_63(a, table, in_int64):
     # The caller's bound, within a few units of 2^63, alone picks the path:
@@ -155,6 +154,22 @@ def test_exact_dot_decides_by_the_exact_bound_near_two_to_the_63(a, table, in_in
         prod = exact_int_dot(table, a, bound)
         assert prod.dtype == (np.int64 if in_int64 else object)
         assert prod.tolist() == np.dot(_dense(table, a.shape[0]), a.astype(object)).tolist()
+
+
+@pytest.mark.parametrize("table", [[[0, 3]], [[2], [-1]]], ids=["past-the-end", "negative"])
+def test_exact_dot_rejects_a_slot_outside_the_rows_of_a(table):
+    a = np.arange(6, dtype=np.int64).reshape(3, 2)
+    with pytest.raises(ValueError, match="index the 3 rows of a"):
+        exact_int_dot(np.array(table), a, 1)
+
+
+def hashimoto_matrix(g: MultiGraph) -> np.ndarray:
+    """Dart transition matrix: B[d, d'] = 1 iff head(d) = origin(d'), d' != twin(d)."""
+    table = g._nbw_table
+    darts, slots = np.nonzero(table < g.n_darts)
+    b = np.zeros((g.n_darts, g.n_darts), dtype=np.int64)
+    b[darts, table[darts, slots]] = 1
+    return b
 
 
 def _dart_power_traces(g, r_max: int) -> list[int]:
@@ -365,11 +380,13 @@ def test_friedman_deviation_keeps_nan(k4):
     seq = nb_matrix_sequence(k4, 4)
     seq[3] = seq[3].astype(np.float64)
     seq[3][0, 1] = np.nan
-    assert math.isnan(nbmatrix._friedman_deviation(adjacency(k4), 2, seq))
+    devs = nbmatrix._friedman_deviations(adjacency(k4), 2, seq)
+    assert [math.isnan(dev) for dev in devs] == [False, False, False, True, False]
+    assert math.isnan(np.max(devs))
 
 
 def test_colored_sequence_rejects_a_nan_deviation(k4, monkeypatch):
-    monkeypatch.setattr(nbmatrix, "_friedman_deviation", lambda a, q, seq: math.nan)
+    monkeypatch.setattr(nbmatrix, "_friedman_deviations", lambda a, q, seq: [math.nan] * len(seq))
     with pytest.raises(ColorInvariantError, match="nan"):
         colored_nb_sequence(k4, ColorAssignment.trivial(k4), 4)
 
@@ -504,6 +521,31 @@ def test_colored_identity_failure_is_an_internal_error(k4, monkeypatch):
         colored_nb_sequence(k4, color, 4)
     assert issubclass(ColorInvariantError, RuntimeError)
     assert not issubclass(ColorInvariantError, ValueError)
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), petersen_graph()], ids=["K4", "Petersen"])
+def test_colored_identity_holds_to_r_max_60_relative_to_the_walk_count(g, monkeypatch):
+    # A_r entries reach (q+1) q^(r-1) = 3 * 2^59 by r = 60, and both float
+    # recurrences round relative to that: the deviation, which stays
+    # absolute, passes COLOR_IDENTITY_TOL from r = 23 (trivial) or 42 (Haar),
+    # so the check scales the tolerance by the walk count at each r.
+    bound = nbmatrix.COLOR_IDENTITY_TOL * 3 * 2 ** 59
+    colors = [ColorAssignment.trivial(g), haar_unitary_color(g, 4, RngStream(0))]
+    for color in colors:
+        seq, dev = colored_nb_sequence(g, color, 60)
+        assert len(seq) == 61
+        assert nbmatrix.COLOR_IDENTITY_TOL < dev <= bound
+    # a term off by 1e-6 of its walk count still raises at r = 60
+    real = nbmatrix._nb_recurrence
+    monkeypatch.setattr(nbmatrix, "_nb_recurrence", lambda a, q, r_max, times_a: [
+        m + 1e-6 * 3 * 2 ** 59 * (r == 60) for r, m in enumerate(real(a, q, r_max, times_a))])
+    with pytest.raises(ColorInvariantError, match="polynomial identity .* at r=60"):
+        colored_nb_sequence(g, colors[1], 60)
+    monkeypatch.undo()
+    # twins that do not carry adjoints, which ColorAssignment guarantees
+    monkeypatch.setattr(ColorAssignment, "sigma", lambda self, dart: self._blocks[dart // 2])
+    with pytest.raises(ColorInvariantError):
+        colored_nb_sequence(g, colors[1], 60)
 
 
 def test_non_hermitian_colored_adjacency_is_an_internal_error(k4, monkeypatch):
