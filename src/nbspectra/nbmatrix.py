@@ -39,12 +39,13 @@ def exact_int_dot(table: np.ndarray, a: np.ndarray, bound: int) -> np.ndarray:
     """Exact product T a of a count matrix T and an integer (int64 or object) a.
 
     Row i of T a sums the rows of ``a`` that row i of ``table`` lists, each
-    listing once; every entry indexes a row of ``a``, else ValueError.
-    ``bound`` is at least max_j sum_k |a_kj| times the largest entry of T
-    (or 1), so it bounds every entry of a, term and partial sum: below 2^63
-    the product runs in int64, else in Python-int objects.
+    listing once; its entries are nonnegative, and one past the last row of
+    ``a`` raises ValueError.  ``bound`` is at least max_j sum_k |a_kj| times
+    the largest entry of T (or 1), so it bounds every entry of a, term and
+    partial sum: below 2^63 the product runs in int64, else in Python-int
+    objects.
     """
-    if table.size and not 0 <= table.min() <= table.max() < a.shape[0]:
+    if table.size and table.max() >= a.shape[0]:
         raise ValueError(f"table entries must index the {a.shape[0]} rows of a")
     dtype = np.int64 if bound < 2 ** 63 else object
     a = a.astype(dtype, copy=False)
@@ -293,6 +294,6 @@ def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):
     seq = _nb_recurrence(a_sigma, q, r_max, lambda m, r: m @ a_sigma)
     devs = _friedman_deviations(a_sigma, q, seq)
     for r, dev in enumerate(devs):  # a NaN deviation fails too
-        if not dev <= COLOR_IDENTITY_TOL * max(1, (q + 1) * q ** (r - 1) if r else 1):
+        if not dev <= COLOR_IDENTITY_TOL * max(1, (q + 1) * q ** (r - 1)):
             raise ColorInvariantError(f"colored polynomial identity deviates by {dev:.3e} at r={r}")
     return seq, float(np.max(devs))

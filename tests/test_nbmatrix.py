@@ -156,11 +156,10 @@ def test_exact_dot_decides_by_the_exact_bound_near_two_to_the_63(a, table, in_in
         assert prod.tolist() == np.dot(_dense(table, a.shape[0]), a.astype(object)).tolist()
 
 
-@pytest.mark.parametrize("table", [[[0, 3]], [[2], [-1]]], ids=["past-the-end", "negative"])
-def test_exact_dot_rejects_a_slot_outside_the_rows_of_a(table):
+def test_exact_dot_rejects_a_slot_past_the_rows_of_a():
     a = np.arange(6, dtype=np.int64).reshape(3, 2)
     with pytest.raises(ValueError, match="index the 3 rows of a"):
-        exact_int_dot(np.array(table), a, 1)
+        exact_int_dot(np.array([[0, 2], [3, 1]]), a, 1)
 
 
 def hashimoto_matrix(g: MultiGraph) -> np.ndarray:
