@@ -23,6 +23,7 @@ GRAPHS = {
     "c5": "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n",
     "petersen": "10 15\n" + "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
                                      for i in range(5)),
+    "loops": "2 6\n0 0\n0 0\n0 1\n0 1\n1 1\n1 1\n",  # two loops per vertex, a double edge
 }
 LIFT_POOL = "lift {k4} --N 8 --N 32 --N 128 --p 1 --p 2 --trials 1 --rmax 6 --seed "
 GROW_POOL = "grow --n 64 --n 256 --n 1024 --schedule loglog --p 2 --trials 1 --rmax 4 --seed "
@@ -32,7 +33,10 @@ INVOCATIONS = ([LIFT_POOL + str(seed) for seed in range(32)]
                   for color in ("permutation", "haar", "trivial")]
                + ["lift {c5} --N 2 --N 8 --trials 5", "lift {k4} --trials 50",
                   "grow --rmax 0 --trials 3", "grow",
-                  "census {k4}", "census {petersen} --rmax 10"])
+                  "census {k4}", "census {petersen} --rmax 10",
+                  "lift {petersen} --color haar --N 2 --N 4 --trials 3 --rmax 4"]
+               + [f"lift {{loops}} --color {color} --N 2 --N 4 --trials 3 --rmax 4"
+                  for color in ("haar", "trivial")])
 
 
 def digest(invocation: str) -> str:

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .multigraph import (MultiGraph, _require_regular, census_to_csv,
                          enumerate_circles, girth, load_graph_file, walk_census)
-from .nbmatrix import ColorAssignment
 from .random_models import (DEFAULT_RETRY_BUDGET, STREAM_POLICY, RngStream,
                             haar_unitary_color, sample_lift, sample_regular_graph,
                             trial_means)
@@ -223,7 +222,7 @@ def _colored_measure(base: MultiGraph, fold: int, color: str,
         return spectral_measure(lifted)
     if color == "haar":
         return spectral_measure(base, haar_unitary_color(base, fold, stream))
-    return spectral_measure(base, ColorAssignment.trivial(base, fold))
+    return spectral_measure(base, np.broadcast_to(np.eye(fold), (base.n_edges, fold, fold)))
 
 
 def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,

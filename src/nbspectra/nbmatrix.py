@@ -7,6 +7,9 @@ below 2^63 it runs in int64, else in Python-int object arrays.  The closed-NBW
 counts f_r are traces of products of two A_j, summed under the same rule; on
 a regular graph the circuit counts c_r = tr(B^r) of the dart matrix B follow
 from them in closed form, so B itself is never multiplied.
+
+A unitary coloring is a complex (edges, N, N) array: row k is the block of
+edge k's even dart, and the twin dart carries its adjoint.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -226,60 +228,46 @@ def trace_identities_report(g: MultiGraph, r_max: int,
 # ---------------------------------------------------------------------------
 # unitary colors
 
-class ColorAssignment:
-    """Unitary N x N block per dart with twin darts carrying adjoints.
-
-    Blocks are stored once per undirected edge (for the even dart); the twin's
-    block is the conjugate transpose by construction, so the symmetric
-    condition holds exactly as stored.
-    """
-
-    def __init__(self, g: MultiGraph, edge_blocks: Sequence[np.ndarray]):
-        if len(edge_blocks) != g.n_edges:
-            raise ColorError(
-                f"need one block per edge: got {len(edge_blocks)} for {g.n_edges} edges")
-        blocks = [np.asarray(b, dtype=np.complex128) for b in edge_blocks]
-        if not blocks:
-            raise ColorError("color assignment needs at least one edge")
-        dim = blocks[0].shape[0]
-        eye = np.eye(dim)
-        for k, b in enumerate(blocks):
-            if b.shape != (dim, dim):
-                raise ColorError(f"edge {k}: block shape {b.shape} != ({dim}, {dim})")
-            if not np.isfinite(b).all():
-                raise ColorError(f"edge {k}: block has non-finite (NaN or inf) entries")
-            if np.abs(b @ b.conj().T - eye).max() > UNITARY_TOL:
-                raise ColorError(f"edge {k}: block is not unitary to {UNITARY_TOL:g}")
-        self.graph = g
-        self.block_dim = dim
-        self._blocks = blocks
-
-    def sigma(self, dart: int) -> np.ndarray:
-        """Block of a dart; twin darts return exact adjoints."""
-        block = self._blocks[dart // 2]
-        return block if dart % 2 == 0 else block.conj().T
-
-    @classmethod
-    def trivial(cls, g: MultiGraph, block_dim: int = 1) -> "ColorAssignment":
-        return cls(g, [np.eye(block_dim, dtype=np.complex128)] * g.n_edges)
+def _require_color(g: MultiGraph, blocks) -> np.ndarray:
+    """``blocks`` as a complex128 (edges, N, N) unitary array; errors name the first bad edge."""
+    try:
+        blocks = np.asarray(blocks, dtype=np.complex128)
+    except ValueError as err:  # ragged blocks do not stack
+        raise ColorError(f"need one block per edge, all of one shape: {err}") from None
+    if blocks.shape != (g.n_edges,) + blocks.shape[-1:] * 2 or blocks.shape[-1] < 1:
+        raise ColorError(f"need one block per edge, N x N with N >= 1: got shape {blocks.shape} "
+                         f"for {g.n_edges} edges")
+    bad = ~np.isfinite(blocks).all(axis=(1, 2))
+    if bad.any():
+        raise ColorError(f"edge {bad.argmax()}: block has non-finite (NaN or inf) entries")
+    dev = np.abs(blocks @ blocks.conj().transpose(0, 2, 1) - np.eye(blocks.shape[1]))
+    bad = dev.max(axis=(1, 2)) > UNITARY_TOL
+    if bad.any():
+        raise ColorError(f"edge {bad.argmax()}: block is not unitary to {UNITARY_TOL:g}")
+    return blocks
 
 
-def colored_adjacency(g: MultiGraph, color: ColorAssignment) -> np.ndarray:
-    """Hermitian block adjacency: block (i, j) sums sigma(d) over darts i -> j."""
-    if color.graph is not g and color.graph.n_edges != g.n_edges:
-        raise ColorError("color assignment does not cover this graph's darts")
-    n, dim = g.n_vertices, color.block_dim
+def _dart_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The (darts, N, N) blocks in dart order: edge k's block, then its adjoint for the twin."""
+    adjoints = blocks.conj().transpose(0, 2, 1)
+    return np.stack((blocks, adjoints), axis=1).reshape(-1, *blocks.shape[1:])
+
+
+def colored_adjacency(g: MultiGraph, color) -> np.ndarray:
+    """Hermitian block adjacency of the (edges, N, N) unitary array ``color``: block (i, j)
+    sums the darts i -> j, added in dart order by one scatter into an (n, N, n, N) view."""
+    blocks = _require_color(g, color)
+    n, dim = g.n_vertices, blocks.shape[1]
     out = np.zeros((n * dim, n * dim), dtype=np.complex128)
-    for dart in range(g.n_darts):
-        i, j = int(g.origin[dart]), int(g.head[dart])
-        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += color.sigma(dart)
+    np.add.at(out.reshape(n, dim, n, dim), (g.origin, slice(None), g.head, slice(None)),
+              _dart_blocks(blocks))
     dev = float(np.abs(out - out.conj().T).max())
     if not dev <= HERMITIAN_TOL:  # NaN fails too
         raise ColorInvariantError(f"colored adjacency deviates from Hermitian by {dev:.3e}")
     return (out + out.conj().T) / 2.0
 
 
-def colored_nb_sequence(g: MultiGraph, color: ColorAssignment, r_max: int):
+def colored_nb_sequence(g: MultiGraph, color, r_max: int):
     """Colored non-backtracking matrices A_r^sigma with the polynomial check.
 
     Returns (sequence, max polynomial deviation).  The sequence follows the

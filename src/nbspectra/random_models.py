@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .multigraph import BRUTE_R_CAP, MultiGraph, build_from_edge_list, enumerate_circles
-from .nbmatrix import ColorAssignment
 from .switchings import switch_to_simple, switching_caps
 
 DEFAULT_RETRY_BUDGET = 1_000_000
@@ -157,14 +156,14 @@ def sample_lift(base: MultiGraph, n_fold: int, rng: RngStream) -> tuple[np.ndarr
     return perms, lift_graph(base, perms)
 
 
-def permutation_color(base: MultiGraph, perms) -> ColorAssignment:
-    """Permutation-matrix color whose block adjacency is the lift adjacency."""
+def permutation_color(base: MultiGraph, perms) -> np.ndarray:
+    """The (edges, N, N) permutation-matrix coloring, whose block adjacency is the lift's."""
     perms = _require_lift(base, perms)
-    return ColorAssignment(base, np.eye(perms.shape[1], dtype=np.complex128)[perms])
+    return np.eye(perms.shape[1], dtype=np.complex128)[perms]
 
 
-def haar_unitary_color(g: MultiGraph, block_dim: int, rng: RngStream) -> ColorAssignment:
-    """Independent Haar-distributed unitary block per undirected edge.
+def haar_unitary_color(g: MultiGraph, block_dim: int, rng: RngStream) -> np.ndarray:
+    """Haar coloring: the (edges, N, N) array of independent Haar unitary blocks.
 
     One batch of complex Gaussian blocks (edge k: real, then imaginary part),
     batched QR, then the diagonal phase fix that makes the law exactly Haar.
@@ -174,7 +173,7 @@ def haar_unitary_color(g: MultiGraph, block_dim: int, rng: RngStream) -> ColorAs
     z = rng.generator().standard_normal((g.n_edges, 2, block_dim, block_dim))
     q_mat, r_mat = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
     d = np.diagonal(r_mat, axis1=-2, axis2=-1)
-    return ColorAssignment(g, q_mat * (d / np.abs(d))[:, None, :])
+    return q_mat * (d / np.abs(d))[:, None, :]
 
 
 def _permutation_power(perm: np.ndarray, exponent: int) -> np.ndarray:

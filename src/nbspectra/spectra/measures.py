@@ -9,7 +9,7 @@ import numpy as np
 
 from ..chebyshev import eval_X_table, xrq_from_x
 from ..multigraph import MultiGraph, _require_regular
-from ..nbmatrix import ColorAssignment, adjacency, colored_adjacency
+from ..nbmatrix import adjacency, colored_adjacency
 from .eigen import eigenvalues_symmetric
 
 
@@ -60,12 +60,11 @@ class DiscreteSpectralMeasure:
         return xrq_from_x(eval_X_table(r_max, self.points), q).mean(axis=1)
 
 
-def spectral_measure(g: MultiGraph,
-                     color: ColorAssignment | None = None) -> DiscreteSpectralMeasure:
+def spectral_measure(g: MultiGraph, color: np.ndarray | None = None) -> DiscreteSpectralMeasure:
     """Atoms at q^{-1/2} * eigenvalues of the adjacency matrix, built in
     float64 so the eigensolver makes no cast copy, or of the complex block
-    adjacency when ``color`` is given (an uncolored graph is the coloring by
-    1 x 1 identity blocks)."""
+    adjacency when ``color``, an (edges, N, N) unitary array, is given (an
+    uncolored graph is the coloring by 1 x 1 identity blocks)."""
     d = _require_regular(g)
     q = d - 1
     eigs = eigenvalues_symmetric(

@@ -19,6 +19,12 @@ def pairing_multigraph(n: int, d: int, seed: int) -> MultiGraph:
     return build_from_edge_list([(int(u), int(v)) for u, v in points], n)
 
 
+def trivial_color(g: MultiGraph, block_dim: int = 1) -> np.ndarray:
+    """The coloring of ``g`` by N x N identity blocks: a read-only (edges, N, N) array."""
+    eye = np.eye(block_dim, dtype=np.complex128)
+    return np.broadcast_to(eye, (g.n_edges, block_dim, block_dim))
+
+
 def cycle_idf_closed_form(m: int, p: float) -> float:
     """Step-function IDF of the m-cycle spectral measure, closed form.
 

@@ -28,7 +28,7 @@ from nbspectra.cli import (CliInputError, ExperimentManifest, build_parser,
 from nbspectra.multigraph import (CensusInvariantError, WalkCensus,
                                   build_from_edge_list, complete_graph,
                                   cycle_graph, save_graph_file, walk_census)
-from nbspectra.nbmatrix import ColorAssignment, colored_nb_sequence
+from nbspectra.nbmatrix import colored_nb_sequence
 from nbspectra.random_models import RngStream, haar_unitary_color
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -239,10 +239,9 @@ def test_laws_at_huge_q_write_finite_values(tmp_path):
 
 @pytest.mark.parametrize("argv, owner, attr, broken", [
     (["census", "{k4}"], WalkCensus, "identity_nbw_circuit", lambda self, r: False),
-    # twins no longer carry adjoints, which ColorAssignment guarantees
+    # twins no longer carry adjoints, which the per-dart blocks guarantee
     (["lift", "{k4}", "--color", "haar", "--N", "2", "--trials", "1"],
-     ColorAssignment, "sigma",
-     lambda self, dart: self._blocks[dart // 2]),
+     nbmatrix, "_dart_blocks", lambda blocks: np.repeat(blocks, 2, axis=0)),
     # past the circle cap no circle bound is checked; c_4 = 0 - (q-1) c_2 = -1
     (["census", "{k4}", "--rmax", "16"], nbmatrix, "nb_trace_sequence",
      lambda g, r_max: [4, 0, 1] + [0] * (r_max - 2)),

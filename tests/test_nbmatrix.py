@@ -11,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pairing_multigraph
+from conftest import pairing_multigraph, trivial_color
 from nbspectra import nbmatrix
 from nbspectra.multigraph import (MultiGraph, RegularityError, brute_walk_counts,
                                   build_from_edge_list, complete_graph,
                                   cycle_graph, girth, petersen_graph,
                                   walk_census)
-from nbspectra.nbmatrix import (ColorAssignment, ColorError,
+from nbspectra.nbmatrix import (ColorError,
                                 ColorInvariantError, adjacency,
                                 circuit_count_sequence, colored_adjacency,
                                 colored_nb_sequence, exact_int_dot,
@@ -362,7 +362,7 @@ def test_friedman_check_refuses_r_max_past_float_range(k4):
         with pytest.raises(ValueError, match="largest allowed r_max is 1023"):
             verify_friedman_identity(k4, r_max)
     with pytest.raises(ValueError, match="largest allowed r_max is 1023"):
-        colored_nb_sequence(k4, ColorAssignment.trivial(k4, 2), 1024)
+        colored_nb_sequence(k4, trivial_color(k4, 2), 1024)
     assert math.isfinite(verify_friedman_identity(k4, 1023))
 
 
@@ -387,7 +387,7 @@ def test_friedman_deviation_keeps_nan(k4):
 def test_colored_sequence_rejects_a_nan_deviation(k4, monkeypatch):
     monkeypatch.setattr(nbmatrix, "_friedman_deviations", lambda a, q, seq: [math.nan] * len(seq))
     with pytest.raises(ColorInvariantError, match="nan"):
-        colored_nb_sequence(k4, ColorAssignment.trivial(k4), 4)
+        colored_nb_sequence(k4, trivial_color(k4), 4)
 
 
 # -- trace identities ---------------------------------------------------------------------
@@ -417,50 +417,66 @@ def test_trace_identities_reuse_census(petersen):
 # -- colors -----------------------------------------------------------------------------------
 
 def test_trivial_color_reproduces_adjacency(k4):
-    color = ColorAssignment.trivial(k4)
+    color = trivial_color(k4)
     a_sigma = colored_adjacency(k4, color)
     assert np.abs(a_sigma - adjacency(k4)).max() == 0.0
 
 
 def test_color_rejects_non_unitary(k4):
-    blocks = [np.eye(2, dtype=np.complex128)] * k4.n_edges
-    blocks[0] = 2.0 * np.eye(2, dtype=np.complex128)
-    with pytest.raises(ColorError, match="unitary"):
-        ColorAssignment(k4, blocks)
+    for edge in (0, 3):
+        blocks = [np.eye(2, dtype=np.complex128)] * k4.n_edges
+        blocks[edge] = 2.0 * np.eye(2, dtype=np.complex128)
+        with pytest.raises(ColorError, match=f"edge {edge}: block is not unitary"):
+            colored_adjacency(k4, blocks)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_color_rejects_non_finite_blocks(k4, bad):
-    for blocks in ([np.full((2, 2), bad, dtype=np.complex128)] * k4.n_edges,
-                   [np.eye(2, dtype=np.complex128)] * (k4.n_edges - 1)
-                   + [np.diag([1.0, bad]).astype(np.complex128)]):
-        with pytest.raises(ColorError, match="non-finite"):
-            ColorAssignment(k4, blocks)
+    eye, broken = np.eye(2, dtype=np.complex128), np.diag([1.0, bad]).astype(np.complex128)
+    for blocks, edge in (([np.full((2, 2), bad, dtype=np.complex128)] * k4.n_edges, 0),
+                         ([eye] * (k4.n_edges - 1) + [broken], 5),
+                         ([eye] * 3 + [broken, eye, broken], 3)):
+        with pytest.raises(ColorError, match=f"edge {edge}: block has non-finite"):
+            colored_adjacency(k4, blocks)
 
 
 def test_nan_colored_adjacency_fails_the_hermitian_check(k4, monkeypatch):
-    color = ColorAssignment.trivial(k4, 2)
-    monkeypatch.setattr(ColorAssignment, "sigma",
-                        lambda self, dart: np.full((2, 2), np.nan, dtype=np.complex128))
+    # NaN blocks are refused before the build, so feed them to the scatter directly
+    monkeypatch.setattr(nbmatrix, "_dart_blocks",
+                        lambda blocks: np.full((2 * len(blocks), 2, 2), np.nan, dtype=np.complex128))
     with pytest.raises(ColorInvariantError, match="Hermitian"):
-        colored_adjacency(k4, color)
+        colored_adjacency(k4, trivial_color(k4, 2))
 
 
 def test_color_rejects_wrong_edge_count(k4):
     with pytest.raises(ColorError, match="one block per edge"):
-        ColorAssignment(k4, [np.eye(1, dtype=np.complex128)])
+        colored_adjacency(k4, [np.eye(1, dtype=np.complex128)])
+
+
+@pytest.mark.parametrize("blocks", [
+    np.zeros((6, 0, 0)),  # 0 x 0 blocks
+    np.broadcast_to(np.eye(0), (6, 0, 0)),  # the trivial coloring at N = 0
+    [np.eye(2)] * 3 + [np.eye(3)] * 3,  # ragged
+    np.zeros((6, 2, 3)),  # not square
+    np.ones(6),  # no blocks
+], ids=["empty", "trivial-N0", "ragged", "non-square", "flat"])
+def test_color_rejects_blocks_that_are_not_one_square_array(k4, blocks):
+    with pytest.raises(ColorError, match="one block per edge"):
+        colored_adjacency(k4, blocks)
 
 
 def test_color_twin_adjoint_exact(k4):
     color = haar_unitary_color(k4, 3, RngStream(11))
+    darts = nbmatrix._dart_blocks(color)
     for dart in range(0, k4.n_darts, 2):
-        assert np.array_equal(color.sigma(dart + 1), color.sigma(dart).conj().T)
+        assert np.array_equal(darts[dart], color[dart // 2])
+        assert np.array_equal(darts[dart + 1], darts[dart].conj().T)
 
 
 def test_single_edge_phase_eigenvalues():
     g = build_from_edge_list([(0, 1)], 2)
     for theta in (0.0, 0.4, 2.2):
-        color = ColorAssignment(g, [np.array([[np.exp(1j * theta)]])])
+        color = [np.array([[np.exp(1j * theta)]])]
         h = colored_adjacency(g, color)
         eigs = np.linalg.eigvalsh(h)
         assert np.allclose(eigs, [-1.0, 1.0], atol=1e-12)
@@ -469,7 +485,7 @@ def test_single_edge_phase_eigenvalues():
 def test_loop_coloring_diagonal_block():
     g = build_from_edge_list([(0, 0)], 1)  # 2-regular: one loop
     theta = 0.7
-    color = ColorAssignment(g, [np.array([[np.exp(1j * theta)]])])
+    color = [np.array([[np.exp(1j * theta)]])]
     h = colored_adjacency(g, color)
     assert h.shape == (1, 1)
     assert h[0, 0] == pytest.approx(2.0 * math.cos(theta), abs=1e-14)
@@ -478,7 +494,7 @@ def test_loop_coloring_diagonal_block():
 
 
 def test_colored_sequence_trivial_matches_integer(k4):
-    color = ColorAssignment.trivial(k4)
+    color = trivial_color(k4)
     seq, dev = colored_nb_sequence(k4, color, 8)
     exact = nb_matrix_sequence(k4, 8)
     assert dev <= 1e-8
@@ -508,14 +524,14 @@ def test_colored_block_trace_bound(petersen):
 
 def test_colored_rejects_non_regular():
     path = build_from_edge_list([(0, 1), (1, 2)], 3)
-    color = ColorAssignment.trivial(path)
+    color = trivial_color(path)
     with pytest.raises(RegularityError):
         colored_nb_sequence(path, color, 3)
 
 
 def test_colored_identity_failure_is_an_internal_error(k4, monkeypatch):
     monkeypatch.setattr(nbmatrix, "COLOR_IDENTITY_TOL", -1.0)
-    color = ColorAssignment.trivial(k4)
+    color = trivial_color(k4)
     with pytest.raises(ColorInvariantError, match="polynomial identity"):
         colored_nb_sequence(k4, color, 4)
     assert issubclass(ColorInvariantError, RuntimeError)
@@ -529,7 +545,7 @@ def test_colored_identity_holds_to_r_max_60_relative_to_the_walk_count(g, monkey
     # absolute, passes COLOR_IDENTITY_TOL from r = 23 (trivial) or 42 (Haar),
     # so the check scales the tolerance by the walk count at each r.
     bound = nbmatrix.COLOR_IDENTITY_TOL * 3 * 2 ** 59
-    colors = [ColorAssignment.trivial(g), haar_unitary_color(g, 4, RngStream(0))]
+    colors = [trivial_color(g), haar_unitary_color(g, 4, RngStream(0))]
     for color in colors:
         seq, dev = colored_nb_sequence(g, color, 60)
         assert len(seq) == 61
@@ -541,17 +557,16 @@ def test_colored_identity_holds_to_r_max_60_relative_to_the_walk_count(g, monkey
     with pytest.raises(ColorInvariantError, match="polynomial identity .* at r=60"):
         colored_nb_sequence(g, colors[1], 60)
     monkeypatch.undo()
-    # twins that do not carry adjoints, which ColorAssignment guarantees
-    monkeypatch.setattr(ColorAssignment, "sigma", lambda self, dart: self._blocks[dart // 2])
+    # twins that do not carry adjoints, which the per-dart blocks guarantee
+    monkeypatch.setattr(nbmatrix, "_dart_blocks", lambda blocks: np.repeat(blocks, 2, axis=0))
     with pytest.raises(ColorInvariantError):
         colored_nb_sequence(g, colors[1], 60)
 
 
 def test_non_hermitian_colored_adjacency_is_an_internal_error(k4, monkeypatch):
     color = haar_unitary_color(k4, 2, RngStream(3))
-    # twins no longer carry adjoints, which ColorAssignment guarantees
-    monkeypatch.setattr(ColorAssignment, "sigma",
-                        lambda self, dart: self._blocks[dart // 2])
+    # twins no longer carry adjoints, which the per-dart blocks guarantee
+    monkeypatch.setattr(nbmatrix, "_dart_blocks", lambda blocks: np.repeat(blocks, 2, axis=0))
     with pytest.raises(ColorInvariantError, match="Hermitian"):
         colored_adjacency(k4, color)
 
@@ -570,13 +585,15 @@ def _pairing_multigraphs(draw):
     return pairing_multigraph(n + (n * d) % 2, d, draw(st.integers(0, 2 ** 16)))
 
 
-def _colored_reference(g, color):
-    """colored_adjacency as a per-dart loop of block sums, then (A + A^*) / 2."""
-    n, dim = g.n_vertices, color.block_dim
+def _colored_reference(g, blocks):
+    """colored_adjacency as a per-dart loop of block sums, edge k's block at
+    its even dart and the conjugate transpose at the twin, then (A + A^*) / 2."""
+    n, dim = g.n_vertices, blocks.shape[1]
     out = np.zeros((n * dim, n * dim), dtype=np.complex128)
     for dart in range(g.n_darts):
         i, j = int(g.origin[dart]), int(g.head[dart])
-        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += color.sigma(dart)
+        block = blocks[dart // 2] if dart % 2 == 0 else blocks[dart // 2].conj().T
+        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += block
     return (out + out.conj().T) / 2.0
 
 
@@ -599,7 +616,7 @@ def test_float_adjacency_and_measure_match_the_int64_cast(g):
 @example(build_from_edge_list([(0, 0), (0, 0), (0, 0)], 1), "haar", 5, 1)  # three loops
 def test_colored_adjacency_matches_the_loop_reference(g, kind, fold, seed):
     if kind == "trivial":
-        color = ColorAssignment.trivial(g, fold)
+        color = trivial_color(g, fold)
     elif kind == "haar":
         color = haar_unitary_color(g, fold, RngStream(seed))
     else:

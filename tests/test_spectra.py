@@ -10,7 +10,7 @@ import pytest
 from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Xrq
 from nbspectra.multigraph import (build_from_edge_list, complete_graph,
                                   cycle_graph, girth, petersen_graph)
-from nbspectra.nbmatrix import ColorAssignment, adjacency
+from nbspectra.nbmatrix import adjacency
 from nbspectra.random_models import RngStream, permutation_color, sample_lift
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
                                arcsine, cycle_spectral_measure,
@@ -19,7 +19,7 @@ from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
                                semicircle, spectral_measure)
 from nbspectra.spectra.eigen import (HERMITIAN_ATOL, SYMMETRY_RTOL, EigenError)
 
-from conftest import cycle_idf_closed_form
+from conftest import cycle_idf_closed_form, trivial_color
 
 ONE = ExactPolynomial((1,))
 
@@ -222,7 +222,7 @@ def test_spectral_measure_rejects_irregular():
 
 def test_colored_measure_trivial_and_permutation(k4):
     mu = spectral_measure(k4)
-    col = ColorAssignment.trivial(k4)
+    col = trivial_color(k4)
     assert np.allclose(spectral_measure(k4, col).points, mu.points, atol=1e-9)
     perms, lifted = sample_lift(k4, 6, RngStream(31))
     mu_lift = spectral_measure(lifted)
