@@ -232,16 +232,17 @@ def _require_color(g: MultiGraph, blocks) -> np.ndarray:
     """``blocks`` as a complex128 (edges, N, N) unitary array; errors name the first bad edge."""
     try:
         blocks = np.asarray(blocks, dtype=np.complex128)
-    except ValueError as err:  # ragged blocks do not stack
-        raise ColorError(f"need one block per edge, all of one shape: {err}") from None
+    except ValueError:  # ragged blocks do not stack
+        k = next((k for k, b in enumerate(blocks) if np.shape(b) != np.shape(blocks[0])), 0)
+        raise ColorError(f"edge {k}: block shape {np.shape(blocks[k])} != {np.shape(blocks[0])}")
     if blocks.shape != (g.n_edges,) + blocks.shape[-1:] * 2 or blocks.shape[-1] < 1:
         raise ColorError(f"need one block per edge, N x N with N >= 1: got shape {blocks.shape} "
                          f"for {g.n_edges} edges")
     bad = ~np.isfinite(blocks).all(axis=(1, 2))
     if bad.any():
         raise ColorError(f"edge {bad.argmax()}: block has non-finite (NaN or inf) entries")
-    dev = np.abs(blocks @ blocks.conj().transpose(0, 2, 1) - np.eye(blocks.shape[1]))
-    bad = dev.max(axis=(1, 2)) > UNITARY_TOL
+    dev = np.abs(blocks @ blocks.conj().swapaxes(1, 2) - np.eye(blocks.shape[1])).max(axis=(1, 2))
+    bad = dev > UNITARY_TOL
     if bad.any():
         raise ColorError(f"edge {bad.argmax()}: block is not unitary to {UNITARY_TOL:g}")
     return blocks
@@ -249,8 +250,7 @@ def _require_color(g: MultiGraph, blocks) -> np.ndarray:
 
 def _dart_blocks(blocks: np.ndarray) -> np.ndarray:
     """The (darts, N, N) blocks in dart order: edge k's block, then its adjoint for the twin."""
-    adjoints = blocks.conj().transpose(0, 2, 1)
-    return np.stack((blocks, adjoints), axis=1).reshape(-1, *blocks.shape[1:])
+    return np.stack((blocks, blocks.conj().swapaxes(1, 2)), 1).reshape(-1, *blocks.shape[1:])
 
 
 def colored_adjacency(g: MultiGraph, color) -> np.ndarray:

@@ -453,15 +453,15 @@ def test_color_rejects_wrong_edge_count(k4):
         colored_adjacency(k4, [np.eye(1, dtype=np.complex128)])
 
 
-@pytest.mark.parametrize("blocks", [
-    np.zeros((6, 0, 0)),  # 0 x 0 blocks
-    np.broadcast_to(np.eye(0), (6, 0, 0)),  # the trivial coloring at N = 0
-    [np.eye(2)] * 3 + [np.eye(3)] * 3,  # ragged
-    np.zeros((6, 2, 3)),  # not square
-    np.ones(6),  # no blocks
+@pytest.mark.parametrize("blocks, message", [
+    (np.zeros((6, 0, 0)), "one block per edge, N x N with N >= 1"),
+    (np.broadcast_to(np.eye(0), (6, 0, 0)), "one block per edge, N x N with N >= 1"),
+    ([np.eye(2)] * 3 + [np.eye(3)] * 3, r"edge 3: block shape \(3, 3\) != \(2, 2\)"),
+    (np.zeros((6, 2, 3)), "one block per edge, N x N with N >= 1"),
+    (np.ones(6), "one block per edge"),
 ], ids=["empty", "trivial-N0", "ragged", "non-square", "flat"])
-def test_color_rejects_blocks_that_are_not_one_square_array(k4, blocks):
-    with pytest.raises(ColorError, match="one block per edge"):
+def test_color_rejects_blocks_that_are_not_one_square_array(k4, blocks, message):
+    with pytest.raises(ColorError, match=message):
         colored_adjacency(k4, blocks)
 
 
