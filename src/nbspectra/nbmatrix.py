@@ -253,7 +253,7 @@ def _dart_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.stack((blocks, blocks.conj().swapaxes(1, 2)), 1).reshape(-1, *blocks.shape[1:])
 
 
-def colored_adjacency(g: MultiGraph, color) -> np.ndarray:
+def colored_adjacency(g: MultiGraph, color: np.ndarray) -> np.ndarray:
     """Hermitian block adjacency of the (edges, N, N) unitary array ``color``: block (i, j)
     sums the darts i -> j, added in dart order by one scatter into an (n, N, n, N) view."""
     blocks = _require_color(g, color)
@@ -267,7 +267,7 @@ def colored_adjacency(g: MultiGraph, color) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def colored_nb_sequence(g: MultiGraph, color, r_max: int):
+def colored_nb_sequence(g: MultiGraph, color: np.ndarray, r_max: int):
     """Colored non-backtracking matrices A_r^sigma with the polynomial check.
 
     Returns (sequence, max polynomial deviation).  The sequence follows the
