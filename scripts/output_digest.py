@@ -13,10 +13,20 @@ of two trees: a line differs exactly where an invocation's outputs do.
 from __future__ import annotations
 
 import hashlib
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+
+def _pairing_text(n: int, d: int, seed: int) -> str:
+    """A d-regular multigraph from a shuffled pairing of n cells of d points,
+    loops and repeated edges kept."""
+    points = random.Random(seed).sample(range(n * d), n * d)
+    return f"{n} {n * d // 2}\n" + "".join(f"{u // d} {v // d}\n"
+                                          for u, v in zip(points[0::2], points[1::2]))
+
 
 GRAPHS = {
     "k4": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
@@ -24,6 +34,10 @@ GRAPHS = {
     "petersen": "10 15\n" + "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
                                      for i in range(5)),
     "loops": "2 6\n0 0\n0 0\n0 1\n0 1\n1 1\n1 1\n",  # two loops per vertex, a double edge
+    "pairing": _pairing_text(36, 4, 23),
+    # circles pair vertices 64 apart, whose signature bits v mod 64 coincide
+    "circulant": "130 260\n" + "".join(f"{i} {(i + 1) % 130}\n{i} {(i + 64) % 130}\n"
+                                        for i in range(130)),
 }
 LIFT_POOL = "lift {k4} --N 8 --N 32 --N 128 --p 1 --p 2 --trials 1 --rmax 6 --seed "
 GROW_POOL = "grow --n 64 --n 256 --n 1024 --schedule loglog --p 2 --trials 1 --rmax 4 --seed "
@@ -34,6 +48,8 @@ INVOCATIONS = ([LIFT_POOL + str(seed) for seed in range(32)]
                + ["lift {c5} --N 2 --N 8 --trials 5", "lift {k4} --trials 50",
                   "grow --rmax 0 --trials 3", "grow",
                   "census {k4}", "census {petersen} --rmax 10",
+                  "census {loops} --rmax 14", "census {pairing} --rmax 14",
+                  "census {circulant} --rmax 14",
                   "lift {petersen} --color haar --N 2 --N 4 --trials 3 --rmax 4"]
                + [f"lift {{loops}} --color {color} --N 2 --N 4 --trials 3 --rmax 4"
                   for color in ("haar", "trivial")])

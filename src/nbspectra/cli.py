@@ -44,6 +44,7 @@ EXIT_RUNTIME = 1
 EXIT_INPUT = 2
 
 MAX_SAMPLER_DEGREE = 8
+_MAX_X_TABLE_ENTRIES = 1 << 22  # (r_max + 1) x atoms entries of one cell's X_r table
 
 
 class CliInputError(ValueError):
@@ -128,7 +129,8 @@ def _require_distinct(flag: str, values: list) -> None:
 
 
 def _require_finite_moments(r_max: int, q: int, atoms: int, trials: int, cell: str) -> None:
-    """Reject an r_max whose moment statistics would leave float range.
+    """Reject an r_max whose (r_max + 1) x atoms X_r table passes
+    _MAX_X_TABLE_ENTRIES, or whose moment statistics would leave float range.
 
     Every atom lies within (q+1)/sqrt(q) of 0, where X_r = (q^(r+1) - 1) /
     ((q-1) q^(r/2)) < 2 q^(r/2) for q >= 2 (at q = 1, |X_r| <= r + 1), so an
@@ -137,6 +139,10 @@ def _require_finite_moments(r_max: int, q: int, atoms: int, trials: int, cell: s
     squared deviation from the mean below 64 q^r.  Both stay below the
     largest float up to the largest allowed r_max.
     """
+    largest = _MAX_X_TABLE_ENTRIES // atoms - 1
+    if r_max > largest:
+        raise CliInputError(f"--rmax {r_max} passes {_MAX_X_TABLE_ENTRIES} X_r table entries "
+                            f"for {cell} ({atoms} atoms): the largest allowed --rmax is {largest}")
     if q < 2:
         return
     top, scale = int(sys.float_info.max), max(atoms, trials)

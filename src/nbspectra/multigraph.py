@@ -19,7 +19,7 @@ import numpy as np
 BRUTE_R_CAP = 14
 BRUTE_VERTEX_CAP = 64
 
-_LAYER_LIMIT = 1 << 22  # max materialized dart paths per enumeration chunk
+_LAYER_LIMIT = 1 << 22  # max paths per enumeration chunk, or circle join pairs per slice
 
 
 class GraphError(ValueError):
@@ -87,10 +87,8 @@ class MultiGraph:
 
     # Incidence tables: row i lists the out-darts of vertex i or the NBW
     # successors of dart i, ascending, padded to the widest row with the
-    # phantom dart n_darts.  The phantom's head is the phantom vertex
-    # n_vertices (``_heads``), whose distance entry the circle enumeration
-    # reads as _FAR, so every phantom is pruned.  On a regular graph no row
-    # is padded.
+    # phantom dart n_darts, whose head is the phantom vertex n_vertices
+    # (``_heads``).  On a regular graph no row is padded.
 
     @cached_property
     def _heads(self) -> np.ndarray:
@@ -262,48 +260,10 @@ def girth(g: MultiGraph):
 # brute-force oracle (exhaustive dart enumeration)
 
 def _roots_per_chunk(g: MultiGraph, depth: int, width: int = 1) -> int:
-    """Root darts per chunk: chunk * width * (most NBW successors of a dart)^depth
-    <= _LAYER_LIMIT, for paths that hold ``width`` entries each."""
+    """Roots per chunk: chunk * width * (most NBW successors of a dart)^depth
+    <= _LAYER_LIMIT, for roots that start ``width`` paths each."""
     growth = max(1, g._nbw_table.shape[1]) ** max(0, depth)
     return max(1, _LAYER_LIMIT // (growth * width))
-
-
-_FAR = np.iinfo(np.uint8).max  # distance entry of a vertex at or below the root
-
-
-def _distance_at(dist: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Entries row * n + v of a flat distance table of n-entry rows.  The
-    phantom vertex v = n reads entry 0 of the next row, and "wrap" takes the
-    last row's to entry 0: both are vertex 0 of some row, so _FAR."""
-    return np.take(dist, codes, mode="wrap")
-
-
-def _dart_distances(g: MultiGraph, starts: np.ndarray, firsts: np.ndarray,
-                    depth: int) -> np.ndarray:
-    """uint8 rows x n table, one row per root dart s -> f (s = starts[i],
-    f = firsts[i]): row i holds, for each v > s, the fewest edges
-    from v back to s through vertices above s whose last step leaves a
-    neighbour l > f of s, when that is at most ``depth``, else depth + 1 (a
-    lower bound); entries for v <= s are _FAR.  A breadth-first search from
-    every row's seeds {l in N(s) : l > f} at once."""
-    n, heads, out = g.n_vertices, g._heads, g._out_table
-    s_lo, s_hi = int(starts[0]), int(starts[-1])
-    dist = np.full((starts.size, n), depth + 1, dtype=np.uint8)
-    dist[:, :s_lo + 1] = _FAR
-    band = dist[:, s_lo + 1:s_hi + 1]           # the staircase v <= s between the rows' roots
-    band[np.arange(s_lo + 1, s_hi + 1) <= starts[:, None]] = _FAR
-    dist = dist.ravel()
-    seeds = heads[out[starts]]                  # neighbours of each root, phantom n
-    rows, cols = np.nonzero((seeds > firsts[:, None]) & (seeds < n))
-    codes = np.unique(rows * n + seeds[rows, cols])
-    for k in range(1, depth + 1):
-        dist[codes] = k
-        if k == depth or codes.size == 0:
-            break
-        rows, front = np.divmod(codes, n)
-        codes = (rows * n)[:, None] + heads[out[front]]
-        codes = np.unique(codes[_distance_at(dist, codes) == depth + 1])  # above the root, not yet reached
-    return dist.reshape(starts.size, n)
 
 
 def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
@@ -347,27 +307,76 @@ def brute_walk_counts(g: MultiGraph, r_max: int) -> tuple[list[int], list[int]]:
     return f, c
 
 
+def _half_paths(g: MultiGraph, lo: int, hi: int, depth: int) -> list[tuple]:
+    """Simple paths of 1..depth edges from each root s in lo..hi-1 through
+    vertices above s.  Entry l-1 holds the l-edge paths as (key, vertices,
+    interior), sorted by key = ((s - lo) * n + end) * n + first: vertices is
+    the (paths, l) array of the vertices after s, and interior ORs bit (v mod 64)
+    of the vertices strictly between s and the end into one uint64."""
+    n, heads, table = g.n_vertices, g._heads, g._nbw_table
+    bit = np.left_shift(np.uint64(1), (np.arange(n) & 63).astype(np.uint64))
+    darts = g._out_table[lo:hi]
+    ends = heads[darts]
+    roots, cols = np.nonzero((ends > np.arange(lo, hi)[:, None]) & (ends < n))  # not the phantom
+    darts, verts = darts[roots, cols], ends[roots, cols][:, None]
+    interior = np.zeros(roots.size, dtype=np.uint64)
+    layers = []
+    for length in range(1, depth + 1):
+        if length > 1:
+            cand = table[darts]
+            ends = heads[cand]
+            fresh = (ends > (roots + lo)[:, None]) & (ends < n)
+            for col in verts.T:
+                fresh &= ends != col[:, None]
+            rows, cols = np.nonzero(fresh)
+            interior = interior[rows] | bit[verts[rows, -1]]
+            roots, darts = roots[rows], cand[rows, cols]
+            verts = np.column_stack((verts[rows], ends[rows, cols]))
+        key = (roots * n + verts[:, -1]) * n + verts[:, 0]
+        order = np.argsort(key)
+        layers.append((key[order], verts[order], interior[order]))
+    return layers
+
+
+def _joined(p_paths: tuple, q_paths: tuple, n: int) -> int:
+    """Pairs (P, Q) of ``_half_paths`` entries with one root and end,
+    first(P) < first(Q) and no shared interior vertex, taken in slices of at
+    most _LAYER_LIMIT pairs (or one P)."""
+    p_key, p_verts, p_interior = p_paths
+    q_key, q_verts, q_interior = q_paths
+    lo = np.searchsorted(q_key, p_key, "right")          # same root and end, larger first
+    hi = np.searchsorted(q_key, p_key - p_verts[:, 0] + n, "left")
+    count = hi - lo
+    bounds = np.concatenate(([0], np.cumsum(count)))
+    pairs, start = int(bounds[-1]), 0
+    while start < count.size and bounds[start] < bounds[-1]:
+        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + _LAYER_LIMIT, "right")) - 1)
+        i = np.repeat(np.arange(start, stop), count[start:stop])
+        j = np.repeat(lo[start:stop] - bounds[start:stop], count[start:stop])
+        j += np.arange(bounds[start], bounds[stop])
+        meet = np.flatnonzero(p_interior[i] & q_interior[j])
+        if n > 64:                                      # bits v mod 64 collide: confirm
+            inner_p, inner_q = p_verts[i[meet], :-1], q_verts[j[meet], :-1]
+            meet = meet[(inner_p[:, :, None] == inner_q[:, None, :]).any(axis=(1, 2))]
+        pairs -= meet.size
+        start = stop
+    return pairs
+
+
 def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
     """z[r] = number of circle subgraphs (connected, all degrees 2) with r edges.
 
     Index 0 is always 0.  Loops are size-1 circles and parallel-edge pairs are
-    size-2 circles; sizes >= 3 are vertex-disjoint cycles enumerated once each
-    via min-vertex rooting and a fixed orientation (first vertex after the
-    root below the last).  Paths grow along non-backtracking darts with their
-    visited vertices in a bitset of ceil(n/64) uint64 words.  Each root dart
-    s -> f has its own distance row: dist(v) is the fewest edges from v back
-    to s through vertices above s whose last step leaves a neighbour l > f of
-    s.  A path that reaches v with ``left`` steps to go is kept only if v is
-    above s and dist(v) <= left, so it survives only while it can still close
-    in the counted orientation, and each circle is walked once; the closing
-    test first < last stays as the guard.  Distances are searched to depth
-    (r_max - 1) // 2, and an entry the search does not reach holds depth + 1,
-    a lower bound, so the pruning is exact at any depth.  Root darts go sorted
-    by root in chunks whose bitsets (chunk * max_branch^(r_max-2) paths of
-    ceil(n/64) words) and whose distance rows (one of n entries per root dart)
-    each stay within _LAYER_LIMIT entries; a chunk stops once no path is left.
-    The distance rows and the bitsets are flat arrays, indexed row * n + v and
-    path * words + word.
+    size-2 circles.  A circle of size k >= 3 through its least vertex s is one
+    pair of simple paths from s through vertices above s: P of ceil(k/2) edges
+    and Q of floor(k/2), with one end, first(P) < first(Q) (which picks one of
+    the circle's splits) and no shared vertex between s and the end.  So paths
+    grow only to depth ceil(r_max/2) (``_half_paths``) and are joined on the
+    sort key (root, end, first) by ``searchsorted`` (``_joined``); an interior
+    meeting is read off the paths' uint64 signatures, exact for n <= 64 and
+    confirmed on the vertex lists above.  Roots go in chunks of consecutive
+    vertices whose deepest half-paths stay within _LAYER_LIMIT and whose keys
+    stay within int64.
     """
     if r_max < 0:
         raise GraphError("r_max must be nonnegative")
@@ -387,37 +396,13 @@ def enumerate_circles(g: MultiGraph, r_max: int) -> list[int]:
         z[2] = int((mult * (mult - 1) // 2).sum())
     if r_max < 3:
         return z
-    n = g.n_vertices
-    table, heads = g._nbw_table, g._heads
-    width, words = max(1, table.shape[1]), (n + 63) >> 6
-    word = np.arange(n) >> 6
-    bit = np.left_shift(np.uint64(1), (np.arange(n) & 63).astype(np.uint64))
-    out = g._out_table                          # first step ascends; sorted by root
-    roots = out[(out < g.n_darts) & (heads[out] > np.arange(n)[:, None])]
-    chunk = min(_roots_per_chunk(g, r_max - 2, words), max(1, _LAYER_LIMIT // n))
-    for lo in range(0, roots.size, chunk):
-        live = roots[lo:lo + chunk]
-        starts, firsts = origin[live], head[live]
-        dist = _dart_distances(g, starts, firsts, (r_max - 1) // 2).ravel()
-        row0, lasts = np.arange(live.size) * n, firsts  # where each path's distance row begins
-        bits = np.zeros(live.size * words, dtype=np.uint64)
-        bits[np.arange(live.size) * words + word[firsts]] = bit[firsts]
-        for k in range(1, r_max):
-            cand = table[live]
-            ends = heads[cand]
-            if k >= 2:                          # close at the root, first vertex below last
-                hit = np.flatnonzero(ends == starts[:, None]) // width
-                z[k + 1] += int(np.count_nonzero(firsts[hit] < lasts[hit]))
-            left = r_max - k - 1                # steps left after this one
-            if left == 0 or live.size == 0:
-                break
-            keep = np.flatnonzero(_distance_at(dist, row0[:, None] + ends) <= left)  # so also ends > root
-            rows, lasts = keep // width, ends.ravel()[keep]
-            fresh = np.flatnonzero((bits[rows * words + word[lasts]] & bit[lasts]) == 0)
-            rows, lasts, live = rows[fresh], lasts[fresh], cand.ravel()[keep[fresh]]
-            starts, firsts, row0 = starts[rows], firsts[rows], row0[rows]
-            bits = bits.reshape(-1, words)[rows].ravel()
-            bits[np.arange(rows.size) * words + word[lasts]] |= bit[lasts]
+    n, depth = g.n_vertices, (r_max + 1) // 2
+    chunk = min(_roots_per_chunk(g, depth - 1, g._out_table.shape[1]),
+                max(1, np.iinfo(np.int64).max // (n * n)))
+    for lo in range(0, n, chunk):
+        layers = _half_paths(g, lo, min(n, lo + chunk), depth)
+        for k in range(3, r_max + 1):
+            z[k] += _joined(layers[(k + 1) // 2 - 1], layers[k // 2 - 1], n)
     return z
 
 
@@ -461,8 +446,9 @@ class WalkCensus:
 
 def walk_census(g: MultiGraph, r_max: int) -> WalkCensus:
     """Exact census on a regular graph: f via the non-backtracking matrix
-    recurrence, c from f in closed form (``nbmatrix.circuit_count_sequence``),
-    z via subgraph enumeration when r_max is within the brute cap."""
+    recurrence, c from f in closed form (``nbmatrix._circuits_from_traces``),
+    z by joining half-paths (``enumerate_circles``) when r_max is within the
+    brute cap."""
     from . import nbmatrix  # deferred: nbmatrix imports MultiGraph from here
 
     if r_max < 0:

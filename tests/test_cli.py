@@ -407,7 +407,7 @@ def test_a_cells_rows_depend_only_on_the_seed_and_the_cell():
 
 # -- property: exit codes over generated argument lists ---------------------------
 
-GRAPHS = {"k4": complete_graph(4), "c4": cycle_graph(4),
+GRAPHS = {"k4": complete_graph(4), "c4": cycle_graph(4), "c5": cycle_graph(5),
           "path": build_from_edge_list([(0, 1), (1, 2)], 3)}
 ORDERS = st.lists(st.sampled_from(["0.5", "1", "2", "3.5", "inf", "nan"]), max_size=2)
 COUNTS = st.integers(0, 2)
@@ -491,6 +491,9 @@ def _nonfinite_cells(out: Path) -> list[tuple[str, str, str]]:
 @example(case=(["lift", "{k4}", "--N", "2", "--trials", "1", "--rmax", "2400"], False))
 @example(case=(["grow", "--n", "64", "--schedule", "fixed", "--q", "7", "--trials", "1",
                 "--rmax", "800"], False))
+# at q = 1 the statistics stay finite, but the (r_max + 1) x atoms X_r table
+# would pass its size limit
+@example(case=(["lift", "{c5}", "--N", "2", "--trials", "1", "--rmax", "10000000"], False))
 # a later cell's degree, parity or degree < n, and an order p < 1, are refused
 # before the first cell samples
 @example(case=(["grow", "--n", "64", "--n", "1025", "--schedule", "fixed", "--q", "4"], False))
@@ -533,6 +536,17 @@ def test_lift_rmax_limit_is_the_largest_with_finite_output(k4_file, tmp_path, ca
             "--out", str(tmp_path / "out")]
     assert main(argv + ["--rmax", str(largest)]) == 0
     assert not _nonfinite_cells(tmp_path / "out")
+    assert main(argv + ["--rmax", str(largest + 1)]) == 2
+    assert f"the largest allowed --rmax is {largest}" in capsys.readouterr().err
+
+
+def test_q1_rmax_limit_is_the_x_table_size(tmp_path, capsys):
+    # At q = 1 every statistic stays finite, so only the X_r table bounds
+    # --rmax: a 2-lift of C5 has 10 atoms, and one row past the limit is refused.
+    path = tmp_path / "c5.txt"
+    save_graph_file(cycle_graph(5), path)
+    largest = cli._MAX_X_TABLE_ENTRIES // 10 - 1
+    argv = ["lift", str(path), "--N", "2", "--trials", "1", "--out", str(tmp_path / "out")]
     assert main(argv + ["--rmax", str(largest + 1)]) == 2
     assert f"the largest allowed --rmax is {largest}" in capsys.readouterr().err
 

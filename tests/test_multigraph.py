@@ -270,6 +270,10 @@ def test_circles_across_bitset_words():
     g = build_from_edge_list(edges, 150)
     parts = [enumerate_circles(h, 12) for h in (k4, pet, c11)]
     assert enumerate_circles(g, 12) == [sum(col) for col in zip(*parts)]
+    # Past 64 vertices the signature bits v mod 64 collide.  Here a half-path
+    # reaches an end 64 labels away from a vertex already on it, and a test
+    # that trusted the bits alone would drop it and count z_10 = 39.
+    assert enumerate_circles(pairing_multigraph(70, 3, 0), 10) == [0, 0, 0, 3, 1, 3, 4, 13, 9, 28, 41]
 
 
 def test_circle_counts_do_not_depend_on_r_max():
@@ -284,68 +288,17 @@ def test_circle_counts_do_not_depend_on_r_max():
 
 
 def test_circles_in_single_root_chunks(monkeypatch):
-    # Limit 1 runs every root dart alone.  Limit 3n caps a chunk at 3 root
-    # darts of distance rows, which binds at r = 3 and 4; at limit 6n and
-    # r = 5 the cap on paths binds first, at 6n // 3^3 = 3 root darts.
+    # A root starts at most 4 * 3^(ceil(r/2) - 1) half-paths here.  Limit 1
+    # runs every root alone and joins one path at a time.  Limit 108 at r = 6
+    # takes chunks of 3 roots, whose joins hold at most 39 pairs, so only the
+    # chunks bind.  Limit 100 at r = 14 takes one root per chunk, and its
+    # joins reach 2,374 pairs, so slices of several paths bind as well.
     g = pairing_multigraph(14, 4, 3)
-    for limit, r in ((1, 10), (3 * 14, 3), (3 * 14, 4), (6 * 14, 5)):
+    for limit, r in ((1, 10), (108, 6), (100, 14)):
         whole = enumerate_circles(g, r)
         with monkeypatch.context() as patch:
             patch.setattr(multigraph, "_LAYER_LIMIT", limit)
             assert enumerate_circles(g, r) == whole, (limit, r)
-
-
-def _root_darts(g: MultiGraph) -> list[tuple[int, int]]:
-    """(s, f) of every ascending dart s -> f, sorted by s, as the enumeration
-    takes them."""
-    return sorted((int(g.origin[e]), int(g.head[e])) for e in range(g.n_darts)
-                  if g.head[e] > g.origin[e])
-
-
-def _dart_distances_by_python_bfs(g: MultiGraph, s: int, f: int, depth: int) -> list[int]:
-    """Fewest edges from each vertex v > s back to s through vertices above s
-    whose last step leaves a neighbour l > f of s, by a plain breadth-first
-    search from those l; depth + 1 past depth, 255 for v <= s."""
-    neighbours = [set() for _ in range(g.n_vertices)]
-    for u, v in g.edge_list():
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    dist = [255 if v <= s else depth + 1 for v in range(g.n_vertices)]
-    frontier = sorted(l for l in neighbours[s] if l > f)
-    for k in range(1, depth + 1):
-        for w in frontier:
-            dist[w] = k
-        frontier = sorted({w for u in frontier for w in neighbours[u]
-                           if w > s and dist[w] == depth + 1})
-    return dist
-
-
-def _check_dart_distances(g: MultiGraph, darts: list[tuple[int, int]], depth: int) -> None:
-    starts = np.array([s for s, _ in darts], dtype=np.int64)
-    firsts = np.array([f for _, f in darts], dtype=np.int64)
-    table = multigraph._dart_distances(g, starts, firsts, depth)
-    assert table.shape == (len(darts), g.n_vertices)
-    for row, (s, f) in zip(table, darts):
-        assert row.tolist() == _dart_distances_by_python_bfs(g, s, f, depth), (s, f)
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_multigraphs, st.integers(0, 6), st.data())
-def test_dart_distances_match_python_bfs(graph, depth, data):
-    n, edges = graph
-    g = build_from_edge_list(edges, n)
-    darts = _root_darts(g)
-    if darts:
-        lo = data.draw(st.integers(0, len(darts) - 1))
-        hi = data.draw(st.integers(lo + 1, len(darts)))
-        _check_dart_distances(g, darts[lo:hi], depth)
-
-
-def test_dart_distances_on_pairing_multigraph():
-    g = pairing_multigraph(40, 3, 2)
-    assert girth(g) <= 2  # loops or parallel edges present
-    darts = _root_darts(g)
-    _check_dart_distances(g, [(s, f) for s, f in darts if 5 <= s < 30], 6)
 
 
 class _GatherRecorder:
@@ -363,23 +316,20 @@ class _GatherRecorder:
 @pytest.mark.parametrize("g", [complete_graph(4), petersen_graph(), cycle_graph(7),
                                sample_regular_graph(16, 3, RngStream(5))],
                          ids=["k4", "petersen", "c7", "random-3-regular"])
-def test_last_layer_holds_only_counted_closings(g):
-    # With one step left a path is kept only at a neighbour l > f of its
-    # root, so in a simple graph every path still live at the last layer
-    # closes once, in the counted orientation: their number is z[r].  A
-    # search that prunes less (no distances, or none past the root) keeps
-    # more paths there.
-    assert girth(g) >= 3
+def test_circles_grow_paths_to_half_length(g):
+    # A circle of r edges is two paths of ceil(r/2) and floor(r/2) edges from
+    # its least vertex, so one root chunk extends paths ceil(r/2) - 1 times
+    # past their first edge.  A search that walks whole circles extends them
+    # up to r - 1 times.
     for r in range(3, 11):
+        whole = enumerate_circles(g, r)
         recorder = _GatherRecorder(g._nbw_table)
         g.__dict__["_nbw_table"] = recorder
         try:
-            z = enumerate_circles(g, r)
+            assert enumerate_circles(g, r) == whole
         finally:
             g.__dict__["_nbw_table"] = recorder.table
-        assert len(recorder.sizes) <= r - 1  # one chunk
-        last = recorder.sizes[-1] if len(recorder.sizes) == r - 1 else 0
-        assert last == z[r], r
+        assert len(recorder.sizes) <= math.ceil(r / 2) - 1, r
 
 
 def test_circles_cap_rejection():
