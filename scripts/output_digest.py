@@ -52,7 +52,8 @@ INVOCATIONS = ([LIFT_POOL + str(seed) for seed in range(32)]
                   "census {circulant} --rmax 14",
                   "lift {petersen} --color haar --N 2 --N 4 --trials 3 --rmax 4"]
                + [f"lift {{loops}} --color {color} --N 2 --N 4 --trials 3 --rmax 4"
-                  for color in ("haar", "trivial")])
+                  for color in ("haar", "trivial")]
+               + ["laws", "lift {k4} --N 2 --N 8 --trials 3 --rmax 4 --format json"])
 
 
 def digest(invocation: str) -> str:

@@ -9,9 +9,9 @@ Three families appear throughout the library, all on the spectral window
 * ``X_{r,q} = X_r - X_{r-2} / q`` for a positive rational branching number q.
 * ``Y_r = X_{r,1} = X_r - X_{r-2}``.
 
-Coefficients are exact rationals; floating-point evaluation goes through the
-forward three-term recurrence, which stays stable where the explicit
-alternating binomial sum does not.
+Coefficients are exact rationals, X_r's read off its alternating binomial
+sum; floating-point evaluation goes through the forward three-term
+recurrence, which stays stable where that sum does not.
 """
 
 from __future__ import annotations
@@ -54,14 +54,6 @@ class ExactPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x) -> np.ndarray | float:
-        """Float Horner evaluation; adequate for moderate degrees on [-2, 2]."""
-        xs = np.asarray(x, dtype=np.float64)
-        acc = np.zeros_like(xs)
-        for c in reversed(self.coeffs):
-            acc = acc * xs + float(c)
-        return acc if acc.ndim else float(acc)
-
     def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -88,28 +80,12 @@ class ExactPolynomial:
         return ExactPolynomial(tuple(out))
 
 
-def poly_X_binomial(r: int) -> ExactPolynomial:
-    """X_r from the explicit alternating binomial sum."""
-    if r < 0:
-        return ExactPolynomial(())
-    coeffs = [Fraction(0)] * (r + 1)
-    for k in range(r // 2 + 1):
-        coeffs[r - 2 * k] = Fraction((-1) ** k * math.comb(r - k, k))
-    return ExactPolynomial(tuple(coeffs))
-
-
 def poly_X(r: int) -> ExactPolynomial:
-    """X_r via the three-term recurrence (zero polynomial for negative r)."""
-    if r < 0:
-        return ExactPolynomial(())
-    prev = ExactPolynomial((Fraction(1),))
-    if r == 0:
-        return prev
-    cur = ExactPolynomial((Fraction(0), Fraction(1)))
-    for _ in range(r - 1):
-        shifted = ExactPolynomial((Fraction(0),) + cur.coeffs)
-        prev, cur = cur, shifted - prev
-    return cur
+    """X_r = sum_k (-1)^k C(r-k, k) x^(r-2k) (zero polynomial for negative r)."""
+    coeffs = [0] * (r + 1)
+    for k in range(r // 2 + 1):
+        coeffs[r - 2 * k] = (-1) ** k * math.comb(r - k, k)
+    return ExactPolynomial(tuple(coeffs))
 
 
 def poly_Xrq(r: int, q: RationalLike) -> ExactPolynomial:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import xrq_from_x
+from .chebyshev import eval_X_table, xrq_from_x
 from .multigraph import MultiGraph, _require_regular, walk_census
 
 HERMITIAN_TOL = 1e-12
@@ -201,14 +201,15 @@ class TraceIdentityReport:
 
 def trace_identities_report(g: MultiGraph, r_max: int,
                             census=None) -> TraceIdentityReport:
-    """Check the three trace identities against the exact walk census."""
+    """Check the three trace identities against the exact walk census, each
+    Tr X_r(A/sqrt(q)) summed over the spectrum as the moment statistics are."""
     d = _require_regular(g)
     q = d - 1
     n = g.n_vertices
     if census is None or census.r_max < r_max:
         census = walk_census(g, r_max)
-    m = adjacency(g, np.float64) / math.sqrt(q)
-    traces = np.trace(_chebyshev_matrix_table(m, r_max), axis1=1, axis2=2)
+    eigs = np.linalg.eigvalsh(adjacency(g, np.float64))
+    traces = eval_X_table(r_max, eigs / math.sqrt(q)).sum(axis=1)
     t_xrq = xrq_from_x(traces, q)
     t_y = xrq_from_x(traces, 1.0)
 

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbspectra.chebyshev import (ExactPolynomial, PolynomialError,
                                  eval_X_table, generating_function_residual,
-                                 poly_X, poly_X_binomial, poly_Xrq,
+                                 poly_X, poly_Xrq,
                                  xrq_from_x)
 
 
@@ -25,9 +26,15 @@ def test_base_cases():
     assert poly_X(4).coeffs == tuple(map(Fraction, (1, 0, -3, 0, 1)))
 
 
-def test_binomial_equals_recurrence_up_to_64():
-    for r in range(65):
-        assert poly_X(r).coeffs == poly_X_binomial(r).coeffs
+def test_binomial_equals_recurrence_up_to_200():
+    # oracle: integer coefficients of X_{r+1} = x X_r - X_{r-1}, X_{-1} = 0, X_0 = 1
+    prev, cur = [], [1]
+    for r in range(201):
+        assert poly_X(r).coeffs == tuple(cur), r
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
 
 
 def test_degree_and_leading_coefficient():
@@ -66,7 +73,7 @@ def test_y_cases():
 @pytest.mark.parametrize("theta", [0.3, 1.1, 2.9])
 @pytest.mark.parametrize("r", [1, 2, 3, 7])
 def test_y_is_rescaled_cosine(r, theta):
-    val = poly_Xrq(r, 1).eval_float(2.0 * math.cos(theta))
+    val = polyval(2.0 * math.cos(theta), np.array(poly_Xrq(r, 1).coeffs, dtype=float))
     assert val == pytest.approx(2.0 * math.cos(r * theta), abs=1e-12)
 
 
@@ -124,9 +131,9 @@ def test_eval_table_consistency():
 def test_eval_family_helpers():
     xs = np.linspace(-2, 2, 9)
     table = eval_X_table(4, xs)
-    assert np.allclose(xrq_from_x(table, 3.0)[4],
-                       poly_Xrq(4, 3).eval_float(xs), atol=1e-12)
-    assert np.allclose(xrq_from_x(table, 1.0)[4], poly_Xrq(4, 1).eval_float(xs), atol=1e-12)
+    for q in (3, 1):
+        coeffs = np.array(poly_Xrq(4, q).coeffs, dtype=float)
+        assert np.allclose(xrq_from_x(table, float(q))[4], polyval(xs, coeffs), atol=1e-12)
 
 
 def test_generating_function_residual_decay():

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from nbspectra import cli, nbmatrix
 from nbspectra.cli import (CliInputError, ExperimentManifest, build_parser,
-                           growing_degree, lift_convergence, main,
-                           schedule_branching)
+                           growing_degree, law_convergence, lift_convergence,
+                           main, schedule_branching)
 from nbspectra.multigraph import (CensusInvariantError, WalkCensus,
                                   build_from_edge_list, complete_graph,
                                   cycle_graph, save_graph_file, walk_census)
@@ -75,6 +75,22 @@ def test_census_rejects_non_regular(tmp_path, capsys):
     assert "vertex" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty graph file"),
+    ("two 1\n0 1\n", "line 1: expected integer header 'n m'"),
+    ("2 1\n0 1 1\n", "line 2: expected edge line 'u v'"),
+    ("3 2\n0 1\n", "line 1: header promised 2 edges, found 1"),
+    ("0 0\n", "empty graph has no degree"),
+    ("2 1\n0 1\n", "degree 1 below required minimum 2"),
+], ids=["empty-file", "header-not-integer", "three-fields", "edges-missing", "no-vertices",
+        "degree-one"])
+def test_census_bad_graph_file_is_input_error(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["census", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_census_parse_error_carries_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 7\n")
@@ -117,6 +133,39 @@ def test_laws_outputs_and_bounds(tmp_path, capsys):
 
 def test_laws_q_bound_validation(capsys):
     assert main(["laws", "--q", "2", "--m", "10"]) == 2
+
+
+@pytest.mark.parametrize("q", [2.0001, 2.5, 3.0, 5.0, 10.0, 50.0, 200.0, 1e6, 1e18])
+def test_laws_density_gap_matches_mpmath_maximum(q):
+    # oracle: the textbook Kesten-McKay density of the (q+1)-regular tree in
+    # x = lambda / sqrt(q), against the semicircle, in 50 digits; |gap| is
+    # even in x, so each local maximum of a grid on [0, 2] is refined by
+    # golden-section search
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        qm, pi = mpmath.mpf(q), mpmath.pi
+
+        def gap(x):
+            root = mpmath.sqrt(4 - x * x)
+            km = qm * (qm + 1) * root / (2 * pi * ((qm + 1) ** 2 - qm * x * x))
+            return abs(km - root / (2 * pi))
+
+        xs = mpmath.linspace(0, 2, 401)
+        vals = [gap(x) for x in xs]
+        best = mpmath.mpf(0)
+        for i in range(len(xs)):
+            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            if vals[i] < max(gap(lo), gap(hi)):
+                continue
+            ratio = (mpmath.sqrt(5) - 1) / 2
+            for _ in range(240):
+                a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+                lo, hi = (lo, b) if gap(a) >= gap(b) else (a, hi)
+            best = max(best, gap(lo), gap(hi), vals[i])
+        oracle = float(best)
+    result = law_convergence([q], [])["q_rows"][0]
+    assert result[1] == pytest.approx(oracle, rel=1e-14, abs=0)
+    assert result[3] is True and result[1] <= result[2]
 
 
 def test_replay_is_byte_identical(tmp_path):
@@ -228,8 +277,8 @@ def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
 
 
 def test_laws_at_huge_q_write_finite_values(tmp_path):
-    # the bound 2/(q-2) lies below one ulp of the densities there; the check
-    # allows for that rounding instead of failing correct densities
+    # the bound 2/(q-2) lies below one ulp of the densities there, so the gap
+    # is taken in closed form, not as a difference of two densities
     assert main(["laws", "--q", "1e18", "--q", "1e308", "--m", "10",
                  "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "laws_density.csv").read_text().splitlines()[1:]

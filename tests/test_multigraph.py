@@ -335,6 +335,8 @@ def test_circles_grow_paths_to_half_length(g):
 def test_circles_cap_rejection():
     with pytest.raises(CapExceededError):
         enumerate_circles(complete_graph(4), BRUTE_R_CAP + 1)
+    with pytest.raises(GraphError, match="r_max must be nonnegative"):
+        enumerate_circles(complete_graph(4), -1)
 
 
 # -- census ---------------------------------------------------------------------

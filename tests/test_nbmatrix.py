@@ -197,6 +197,27 @@ def test_circuit_counts_match_dart_power_traces(g):
         assert circuit_count_sequence(g, r_max) == oracle[:r_max + 1], r_max
 
 
+@pytest.mark.parametrize("g", [build_from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], 5),
+                               build_from_edge_list([(0, 0), (0, 1)], 2),
+                               build_from_edge_list([(0, k) for k in range(1, 5)], 5)],
+                         ids=["triangle-with-path", "loop-with-pendant", "star"])
+def test_brute_counts_on_irregular_multigraphs(g):
+    # A degree-1 vertex pads the NBW table with the phantom dart, and on the
+    # star every path dies at a leaf by r = 3.  f against the irregular NB
+    # recurrence A_2 = A^2 - D, A_r = A_{r-1} A - A_{r-2} (D - I) in Python
+    # ints, c against tr(B^r).
+    assert len(set(g.degrees)) > 1
+    a = adjacency(g).astype(object)
+    eye = np.eye(g.n_vertices, dtype=np.int64).astype(object)
+    d = np.diag(g.degrees).astype(object)
+    seq = [eye, a, a.dot(a) - d]
+    for _ in range(3, 9):
+        seq.append(seq[-1].dot(a) - seq[-2].dot(d - eye))
+    f, c = brute_walk_counts(g, 8)
+    assert f == [int(np.trace(m)) for m in seq]
+    assert c == _dart_power_traces(g, 8)
+
+
 @pytest.mark.parametrize("loops", [2, 4])
 def test_bouquet_counts_match_closed_forms_across_int64(loops):
     # On a one-vertex bouquet A_r = [(q+1) q^(r-1)], so every product

@@ -287,6 +287,12 @@ def test_sample_lift_rejects_a_fold_below_one(k4, fold):
         sample_lift(k4, fold, RngStream(0))
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+def test_haar_color_rejects_a_block_dimension_below_one(k4, dim):
+    with pytest.raises(SamplerError, match="block dimension must be >= 1"):
+        haar_unitary_color(k4, dim, RngStream(0))
+
+
 def _lift_reference(base, n_fold, rng):
     """One ``permutation(N)`` draw per base edge, in edge order."""
     gen = rng.generator()
@@ -388,6 +394,8 @@ def test_nica_word_validation():
         nica_trace_estimate([(1, 0)], 10, 5, RngStream(0))
     with pytest.raises(SamplerError):
         nica_trace_estimate([(1, 1), (1, 2)], 10, 5, RngStream(0))
+    with pytest.raises(SamplerError, match="dimension must be at least 1"):
+        nica_trace_estimate([(1, 1)], 0, 5, RngStream(0))
 
 
 def test_nica_two_letter_word_decreases():

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from nbspectra.chebyshev import ExactPolynomial, poly_X, poly_Xrq
 from nbspectra.multigraph import (build_from_edge_list, complete_graph,
@@ -13,7 +14,7 @@ from nbspectra.multigraph import (build_from_edge_list, complete_graph,
 from nbspectra.nbmatrix import adjacency
 from nbspectra.random_models import RngStream, permutation_color, sample_lift
 from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
-                               arcsine, cycle_spectral_measure,
+                               ReferenceLaw, arcsine, cycle_spectral_measure,
                                eigenvalues_symmetric, kesten_mckay,
                                moment_criterion_report, orthogonality_check,
                                semicircle, spectral_measure)
@@ -178,6 +179,18 @@ def test_non_finite_input_is_rejected(m):
         eigenvalues_symmetric(m)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DiscreteSpectralMeasure([]), MeasureError, "at least one point"),
+    (lambda: DiscreteSpectralMeasure([math.nan]), MeasureError, "must be finite"),
+    (lambda: eigenvalues_symmetric(np.zeros((2, 3))), EigenError, "square matrix"),
+    (lambda: ReferenceLaw("cauchy"), LawError, "unknown law kind 'cauchy'"),
+    (lambda: ReferenceLaw("semicircle", 2.0), LawError, "takes no q parameter"),
+], ids=["empty-measure", "nan-measure", "non-square", "unknown-law", "semicircle-with-q"])
+def test_outside_input_is_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 # -- discrete measures ------------------------------------------------------------
 
 def test_spectral_measure_named():
@@ -195,8 +208,8 @@ def test_spectral_measure_polynomial_integration_matches_trace():
     q = 2.0
     a_norm = adjacency(g).astype(float) / math.sqrt(q)
     for poly in (poly_X(3), poly_Xrq(4, 2), poly_Xrq(5, 1)):
-        lhs = np.mean(poly.eval_float(mu.points))
         coeffs = [float(c) for c in poly.coeffs]
+        lhs = np.mean(polyval(mu.points, coeffs))
         mat = np.zeros_like(a_norm)
         acc = np.eye(len(a_norm))
         for c in coeffs:
