@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyval
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from nbspectra.chebyshev import (ExactPolynomial, PolynomialError,
                                  eval_X_table, generating_function_residual,

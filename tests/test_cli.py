@@ -152,16 +152,17 @@ def test_laws_density_gap_matches_mpmath_maximum(q):
 
         xs = mpmath.linspace(0, 2, 401)
         vals = [gap(x) for x in xs]
+        ratio = (mpmath.sqrt(5) - 1) / 2
         best = mpmath.mpf(0)
-        for i in range(len(xs)):
-            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-            if vals[i] < max(gap(lo), gap(hi)):
+        for i, val in enumerate(vals):
+            lo, hi = max(i - 1, 0), min(i + 1, len(xs) - 1)
+            if val < max(vals[lo], vals[hi]):
                 continue
-            ratio = (mpmath.sqrt(5) - 1) / 2
+            lo, hi = xs[lo], xs[hi]
             for _ in range(240):
                 a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
                 lo, hi = (lo, b) if gap(a) >= gap(b) else (a, hi)
-            best = max(best, gap(lo), gap(hi), vals[i])
+            best = max(best, val, gap(lo), gap(hi))
         oracle = float(best)
     result = law_convergence([q], [])["q_rows"][0]
     assert result[1] == pytest.approx(oracle, rel=1e-14, abs=0)
