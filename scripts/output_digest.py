@@ -38,6 +38,9 @@ GRAPHS = {
     # circles pair vertices 64 apart, whose signature bits v mod 64 coincide
     "circulant": "130 260\n" + "".join(f"{i} {(i + 1) % 130}\n{i} {(i + 64) % 130}\n"
                                         for i in range(130)),
+    # cubic, girth 6: the girth BFS runs past girth 5
+    "heawood": "14 21\n" + "".join(f"{i} {(i + 1) % 14}\n" for i in range(14))
+               + "".join(f"{i} {(i + 5) % 14}\n" for i in range(0, 14, 2)),
 }
 LIFT_POOL = "lift {k4} --N 8 --N 32 --N 128 --p 1 --p 2 --trials 1 --rmax 6 --seed "
 GROW_POOL = "grow --n 64 --n 256 --n 1024 --schedule loglog --p 2 --trials 1 --rmax 4 --seed "
@@ -53,7 +56,8 @@ INVOCATIONS = ([LIFT_POOL + str(seed) for seed in range(32)]
                   "lift {petersen} --color haar --N 2 --N 4 --trials 3 --rmax 4"]
                + [f"lift {{loops}} --color {color} --N 2 --N 4 --trials 3 --rmax 4"
                   for color in ("haar", "trivial")]
-               + ["laws", "lift {k4} --N 2 --N 8 --trials 3 --rmax 4 --format json"])
+               + ["laws", "lift {k4} --N 2 --N 8 --trials 3 --rmax 4 --format json",
+                  "census {heawood} --rmax 10"])
 
 
 def digest(invocation: str) -> str:

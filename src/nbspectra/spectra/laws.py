@@ -187,12 +187,12 @@ class ReferenceLaw:
         ps, phi = self._half_angles(p)
         return np.where(ps > 0.5, np.pi - phi, phi)
 
-    def _half_angles(self, p) -> tuple[np.ndarray, np.ndarray]:
+    def _half_angles(self, p, stop: float = IDF_TOL) -> tuple[np.ndarray, np.ndarray]:
         """p as an array, and the angles phi in (0, pi/2] with
         F(phi) = min(p, 1 - p).
 
         Safeguarded Newton: a step leaving the bracket bisects it instead.  A
-        point stops once its step moves x = -2 cos(phi) by at most IDF_TOL;
+        point stops once its step moves x = -2 cos(phi) by at most ``stop``;
         a stop in phi would never come near phi = 0, where the CDF cancels to
         noise and Newton's steps in phi stay at noise size while x has long
         converged.
@@ -217,7 +217,7 @@ class ReferenceLaw:
                 new = cur - gap / self.angle_weight(cur)
             new = np.where((new < lo_t) | (new > hi_t), (lo_t + hi_t) / 2.0, new)
             lo[todo], hi[todo], phi[todo] = lo_t, hi_t, new
-            todo = todo[2.0 * np.abs(np.cos(new) - np.cos(cur)) > IDF_TOL]
+            todo = todo[2.0 * np.abs(np.cos(new) - np.cos(cur)) > stop]
         raise RuntimeError(f"{self!r}: IDF Newton iteration did not converge")
 
 

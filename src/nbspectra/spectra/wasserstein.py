@@ -32,8 +32,10 @@ where W_p itself is about 1/m.
 Law vs law: 256 panels of 32-node Gauss-Legendre on [0, pi/2], which carries
 half the integral since both laws are symmetric, in the angle of a law other
 than the arcsine law: its CDF F_a vanishes like phi^3, so the other law's
-angle quantile at F_a(phi) stays smooth at both ends.  W_inf is the maximum
-over the nodes.
+angle quantile at F_a(phi) stays smooth at both ends.  Those angles are
+solved to 1e-15 in x, not to IDF_TOL: an IDF_TOL stop leaves 3.2e-11 in x
+at the node nearest the edge, above W_inf(KM(q), semicircle) ~ 0.77 / q from
+q = 1e11 on.  W_inf is the maximum over the nodes.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def _law_law(a: ReferenceLaw, b: ReferenceLaw, p):
     width = np.pi / 2.0 / _TARGET_PANELS
     nodes01, w01 = _gl01(_PANEL_GL)
     phi = (np.arange(_TARGET_PANELS)[:, None] + nodes01) * width
-    other = b.angle_quantile(a.cdf(-2.0 * np.cos(phi)))
+    other = b._half_angles(a.cdf(-2.0 * np.cos(phi)), 1e-15)[1]
     diff = 2.0 * np.abs(np.cos(other) - np.cos(phi))
     if p == math.inf:
         return float(diff.max())

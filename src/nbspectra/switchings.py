@@ -42,17 +42,17 @@ The switchings (vertices are cells; ``{a, b}`` is a pair of points):
   Valid when the six cells are distinct, ``v3v4`` and ``v5v6`` are single
   pairs and ``v1v3, v2v4, v1v5, v2v6`` are absent.
 
-Both inverse counts are computed exactly from sparse walk enumerations, and
-both lower bounds are derived in the docstrings of the bound functions.  A
-count outside its bounds would silently bias the sampler, so it raises
-:class:`SwitchingInvariantError` instead.
+Both inverse counts are computed exactly from walks gathered through padded
+vertex neighbour tables, and both lower bounds are derived in the docstrings
+of the bound functions.  A count outside its bounds would silently bias the
+sampler, so it raises :class:`SwitchingInvariantError` instead.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
+
+from .multigraph import _padded_rows
 
 
 class SwitchingInvariantError(RuntimeError):
@@ -120,7 +120,7 @@ def switching_caps(n: int, d: int) -> tuple[int, int]:
     return loops, doubles
 
 
-# -- sparse structure of a pairing ---------------------------------------------------------
+# -- padded neighbour tables of a pairing --------------------------------------------------
 
 _CHUNK = 1 << 16  # walks materialised at a time
 
@@ -145,42 +145,15 @@ class _Multiset:
                      int(np.searchsorted(self.keys, hi)))
 
 
-def _expand_csr(flat: np.ndarray, off: np.ndarray, cur: np.ndarray):
-    """Gather flat[off[c]:off[c+1]] for every c in cur; also return repeat counts."""
-    counts = off[cur + 1] - off[cur]
-    starts = np.repeat(off[cur] - np.cumsum(counts) + counts, counts)  # row start less its rank
-    return flat[starts + np.arange(starts.size)], counts
-
-
-class _Adjacency:
-    """CSR neighbour lists of a symmetric vertex relation, with sorted keys."""
-
-    def __init__(self, n: int, a: np.ndarray, b: np.ndarray):
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        order = np.lexsort((dst, src))
-        self.n = n
-        self.src = src[order]
-        self.indices = dst[order]
-        self.keys = self.src * n + self.indices
-        self.degree = np.bincount(src, minlength=n)
-        self.indptr = np.concatenate([[0], np.cumsum(self.degree)])
-
-    def expand(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every (position in frontier, neighbour) pair."""
-        nbr, counts = _expand_csr(self.indices, self.indptr, frontier)
-        return np.repeat(np.arange(frontier.size), counts), nbr
-
-    @cached_property
-    def members(self) -> _Multiset:
-        return _Multiset(self.keys)
-
-    def contains(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.members(u * self.n + v) > 0
-
-
 class _Structure:
-    """Single pairs, adjacency and loops of the multigraph of a pairing."""
+    """Loops and two neighbour tables of the multigraph of a pairing.
+
+    ``closed`` holds each vertex and its distinct neighbours, ``single`` its
+    single-pair neighbours: ``(n + 1, w)`` tables whose row v ascends, padded
+    with the phantom vertex n, and whose row n is all phantom.  So a gather
+    such as ``closed[single[closed[v]]]`` holds the ends of every walk
+    v -closed- x -single- y -closed- w, the real ones below n.
+    """
 
     def __init__(self, cu: np.ndarray, cv: np.ndarray, n: int):
         loop = cu == cv
@@ -188,35 +161,45 @@ class _Structure:
         hi = np.maximum(cu, cv)[~loop]
         codes, mult = np.unique(lo * n + hi, return_counts=True)
         a, b = np.divmod(codes, n)
+        own, one = np.arange(n), mult == 1
         self.n = n
         self.looped = np.zeros(n, dtype=bool)
         self.looped[cu[loop]] = True
-        self.adj = _Adjacency(n, a, b)
-        self.single = _Adjacency(n, a[mult == 1], b[mult == 1])
+        self.closed = _padded_rows(np.concatenate([own, a, b]), np.concatenate([own, b, a]),
+                                   n + 1, n)
+        self.single = _padded_rows(np.concatenate([a[one], b[one]]),
+                                   np.concatenate([b[one], a[one]]), n + 1, n)
+        self.s = (self.single[:n] < n).sum(axis=1)
 
-    def closed_expand(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each frontier vertex with itself and its distinct neighbours."""
-        owner, nbr = self.adj.expand(frontier)
-        own = np.arange(frontier.size)
-        return np.concatenate([own, owner]), np.concatenate([frontier, nbr])
+    def sums(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row sums of ``x`` over the partners in ``table``, the phantom's 0."""
+        return np.append(x, 0)[table[:self.n]].sum(axis=1)
+
+    def walks(self, starts: np.ndarray, ends: np.ndarray) -> _Multiset:
+        """Walks by (start, end) key, from the ``ends`` gathered at ``starts``."""
+        ends = ends.reshape(starts.size, -1)
+        return _Multiset((starts[:, None] * self.n + ends)[ends < self.n])
 
     def two_paths(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ordered single 2-paths (x, center, y), x != y, at the given centers."""
-        owner, x = self.single.expand(centers)
-        c = centers[owner]
-        owner2, y = self.single.expand(c)
-        x, c = x[owner2], c[owner2]
-        keep = x != y
-        return x[keep], c[keep], y[keep]
+        nbr = self.single[centers]
+        x, y = nbr[:, :, None], nbr[:, None, :]
+        keep = (x < self.n) & (y < self.n) & (x != y)
+        rows, i, j = np.nonzero(keep)
+        return nbr[rows, i], centers[rows], nbr[rows, j]
 
     def blocks(self):
         """Vertex ranges small enough that the three-step walks from each
         range fit in one chunk."""
-        reach = (int(self.adj.degree.max(initial=0)) + 1) ** 2 * max(
-            1, int(self.single.degree.max(initial=0)))
+        reach = self.closed.shape[1] ** 2 * max(1, self.single.shape[1])
         step = max(1, _CHUNK // reach)
         for lo in range(0, self.n, step):
             yield lo, min(self.n, lo + step)
+
+
+def _holds(table: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether row ``rows[i]`` of ``table`` holds ``v[i]``, by a row compare."""
+    return (table[rows] == v[..., None]).any(axis=-1)
 
 
 # -- exact inverse counts --------------------------------------------------------------------
@@ -232,22 +215,17 @@ def loop_inverse_count(cu: np.ndarray, cv: np.ndarray, n: int) -> int:
     -closed- v3``.
     """
     g = _Structure(cu, cv, n)
-    s = g.single.degree
-    centers = np.flatnonzero(~g.looped & (s >= 2))
+    s, loopless = g.s, ~g.looped
+    centers = np.flatnonzero(loopless & (s >= 2))
     paths = int((s[centers] * (s[centers] - 1)).sum())
     edges = int(s.sum())
-    closed_s = s + np.bincount(g.adj.src, weights=s[g.adj.indices],
-                               minlength=n).astype(np.int64)
-    v1, v2 = g.single.src, g.single.indices
-    in_a = int(((s[v1] - 1) * closed_s[v2])[~g.looped[v1]].sum())
+    closed_s = g.sums(g.closed, s)
+    in_a = int(((s - 1) * g.sums(g.single, closed_s))[loopless].sum())
     x, _, y = g.two_paths(centers)
     ends = _Multiset(x * n + y)
     in_both = 0
     for lo, hi in g.blocks():
-        start, mid = g.closed_expand(np.arange(lo, hi))
-        owner, tail = g.single.expand(mid)
-        owner2, end = g.closed_expand(tail)
-        walks = _Multiset((start[owner][owner2] + lo) * n + end)
+        walks = g.walks(np.arange(lo, hi), g.closed[g.single[g.closed[lo:hi]]])
         here = ends.between(lo * n, hi * n)
         in_both += int((ends.counts[here] * walks(ends.keys[here])).sum())
     return paths * edges - 2 * in_a + in_both
@@ -272,50 +250,46 @@ def double_inverse_count(cu: np.ndarray, cv: np.ndarray, n: int) -> int:
     beyond distance 3) less the pairs that are equal or adjacent.
     """
     g = _Structure(cu, cv, n)
-    s = g.single.degree
+    s, closed, single = g.s, g.closed, g.single
+    everyone = np.arange(n)
     w = s * (s - 1)
-    near = np.sort(np.concatenate([np.arange(n) * (n + 1), g.adj.keys]))
+    # the near pairs, equal or adjacent, in ascending key order
+    near = (everyone[:, None] * n + closed[:n])[closed[:n] < n]
     nu, nv = np.divmod(near, n)
     total = int(w.sum()) ** 2 - int((w[nu] * w[nv]).sum())
 
     # T: walks v1 -single- x -closed- y -single- v2.  Over all pairs, the sum
     # of T (2(s1-1)(s2-1) - 1) is 2 u.J.u - s.J.s, with J the closed
     # adjacency and u the single-neighbour sums of s - 1
-    a, x = g.single.src, g.single.indices
-    src, dst = g.adj.src, g.adj.indices
-    u = np.bincount(a, weights=s[x] - 1, minlength=n).astype(np.int64)
-    total -= 2 * int(u @ u + u[src] @ u[dst]) - int(s @ s + s[src] @ s[dst])
+    u = g.sums(single, s) - s
+    total -= 2 * int(u @ g.sums(closed, u)) - int(s @ g.sums(closed, s))
     coef_near = 2 * (s[nu] - 1) * (s[nv] - 1) - 1
     for lo, hi in g.blocks():
-        arcs = slice(g.single.indptr[lo], g.single.indptr[hi])
-        owner, y = g.closed_expand(x[arcs])
-        owner2, v2 = g.single.expand(y)
-        t = _Multiset(a[arcs][owner][owner2] * n + v2)
+        t = g.walks(np.arange(lo, hi), single[closed[single[lo:hi]]])
         here = slice(*np.searchsorted(near, [lo * n, hi * n]))
         t_near = t(near[here])
         total += int((t.counts * t.counts).sum()) - int((t_near * t_near).sum())
         total += int((coef_near[here] * t_near).sum())
 
     # G: R(x, v2) counts walks x -closed- y -single- v2
-    xs, y = g.closed_expand(np.arange(n))
-    owner, v2 = g.single.expand(y)
-    r = _Multiset(xs[owner] * n + v2)
+    r = g.walks(everyone, single[closed[:n]])
     g_all = int((s[r.keys // n] * r.counts * r.counts).sum())
-    owner, v2 = g.closed_expand(a)
-    r_near = r(x[owner] * n + v2)
+    x, v2 = single[:n, :, None], closed[:n, None, :]
+    r_near = r((x * n + v2)[(x < n) & (v2 < n)])
     total -= 2 * (g_all - int((r_near * r_near).sum()))
 
     # Z and P: single 2-paths v1 - z - v2 between apart vertices
-    v1, z, v2 = g.two_paths(np.arange(n))
-    keep = ~g.adj.contains(v1, v2)
+    v1, z, v2 = g.two_paths(everyone)
+    keep = ~_holds(closed, v1, v2)
     v1, z, v2 = v1[keep], z[keep], v2[keep]
     total -= 2 * int(((s[v2] - r(z * n + v2)) * (s[v1] - r(z * n + v1))).sum())
     c = _Multiset(v1 * n + v2)
     total += int((c.counts * (c.counts - 1)).sum())
     shared = c(v1 * n + v2) >= 2
     v1, z, v2 = v1[shared], z[shared], v2[shared]
-    owner, z2 = g.adj.expand(z)
-    linked = g.single.contains(v1[owner], z2) & g.single.contains(z2, v2[owner])
+    z2 = closed[z]
+    linked = ((z2 < n) & (z2 != z[:, None]) & _holds(single, v1[:, None], z2)
+              & _holds(single, z2, v2[:, None]))
     return total - int(linked.sum())
 
 

@@ -19,6 +19,13 @@ def pairing_multigraph(n: int, d: int, seed: int) -> MultiGraph:
     return build_from_edge_list([(int(u), int(v)) for u, v in points], n)
 
 
+def nbw_circuit_identity(f: list[int], c: list[int], q: int, r: int) -> bool:
+    """f_r = c_r + (q-1) sum_{1 <= i < r/2} q^(i-1) c_{r-2i}, exactly: a
+    closed NBW on a (q+1)-regular graph is a circuit with a tail at its start."""
+    tails = sum(q ** (i - 1) * c[r - 2 * i] for i in range(1, (r + 1) // 2))
+    return f[r] == c[r] + (q - 1) * tails
+
+
 def trivial_color(g: MultiGraph, block_dim: int = 1) -> np.ndarray:
     """The coloring of ``g`` by N x N identity blocks: a read-only (edges, N, N) array."""
     eye = np.eye(block_dim, dtype=np.complex128)

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cycle_idf_closed_form, make_regular_corpus
+from conftest import cycle_idf_closed_form, make_regular_corpus, nbw_circuit_identity
 from nbspectra.chebyshev import ExactPolynomial, poly_X
 from nbspectra.cli import growing_degree, lift_convergence
 from nbspectra.multigraph import (brute_walk_counts, complete_graph,
@@ -62,7 +62,7 @@ def test_criterion_01_exact_combinatorics(graph_set, census_r10):
         assert list(census.c) == c, name
         assert census.z == tuple(enumerate_circles(g, 10)), name
         for r in range(1, 11):
-            assert census.identity_nbw_circuit(r), (name, r)
+            assert nbw_circuit_identity(f, c, census.q, r), (name, r)
             assert census.identity_circle_bounds(r), (name, r)
         first = next((r for r in range(1, 11) if census.c[r] > 0), math.inf)
         assert girth(g) == first, name

@@ -268,6 +268,14 @@ def test_grow_parity_error_exit_code(capsys):
       "--p", "2", "--p", "1", "--p", "2"], "--p 2 given more than once"),
     (["lift", "{k4}", "--N", "4", "--N", "4", "--trials", "3", "--seed", "1"],
      "--N 4 given more than once"),
+    # cells whose X_r table passes its size limit at every --rmax the
+    # subcommand takes (from 1 for lift, from 0 for grow)
+    (["lift", "{k4}", "--N", "2000000"],
+     "N=2000000 has 8000000 atoms: its X_r table passes 4194304 entries at every --rmax"),
+    (["lift", "{k4}", "--N", "1048576"],
+     "N=1048576 has 4194304 atoms: its X_r table passes 4194304 entries at every --rmax"),
+    (["grow", "--n", "5000000", "--schedule", "fixed", "--q", "3"],
+     "n=5000000 has 5000000 atoms: its X_r table passes 4194304 entries at every --rmax"),
     (["grow", "--n", "32", "--n", "32", "--schedule", "fixed", "--q", "2",
       "--trials", "2"], "--n 32 given more than once"),
 ])
@@ -288,7 +296,7 @@ def test_laws_at_huge_q_write_finite_values(tmp_path):
 
 
 @pytest.mark.parametrize("argv, owner, attr, broken", [
-    (["census", "{k4}"], WalkCensus, "identity_nbw_circuit", lambda self, r: False),
+    (["census", "{k4}"], WalkCensus, "identity_circle_bounds", lambda self, r: False),
     # twins no longer carry adjoints, which the per-dart blocks guarantee
     (["lift", "{k4}", "--color", "haar", "--N", "2", "--trials", "1"],
      nbmatrix, "_dart_blocks", lambda blocks: np.repeat(blocks, 2, axis=0)),

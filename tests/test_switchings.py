@@ -137,6 +137,51 @@ def test_double_inverse_count_matches_definition(n, d, chunks):
             _brute_double_inverse([tuple(p) for p in pairs.tolist()], n, d)
 
 
+def _dense_inverse_counts(cells, n):
+    """Both inverse counts from dense vertex relations: S the single-pair
+    adjacency and C = I + the distinct adjacency.  The l-count sums, over
+    v2 != v3, the ordered single 2-paths v2 v1 v3 at loopless v1 times the
+    oriented single pairs v4 v5 with v4, v5 outside C of v2, v3.  The
+    d-count enumerates, for each apart ordered pair (v1, v2), the
+    x != x' and y != y' of their single neighbourhoods with x y and x' y'
+    apart, x != y' and x' != y.  The d-count drops the loops of ``cells``."""
+    mult = np.zeros((n, n), dtype=np.int64)
+    np.add.at(mult, (cells[:, 0], cells[:, 1]), 1)
+    np.add.at(mult, (cells[:, 1], cells[:, 0]), 1)
+    loopless = np.diag(mult) == 0
+    np.fill_diagonal(mult, 0)
+    single = (mult == 1).astype(np.int64)
+    apart = (mult == 0).astype(np.int64)
+    np.fill_diagonal(apart, 0)
+    paths = (single * loopless) @ single
+    pairs = apart @ single @ apart.T
+    loop_count = int((paths * pairs).sum() - (np.diag(paths) * np.diag(pairs)).sum())
+    # row v of nbrs: v's single neighbours, then n, which no vertex is apart from
+    nbrs = np.sort(np.where(single > 0, np.arange(n), n), axis=1)
+    nbrs = nbrs[:, :int(single.sum(axis=1).max(initial=0))]
+    far = np.zeros((n + 1, n + 1), dtype=np.int64)
+    far[:n, :n] = apart
+    double_count = 0
+    for v1 in range(n):  # axes: v2 apart from v1, x, x', y, y'
+        x, x2 = nbrs[v1][:, None, None, None], nbrs[v1][:, None, None]
+        ys = nbrs[apart[v1] > 0]
+        y, y2 = ys[:, None, None, :, None], ys[:, None, None, None, :]
+        double_count += int((far[x, y] & far[x2, y2] & (x != x2) & (y != y2)
+                             & (x != y2) & (x2 != y)).sum())
+    return loop_count, double_count
+
+
+@pytest.mark.parametrize("n, d", [(24, 5), (40, 6), (64, 8)])
+def test_inverse_counts_match_dense_oracle(n, d, chunks):
+    # past the point-level oracles' n <= 9, on vertex-level relations
+    for pairs in _random_pairings(n, d, seed=30 * n + d, count=4):
+        cells = pairs // d
+        loopless = cells[cells[:, 0] != cells[:, 1]]
+        assert (loop_inverse_count(cells[:, 0], cells[:, 1], n),
+                double_inverse_count(loopless[:, 0], loopless[:, 1], n)) == \
+            _dense_inverse_counts(cells, n)
+
+
 @pytest.mark.parametrize("n, d", [(40, 3), (60, 5), (120, 8)])
 def test_inverse_counts_lie_within_their_bounds(n, d):
     loop_caps, double_caps = switching_caps(n, d)

@@ -153,6 +153,17 @@ def test_km_laws_converge_to_semicircle():
         assert w <= math.sqrt(2.0 * math.pi * l1) + 1e-9
 
 
+def test_law_law_winf_resolves_huge_q():
+    # q W_inf(KM(q), semicircle) tends to 0.7698.  The transport angles are
+    # solved to 1e-15 in x: a stop at IDF_TOL would leave 3.2e-11 in x at the
+    # Gauss node nearest the edge, a floor above W_inf from q = 1e11 on.  At
+    # q = 1e18 only a few ulps of x near +-2 remain.
+    sc = semicircle()
+    for q in (1e4, 1e6, 1e9, 1e11):
+        assert q * wasserstein_p(kesten_mckay(q), sc, INF) == pytest.approx(0.7698, abs=1e-4)
+    assert wasserstein_p(kesten_mckay(1e18), sc, INF) <= 1e-14
+
+
 def test_law_law_against_quantile_discretization():
     sc = semicircle()
     km = kesten_mckay(4.0)
