@@ -268,6 +268,8 @@ def test_grow_parity_error_exit_code(capsys):
       "--p", "2", "--p", "1", "--p", "2"], "--p 2 given more than once"),
     (["lift", "{k4}", "--N", "4", "--N", "4", "--trials", "3", "--seed", "1"],
      "--N 4 given more than once"),
+    (["grow", "--n", "32", "--n", "32", "--schedule", "fixed", "--q", "2",
+      "--trials", "2"], "--n 32 given more than once"),
     # cells whose X_r table passes its size limit at every --rmax the
     # subcommand takes (from 1 for lift, from 0 for grow)
     (["lift", "{k4}", "--N", "2000000"],
@@ -276,8 +278,6 @@ def test_grow_parity_error_exit_code(capsys):
      "N=1048576 has 4194304 atoms: its X_r table passes 4194304 entries at every --rmax"),
     (["grow", "--n", "5000000", "--schedule", "fixed", "--q", "3"],
      "n=5000000 has 5000000 atoms: its X_r table passes 4194304 entries at every --rmax"),
-    (["grow", "--n", "32", "--n", "32", "--schedule", "fixed", "--q", "2",
-      "--trials", "2"], "--n 32 given more than once"),
 ])
 def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
     argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
