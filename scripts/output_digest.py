@@ -8,17 +8,24 @@ directory that holds the input graphs and the ``--out`` directory.  Its
 digest covers the exit code, stdout with that directory masked, and every
 file it wrote (data files and manifests), name and bytes.  Diff the output
 of two trees: a line differs exactly where an invocation's outputs do.
+
+The first line, ``# ...``, names what moves those bytes besides the code:
+the numpy version, the BLAS build and its thread count, and the thread
+variables.  Eigenvalue-based values move at the 1e-15 level with the thread
+count alone, so only digests under one header make a byte-identity check.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+ENVINFO = Path(__file__).resolve().parents[1] / "benchmarks" / "envinfo.py"
 
 def _pairing_text(n: int, d: int, seed: int) -> str:
     """A d-regular multigraph from a shuffled pairing of n cells of d points,
@@ -76,7 +83,25 @@ def digest(invocation: str) -> str:
         return h.hexdigest()
 
 
+def header() -> str:
+    """The '#' line: numpy, BLAS name and version, BLAS threads and the
+    thread variables, as ``benchmarks/envinfo.py`` reads them."""
+    spec = importlib.util.spec_from_file_location("envinfo", ENVINFO)
+    envinfo = importlib.util.module_from_spec(spec)
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # read, never write, there
+    try:
+        spec.loader.exec_module(envinfo)
+    finally:
+        sys.dont_write_bytecode = keep
+    env = envinfo.environment()
+    threads = ", ".join(f"{k}={env['blas_threads_env'].get(k, 'unset')}"
+                        for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"# numpy {env['numpy']}, blas {env['blas_name']} {env['blas_version']}, "
+            f"blas_threads {env['blas_threads']}, {threads}")
+
+
 def main() -> int:
+    print(header(), flush=True)
     for invocation in INVOCATIONS:
         print(f"{digest(invocation)}  {invocation}", flush=True)
     return 0

@@ -11,7 +11,7 @@ replayed byte-for-byte from the manifest alone.  Subcommands:
 
 ``lift --color`` picks the unitary coloring of the base graph's edges:
 ``permutation`` (a random N-lift), ``haar`` (Haar-unitary N x N blocks) or
-``trivial`` (identity blocks, i.e. N disjoint copies of the base).
+``trivial`` (identity blocks: N disjoint copies of the base, read off its spectrum).
 """
 
 from __future__ import annotations
@@ -231,13 +231,11 @@ _COLORS = ("permutation", "haar", "trivial")
 
 def _colored_measure(base: MultiGraph, fold: int, color: str,
                      stream: RngStream):
-    """Spectral measure of one random ``color`` coloring of ``base``."""
+    """Spectral measure of one random ``permutation`` or ``haar`` coloring of ``base``."""
     if color == "permutation":
         _, lifted = sample_lift(base, fold, stream)
         return spectral_measure(lifted)
-    if color == "haar":
-        return spectral_measure(base, haar_unitary_color(base, fold, stream))
-    return spectral_measure(base, np.broadcast_to(np.eye(fold), (base.n_edges, fold, fold)))
+    return spectral_measure(base, haar_unitary_color(base, fold, stream))
 
 
 def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
@@ -262,12 +260,11 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
                                 f"N={fold}")
     target = kesten_mckay(float(q)) if q >= 2 else arcsine()
 
-    # the trivial coloring draws nothing, so one measure per fold serves every trial
-    trivial = functools.cache(lambda fold: _colored_measure(base, fold, color, RngStream(seed)))
+    # N disjoint copies of the base share its spectrum: every trivial trial reads it
+    trivial = spectral_measure(base) if color == "trivial" else None
     distance_rows, residual_rows, means = _ladder(
         seed, [((fold,), (fold,)) for fold in folds], trials, p_list, target,
-        lambda cell, stream: (trivial(cell[0]) if color == "trivial"
-                              else _colored_measure(base, cell[0], color, stream)),
+        lambda cell, stream: trivial or _colored_measure(base, cell[0], color, stream),
         lambda _, mu: moment_criterion_report(mu, target, r_max))
     return {"distance_rows": distance_rows, "residual_rows": residual_rows,
             "means": means, "q": q}

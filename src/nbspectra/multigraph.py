@@ -153,14 +153,19 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]], n_vertices: int) -> M
 
 
 def _require_regular(g: MultiGraph) -> int:
-    deg = g.degrees
+    """The common degree, at least 2, read off the darts with no array sized by n: the
+    least vertex with no dart, of degree 0, is the first gap in the sorted origins."""
     if g.n_vertices == 0:
         raise RegularityError("empty graph has no degree")
+    verts, deg = np.unique(g.origin, return_counts=True)
+    gap = int(np.count_nonzero(verts == np.arange(verts.size)))
+    if gap < g.n_vertices:
+        verts, deg = np.insert(verts, gap, gap), np.insert(deg, gap, 0)
     d = int(deg[0])
     bad = np.nonzero(deg != d)[0]
     if bad.size:
         raise RegularityError(
-            f"graph is not regular: vertex {int(bad[0])} has degree "
+            f"graph is not regular: vertex {int(verts[bad[0]])} has degree "
             f"{int(deg[bad[0]])}, vertex 0 has degree {d}")
     if d < 2:
         raise RegularityError(f"degree {d} below required minimum 2")

@@ -30,6 +30,7 @@ from nbspectra.multigraph import (CensusInvariantError, WalkCensus,
                                   cycle_graph, save_graph_file, walk_census)
 from nbspectra.nbmatrix import colored_nb_sequence
 from nbspectra.random_models import RngStream, haar_unitary_color
+from nbspectra.spectra import measures
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -82,13 +83,23 @@ def test_census_rejects_non_regular(tmp_path, capsys):
     ("3 2\n0 1\n", "line 1: header promised 2 edges, found 1"),
     ("0 0\n", "empty graph has no degree"),
     ("2 1\n0 1\n", "degree 1 below required minimum 2"),
+    # degrees come from the darts, not an array of 10^12 counts
+    ("1000000000000 0\n", "degree 0 below required minimum 2"),
+    ("1000000000000 1\n0 1\n", "vertex 2 has degree 0, vertex 0 has degree 1"),
 ], ids=["empty-file", "header-not-integer", "three-fields", "edges-missing", "no-vertices",
-        "degree-one"])
+        "degree-one", "huge-edgeless", "huge-one-edge"])
 def test_census_bad_graph_file_is_input_error(text, message, tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     assert main(["census", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_lift_on_a_huge_vertex_count_with_one_edge_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000000 1\n0 1\n")
+    assert main(["lift", str(path), "--N", "2", "--trials", "1", "--out", str(tmp_path)]) == 2
+    assert "vertex 2 has degree 0, vertex 0 has degree 1" in capsys.readouterr().err
 
 
 def test_census_parse_error_carries_line(tmp_path, capsys):
@@ -297,9 +308,6 @@ def test_laws_at_huge_q_write_finite_values(tmp_path):
 
 @pytest.mark.parametrize("argv, owner, attr, broken", [
     (["census", "{k4}"], WalkCensus, "identity_circle_bounds", lambda self, r: False),
-    # twins no longer carry adjoints, which the per-dart blocks guarantee
-    (["lift", "{k4}", "--color", "haar", "--N", "2", "--trials", "1"],
-     nbmatrix, "_dart_blocks", lambda blocks: np.repeat(blocks, 2, axis=0)),
     # past the circle cap no circle bound is checked; c_4 = 0 - (q-1) c_2 = -1
     (["census", "{k4}", "--rmax", "16"], nbmatrix, "nb_trace_sequence",
      lambda g, r_max: [4, 0, 1] + [0] * (r_max - 2)),
@@ -355,17 +363,24 @@ def test_trivial_color_matches_uncolored():
 
 
 def test_trivial_color_builds_one_measure_per_fold(monkeypatch):
+    # N disjoint copies of the base share its spectrum: one base measure
+    # serves every trial of every fold, and no colored matrix is built
     calls = []
-    build = cli._colored_measure
+    build = cli.spectral_measure
 
     def spy(*args):
-        calls.append(args[1])
+        calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(cli, "_colored_measure", spy)
-    result = lift_convergence(complete_graph(4), [2, 8], trials=5, seed=5, r_max=2,
+    def refuse(*args):
+        raise AssertionError("the trivial coloring built a colored matrix")
+
+    monkeypatch.setattr(cli, "spectral_measure", spy)
+    monkeypatch.setattr(measures, "colored_adjacency", refuse)
+    base = complete_graph(4)
+    result = lift_convergence(base, [2, 8], trials=5, seed=5, r_max=2,
                               p_list=[1.0], color="trivial")
-    assert calls == [2, 8]
+    assert calls == [(base,)]
     assert [row[3] for row in result["distance_rows"]] == [0.0, 0.0]
 
 

@@ -142,6 +142,29 @@ def test_regular_degree_values():
         _require_regular(path)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))))
+@example((3, []))
+@example((4, [(0, 1), (1, 2), (2, 0)]))  # vertex 3 has no dart
+@example((4, [(1, 2), (2, 3), (3, 1)]))  # vertex 0 has no dart
+def test_regularity_names_the_vertex_the_degree_counts_name(case):
+    # oracle: the per-vertex degree counts, which the check itself never sizes by n
+    n, edges = case
+    g = build_from_edge_list(edges, n)
+    deg = g.degrees
+    bad = np.flatnonzero(deg != deg[0])
+    if bad.size:
+        message = f"vertex {bad[0]} has degree {deg[bad[0]]}, vertex 0 has degree {deg[0]}$"
+    elif deg[0] < 2:
+        message = f"degree {deg[0]} below required minimum 2"
+    else:
+        assert _require_regular(g) == deg[0]
+        return
+    with pytest.raises(RegularityError, match=message):
+        _require_regular(g)
+
+
 @pytest.mark.parametrize("graph,expected", [
     (complete_graph(4), 3),
     (cycle_graph(4), 4),

@@ -461,14 +461,6 @@ def test_color_rejects_non_finite_blocks(k4, bad):
             colored_adjacency(k4, blocks)
 
 
-def test_nan_colored_adjacency_fails_the_hermitian_check(k4, monkeypatch):
-    # NaN blocks are refused before the build, so feed them to the scatter directly
-    monkeypatch.setattr(nbmatrix, "_dart_blocks",
-                        lambda blocks: np.full((2 * len(blocks), 2, 2), np.nan, dtype=np.complex128))
-    with pytest.raises(ColorInvariantError, match="Hermitian"):
-        colored_adjacency(k4, trivial_color(k4, 2))
-
-
 def test_color_rejects_wrong_edge_count(k4):
     with pytest.raises(ColorError, match="one block per edge"):
         colored_adjacency(k4, [np.eye(1, dtype=np.complex128)])
@@ -487,11 +479,13 @@ def test_color_rejects_blocks_that_are_not_one_square_array(k4, blocks, message)
 
 
 def test_color_twin_adjoint_exact(k4):
-    color = haar_unitary_color(k4, 3, RngStream(11))
-    darts = nbmatrix._dart_blocks(color)
-    for dart in range(0, k4.n_darts, 2):
-        assert np.array_equal(darts[dart], color[dart // 2])
-        assert np.array_equal(darts[dart + 1], darts[dart].conj().T)
+    # K4 is simple, so block (u, v) is edge k's block alone and block (v, u) its twin's
+    dim = 3
+    color = haar_unitary_color(k4, dim, RngStream(11))
+    blocks = colored_adjacency(k4, color).reshape(4, dim, 4, dim)
+    for k, (u, v) in enumerate(k4.edge_list()):
+        assert np.array_equal(blocks[u, :, v], color[k])
+        assert np.array_equal(blocks[v, :, u], blocks[u, :, v].conj().T)
 
 
 def test_single_edge_phase_eigenvalues():
@@ -577,19 +571,6 @@ def test_colored_identity_holds_to_r_max_60_relative_to_the_walk_count(g, monkey
         m + 1e-6 * 3 * 2 ** 59 * (r == 60) for r, m in enumerate(real(a, q, r_max, times_a))])
     with pytest.raises(ColorInvariantError, match="polynomial identity .* at r=60"):
         colored_nb_sequence(g, colors[1], 60)
-    monkeypatch.undo()
-    # twins that do not carry adjoints, which the per-dart blocks guarantee
-    monkeypatch.setattr(nbmatrix, "_dart_blocks", lambda blocks: np.repeat(blocks, 2, axis=0))
-    with pytest.raises(ColorInvariantError):
-        colored_nb_sequence(g, colors[1], 60)
-
-
-def test_non_hermitian_colored_adjacency_is_an_internal_error(k4, monkeypatch):
-    color = haar_unitary_color(k4, 2, RngStream(3))
-    # twins no longer carry adjoints, which the per-dart blocks guarantee
-    monkeypatch.setattr(nbmatrix, "_dart_blocks", lambda blocks: np.repeat(blocks, 2, axis=0))
-    with pytest.raises(ColorInvariantError, match="Hermitian"):
-        colored_adjacency(k4, color)
 
 
 # -- one buffer per spectral matrix ---------------------------------------------------------
@@ -607,8 +588,19 @@ def _pairing_multigraphs(draw):
 
 
 def _colored_reference(g, blocks):
-    """colored_adjacency as a per-dart loop of block sums, edge k's block at
-    its even dart and the conjugate transpose at the twin, then (A + A^*) / 2."""
+    """colored_adjacency as a per-edge loop of block sums: edge k's block at
+    (origin, head) of dart 2k, in edge order, then the conjugate transpose added."""
+    n, dim = g.n_vertices, blocks.shape[1]
+    out = np.zeros((n * dim, n * dim), dtype=np.complex128)
+    for k in range(g.n_edges):
+        i, j = int(g.origin[2 * k]), int(g.head[2 * k])
+        out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += blocks[k]
+    return out + out.conj().T
+
+
+def _per_dart_reference(g, blocks):
+    """The earlier construction: every dart's block (the twin's the adjoint of
+    edge k's), summed in dart order, then averaged with its adjoint."""
     n, dim = g.n_vertices, blocks.shape[1]
     out = np.zeros((n * dim, n * dim), dtype=np.complex128)
     for dart in range(g.n_darts):
@@ -644,6 +636,8 @@ def test_colored_adjacency_matches_the_loop_reference(g, kind, fold, seed):
         color = permutation_color(g, sample_lift(g, fold, RngStream(seed))[0])
     got = colored_adjacency(g, color)
     assert got.tobytes() == _colored_reference(g, color).tobytes()
+    assert np.array_equal(got, got.conj().T)
+    assert np.abs(got - _per_dart_reference(g, color)).max() <= 1e-14
 
 
 def _traced_peak(fn, *args) -> int:
@@ -661,3 +655,9 @@ def test_spectral_measure_takes_one_buffer():
     # an int64 build followed by a float64 cast would hold 2.0 matrices
     assert _traced_peak(spectral_measure, cycle_graph(512)) <= 1.5 * 512 ** 2 * 8
 
+
+def test_colored_adjacency_takes_two_buffers():
+    # the sum and its adjoint; averaging the two as well would hold 3.0 matrices
+    g = complete_graph(4)
+    color = haar_unitary_color(g, 128, RngStream(0))
+    assert _traced_peak(colored_adjacency, g, color) <= 2.1 * (4 * 128) ** 2 * 16

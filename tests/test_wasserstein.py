@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance as scipy_w1
 
+from nbspectra.multigraph import complete_graph
+from nbspectra.random_models import RngStream, haar_unitary_color
 from nbspectra.spectra import (DiscreteSpectralMeasure, WassersteinError,
                                arcsine, cycle_spectral_measure, kesten_mckay,
-                               semicircle, wasserstein_p)
+                               semicircle, spectral_measure, wasserstein_p)
 from nbspectra.spectra.wasserstein import _angle_quadrature, _quantile_grid
 
 INF = math.inf
@@ -255,3 +257,20 @@ def test_quantile_grid_is_shared_and_read_only():
     _quantile_grid.cache_clear()
     rebuilt = {p: wasserstein_p(mu, law, p) for p in first}
     assert again == first and rebuilt == first
+
+
+def test_haar_colored_complete_graphs_approach_the_semicircle_along_q():
+    # K_{q+2} with Haar N x N blocks, nN ~ 256: W_p to the semicircle falls
+    # along q, and the triangle inequality ties W_p(mu, SC), W_p(mu, KM(q))
+    # and the law-law W_p(KM(q), SC) across the closed forms (p = 1, 2), the
+    # angle quadrature (p = 4, 8) and the law-law path
+    sc, to_sc = semicircle(), {}
+    for q in (3, 15, 63):
+        g = complete_graph(q + 2)
+        mu = spectral_measure(g, haar_unitary_color(g, round(256 / g.n_vertices), RngStream(q)))
+        km = kesten_mckay(float(q))
+        for p in (1.0, 2.0, 4.0, 8.0):
+            to_sc[q, p] = wasserstein_p(mu, sc, p)
+            assert abs(to_sc[q, p] - wasserstein_p(km, sc, p)) <= wasserstein_p(mu, km, p) + 1e-12
+    for p in (1.0, 2.0, 8.0):
+        assert to_sc[3, p] > to_sc[15, p] > to_sc[63, p]
