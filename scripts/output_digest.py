@@ -64,7 +64,8 @@ INVOCATIONS = ([LIFT_POOL + str(seed) for seed in range(32)]
                + [f"lift {{loops}} --color {color} --N 2 --N 4 --trials 3 --rmax 4"
                   for color in ("haar", "trivial")]
                + ["laws", "lift {k4} --N 2 --N 8 --trials 3 --rmax 4 --format json",
-                  "census {heawood} --rmax 10"])
+                  "census {heawood} --rmax 10",
+                  "lift {k4} --N 2 --N 8 --p 3 --p 400 --trials 3 --rmax 4"])
 
 
 def digest(invocation: str) -> str:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .multigraph import (MultiGraph, _require_regular, census_to_csv,
+from .multigraph import (MultiGraph, census_to_csv,
                          enumerate_circles, girth, load_graph_file, walk_census)
 from .random_models import (DEFAULT_RETRY_BUDGET, STREAM_POLICY, RngStream,
                             haar_unitary_color, sample_lift, sample_regular_graph,
@@ -244,7 +244,7 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
     """Distances to the law and moment residuals of ``trials`` colorings per
     fold.  The residual means are the normalized colored non-backtracking
     traces q^{-r/2} tr(A_r^sigma) / (nN)."""
-    degree = _require_regular(base)
+    q = base.regular_degree - 1
     _require_distinct("--p", [_validate_p(p) for p in p_list])
     if r_max < 1:
         raise CliInputError(f"r_max must be at least 1, got {r_max}")
@@ -254,7 +254,6 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
         if fold < 1:
             raise CliInputError(f"block dimension N must be at least 1, got {fold}")
     _require_distinct("--N", folds)
-    q = degree - 1
     for fold in folds:
         _require_finite_moments(range(1, r_max + 1), q, base.n_vertices * fold, trials,
                                 f"N={fold}")

@@ -97,6 +97,26 @@ class MultiGraph:
         deg.setflags(write=False)
         return deg
 
+    @cached_property
+    def regular_degree(self) -> int:
+        """The common degree, at least 2, read off the darts with no array sized by n: the
+        least vertex with no dart, of degree 0, is the first gap in the sorted origins."""
+        if self.n_vertices == 0:
+            raise RegularityError("empty graph has no degree")
+        verts, deg = np.unique(self.origin, return_counts=True)
+        gap = int(np.count_nonzero(verts == np.arange(verts.size)))
+        if gap < self.n_vertices:
+            verts, deg = np.insert(verts, gap, gap), np.insert(deg, gap, 0)
+        d = int(deg[0])
+        bad = np.nonzero(deg != d)[0]
+        if bad.size:
+            raise RegularityError(
+                f"graph is not regular: vertex {int(verts[bad[0]])} has degree "
+                f"{int(deg[bad[0]])}, vertex 0 has degree {d}")
+        if d < 2:
+            raise RegularityError(f"degree {d} below required minimum 2")
+        return d
+
     # Incidence tables: row i lists the out-darts of vertex i or the NBW
     # successors of dart i, ascending, padded to the widest row with the
     # phantom dart n_darts, whose head is the phantom vertex n_vertices
@@ -150,26 +170,6 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]], n_vertices: int) -> M
         u, v = edges[idx]
         raise GraphError(f"edge {idx}: endpoint ({u}, {v}) out of range for n={n_vertices}")
     return MultiGraph(n_vertices, ends[:, ::-1].ravel())  # dart 2k: u -> v, 2k+1: v -> u
-
-
-def _require_regular(g: MultiGraph) -> int:
-    """The common degree, at least 2, read off the darts with no array sized by n: the
-    least vertex with no dart, of degree 0, is the first gap in the sorted origins."""
-    if g.n_vertices == 0:
-        raise RegularityError("empty graph has no degree")
-    verts, deg = np.unique(g.origin, return_counts=True)
-    gap = int(np.count_nonzero(verts == np.arange(verts.size)))
-    if gap < g.n_vertices:
-        verts, deg = np.insert(verts, gap, gap), np.insert(deg, gap, 0)
-    d = int(deg[0])
-    bad = np.nonzero(deg != d)[0]
-    if bad.size:
-        raise RegularityError(
-            f"graph is not regular: vertex {int(verts[bad[0]])} has degree "
-            f"{int(deg[bad[0]])}, vertex 0 has degree {d}")
-    if d < 2:
-        raise RegularityError(f"degree {d} below required minimum 2")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +455,8 @@ def walk_census(g: MultiGraph, r_max: int) -> WalkCensus:
     brute cap."""
     from . import nbmatrix  # deferred: nbmatrix imports MultiGraph from here
 
-    if r_max < 0:
-        raise GraphError(f"r_max must be nonnegative, got {r_max}")
-    d = _require_regular(g)
-    q = d - 1
-    f = nbmatrix.nb_trace_sequence(g, r_max)
+    f = nbmatrix.nb_trace_sequence(g, r_max)  # checks r_max, then regularity
+    q = g.regular_degree - 1
     c = nbmatrix._circuits_from_traces(f, q)
     z = tuple(enumerate_circles(g, r_max)) if r_max <= BRUTE_R_CAP else None
     census = WalkCensus(r_max=r_max, q=q, n_vertices=g.n_vertices,

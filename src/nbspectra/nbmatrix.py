@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import eval_X_table, xrq_from_x
-from .multigraph import MultiGraph, _require_regular, walk_census
+from .multigraph import GraphError, MultiGraph
 
 UNITARY_TOL = 1e-12
 COLOR_IDENTITY_TOL = 1e-8
@@ -87,7 +87,7 @@ def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
 
     A_{r-1} is symmetric with rows summing to (q+1) q^(r-2), so (q+1) q^(r-2)
     max A bounds the product A A_{r-1}."""
-    q = _require_regular(g) - 1
+    q = g.regular_degree - 1
     a = adjacency(g)
     heads, top = g.head[g._out_table], int(a.max())
     return _nb_recurrence(a, q, r_max,
@@ -104,7 +104,9 @@ def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
     A_j sums to (q+1) q^(j-1): its entries sum to n (q+1) q^(j-1), the bound
     ``_pair_trace`` takes.
     """
-    q = _require_regular(g) - 1
+    if r_max < 0:
+        raise GraphError(f"r_max must be nonnegative, got {r_max}")
+    q = g.regular_degree - 1
     seq = nb_matrix_sequence(g, (r_max + 1) // 2)
     f = [int(np.trace(m, dtype=object)) for m in seq[:2]]
     for r in range(2, r_max + 1):
@@ -143,7 +145,7 @@ def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
     f_r = c_r + (q-1) sum_{1 <= i < r/2} q^(i-1) c_{r-2i}, and c is read off f
     exactly.  The tail count needs q+1 darts at every vertex: like
     ``nb_trace_sequence``, this raises RegularityError on an irregular graph."""
-    return _circuits_from_traces(nb_trace_sequence(g, r_max), _require_regular(g) - 1)
+    return _circuits_from_traces(nb_trace_sequence(g, r_max), g.regular_degree - 1)
 
 
 def _chebyshev_matrix_table(m: np.ndarray, r_max: int) -> np.ndarray:
@@ -178,7 +180,7 @@ def _friedman_deviations(a: np.ndarray, q: int, seq: list[np.ndarray]) -> list[f
 def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:
     """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over r <= r_max,
     against the exact integer matrices A_r."""
-    q = _require_regular(g) - 1
+    q = g.regular_degree - 1
     _require_float_walks(q, r_max)
     return float(np.max(_friedman_deviations(adjacency(g), q, nb_matrix_sequence(g, r_max))))
 
@@ -198,15 +200,13 @@ class TraceIdentityReport:
         return max(max(self.dev_nbw), max(self.dev_geometric), max(self.dev_circuit))
 
 
-def trace_identities_report(g: MultiGraph, r_max: int,
-                            census=None) -> TraceIdentityReport:
-    """Check the three trace identities against the exact walk census, each
+def trace_identities_report(g: MultiGraph, r_max: int) -> TraceIdentityReport:
+    """Check the three trace identities against the exact closed-NBW counts f
+    (``nb_trace_sequence``) and the circuit counts c read off them, each
     Tr X_r(A/sqrt(q)) summed over the spectrum as the moment statistics are."""
-    d = _require_regular(g)
-    q = d - 1
-    n = g.n_vertices
-    if census is None or census.r_max < r_max:
-        census = walk_census(g, r_max)
+    q = g.regular_degree - 1
+    f = nb_trace_sequence(g, r_max)
+    c = _circuits_from_traces(f, q)
     eigs = np.linalg.eigvalsh(adjacency(g, np.float64))
     traces = eval_X_table(r_max, eigs / math.sqrt(q)).sum(axis=1)
     t_xrq = xrq_from_x(traces, q)
@@ -215,12 +215,12 @@ def trace_identities_report(g: MultiGraph, r_max: int,
     dev_nbw, dev_geo, dev_circ = [], [], []
     for r in range(r_max + 1):
         scale = q ** (-r / 2.0)
-        dev_nbw.append(abs(t_xrq[r] - scale * census.f[r]))
-        approx_sum = sum(census.f[r - 2 * k] for k in range(r // 2 + 1))
+        dev_nbw.append(abs(t_xrq[r] - scale * f[r]))
+        approx_sum = sum(f[r - 2 * k] for k in range(r // 2 + 1))
         dev_geo.append(abs(traces[r] - scale * approx_sum))
         if r >= 1:
-            correction = (q - 1) * scale * n if (r % 2 == 0 and r >= 2) else 0.0
-            dev_circ.append(abs(t_y[r] - (scale * census.c[r] - correction)))
+            correction = (q - 1) * scale * g.n_vertices if (r % 2 == 0 and r >= 2) else 0.0
+            dev_circ.append(abs(t_y[r] - (scale * c[r] - correction)))
     return TraceIdentityReport(r_max=r_max, q=q, dev_nbw=tuple(dev_nbw),
                                dev_geometric=tuple(dev_geo), dev_circuit=tuple(dev_circ))
 
@@ -270,7 +270,7 @@ def colored_nb_sequence(g: MultiGraph, color: np.ndarray, r_max: int):
     deviation past ``COLOR_IDENTITY_TOL`` times max(1, (q+1) q^(r-1)), the
     bound ``_require_float_walks`` puts on an A_r entry.
     """
-    q = _require_regular(g) - 1
+    q = g.regular_degree - 1
     _require_float_walks(q, r_max)
     a_sigma = colored_adjacency(g, color)
     seq = _nb_recurrence(a_sigma, q, r_max, lambda m, r: m @ a_sigma)

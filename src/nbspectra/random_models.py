@@ -86,8 +86,7 @@ def trial_means(rng: RngStream, trials: int,
     return means, errors
 
 
-def sample_regular_graph(n: int, degree: int, rng: RngStream,
-                         retry_budget: int = DEFAULT_RETRY_BUDGET) -> MultiGraph:
+def sample_regular_graph(n: int, degree: int, rng: RngStream) -> MultiGraph:
     """Uniform simple degree-regular graph: McKay-Wormald switchings (REG).
 
     Stubs are paired by a uniform random permutation.  A simple pairing is
@@ -96,8 +95,8 @@ def sample_regular_graph(n: int, degree: int, rng: RngStream,
     output exactly uniform on simple regular graphs; a pairing with a triple
     pair, a double loop, more loops or double pairs than
     :func:`~nbspectra.switchings.switching_caps` allows, or a rejected
-    switching is discarded for a fresh one.  ``retry_budget`` bounds the
-    pairings drawn.  The switching choices come from a child of the pairing
+    switching is discarded for a fresh one.  ``DEFAULT_RETRY_BUDGET`` bounds
+    the pairings drawn.  The switching choices come from a child of the pairing
     generator, so the pairings drawn are those of whole-pairing rejection and
     no seed needs more of them.  The expected number of pairings stays bounded
     while ``degree^3 / n`` is small (0.5 at n=1024, degree 8).
@@ -111,7 +110,7 @@ def sample_regular_graph(n: int, degree: int, rng: RngStream,
     caps = switching_caps(n, degree)
     gen = rng.generator()
     switch_gen = gen.spawn(1)[0]
-    for attempt in range(1, retry_budget + 1):
+    for attempt in range(1, DEFAULT_RETRY_BUDGET + 1):
         pairs = gen.permutation(n * degree).reshape(-1, 2)
         switched = switch_to_simple(pairs, n, degree, caps, switch_gen)
         if switched is None:
@@ -126,7 +125,7 @@ def sample_regular_graph(n: int, degree: int, rng: RngStream,
         logger.debug("pairing model accepted after %d attempt(s) (n=%d, d=%d)",
                      attempt, n, degree)
         return g
-    raise RetryBudgetError(retry_budget, f"n={n}, degree={degree}")
+    raise RetryBudgetError(DEFAULT_RETRY_BUDGET, f"n={n}, degree={degree}")
 
 
 def _require_lift(base: MultiGraph, perms) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..chebyshev import eval_X_table, xrq_from_x
-from ..multigraph import MultiGraph, _require_regular
+from ..multigraph import MultiGraph
 from ..nbmatrix import adjacency, colored_adjacency
 from .eigen import eigenvalues_symmetric
 
@@ -65,8 +65,7 @@ def spectral_measure(g: MultiGraph, color: np.ndarray | None = None) -> Discrete
     float64 so the eigensolver makes no cast copy, or of the complex block
     adjacency when ``color``, an (edges, N, N) unitary array, is given (an
     uncolored graph is the coloring by 1 x 1 identity blocks)."""
-    d = _require_regular(g)
-    q = d - 1
+    q = g.regular_degree - 1
     eigs = eigenvalues_symmetric(
         adjacency(g, np.float64) if color is None else colored_adjacency(g, color))
     return DiscreteSpectralMeasure(points=eigs / math.sqrt(q), q=float(q))

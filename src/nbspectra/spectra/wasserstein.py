@@ -22,7 +22,9 @@ by every order p and every measure of that size.
   into it, and each panel gets 32-node Gauss-Legendre.  Kesten-McKay's w
   turns over within h = (sqrt q - 1/sqrt q)/2 of phi = 0 and pi, narrower
   than a panel as q -> 1, so panels also break at h, 16h, 256h and 4096h
-  from both ends.
+  from both ends.  Here, between laws and between discrete measures, the
+  largest |.| is factored out before the power (``_lp_norm``), so W_p stays
+  finite at any finite p.
 
 The closed forms combine O(1) moments, so they carry an absolute rounding
 floor rather than a relative one: below one ulp per atom in W_1 and a few
@@ -72,14 +74,21 @@ def _validate_p(p) -> float:
     return pf
 
 
+def _lp_norm(diff: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """(sum weights * diff^p)^(1/p) of diff >= 0 as M (sum weights * (diff/M)^p)^(1/p),
+    M = max diff, which no term under- or overflows at large p; M itself at p = inf or M = 0."""
+    top = float(diff.max())
+    if top == 0.0 or p == math.inf:
+        return top
+    return top * float(np.sum((diff / top) ** p * weights)) ** (1.0 / p)
+
+
 def _discrete_discrete(a: DiscreteSpectralMeasure, b: DiscreteSpectralMeasure, p):
     edges = np.union1d(np.arange(1, a.size) / a.size, np.arange(1, b.size) / b.size)
     edges = np.concatenate(([0.0], edges, [1.0]))
     mids = (edges[:-1] + edges[1:]) / 2.0
     diff = np.abs(np.asarray(a.idf(mids)) - np.asarray(b.idf(mids)))
-    if p == math.inf:
-        return float(diff.max())
-    return float((np.sum(diff ** p * np.diff(edges))) ** (1.0 / p))
+    return _lp_norm(diff, np.diff(edges), p)
 
 
 @lru_cache(maxsize=32)
@@ -124,8 +133,8 @@ def _angle_quadrature(mu: DiscreteSpectralMeasure, law: ReferenceLaw, p) -> floa
     widths = np.diff(edges)
     nodes01, w01 = _gl01(_PANEL_GL)
     t = edges[:-1, None] + widths[:, None] * nodes01
-    vals = np.abs(-2.0 * np.cos(t) - x[:, None]) ** p * law.angle_weight(t)
-    return float(((vals @ w01) * widths).sum() ** (1.0 / p))
+    return _lp_norm(np.abs(-2.0 * np.cos(t) - x[:, None]),
+                    law.angle_weight(t) * w01 * widths[:, None], p)
 
 
 def _law_law(a: ReferenceLaw, b: ReferenceLaw, p):
@@ -136,10 +145,7 @@ def _law_law(a: ReferenceLaw, b: ReferenceLaw, p):
     phi = (np.arange(_TARGET_PANELS)[:, None] + nodes01) * width
     other = b._half_angles(a.cdf(-2.0 * np.cos(phi)), 1e-15)[1]
     diff = 2.0 * np.abs(np.cos(other) - np.cos(phi))
-    if p == math.inf:
-        return float(diff.max())
-    total = 2.0 * width * ((diff ** p * a.angle_weight(phi)) @ w01).sum()
-    return float(total ** (1.0 / p))
+    return _lp_norm(diff, 2.0 * width * a.angle_weight(phi) * w01, p)
 
 
 def wasserstein_p(a, b, p) -> float:

@@ -94,11 +94,11 @@ def test_criterion_02_friedman_identity(graph_set):
                f"folds 2/4 ({elapsed:.1f}s)")
 
 
-def test_criterion_03_trace_identities(graph_set, census_r10):
+def test_criterion_03_trace_identities(graph_set):
     t0 = time.time()
     worst = 0.0
     for name, g in graph_set:
-        rep = trace_identities_report(g, 10, census=census_r10[name])
+        rep = trace_identities_report(g, 10)
         assert rep.max_deviation <= 1e-8, name
         worst = max(worst, rep.max_deviation)
     _report(3, f"all three trace identities within 1e-8 for r <= 10 "

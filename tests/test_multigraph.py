@@ -22,7 +22,7 @@ from nbspectra.multigraph import (BRUTE_R_CAP, CapExceededError, GraphError,
                                   census_to_csv, complete_graph, cycle_graph,
                                   enumerate_circles,
                                   format_graph_text, girth, parse_graph_text,
-                                  _require_regular, petersen_graph, walk_census)
+                                  petersen_graph, walk_census)
 from nbspectra.random_models import RngStream, sample_regular_graph
 
 
@@ -64,7 +64,7 @@ def circles_by_edge_subsets(g: MultiGraph, r_max: int) -> list[int]:
 def test_build_cycle_graph():
     g = build_from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
     assert g.n_darts == 8
-    assert _require_regular(g) == 2
+    assert g.regular_degree == 2
     assert g.canonical_edge_list() == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
@@ -135,11 +135,11 @@ def test_parse_errors_carry_line_numbers():
 # -- regularity and girth ----------------------------------------------------
 
 def test_regular_degree_values():
-    assert _require_regular(cycle_graph(4)) == 2
-    assert _require_regular(complete_graph(4)) == 3
+    assert cycle_graph(4).regular_degree == 2
+    assert complete_graph(4).regular_degree == 3
     path = build_from_edge_list([(0, 1), (1, 2)], 3)
     with pytest.raises(RegularityError, match="vertex 1 has degree 2"):
-        _require_regular(path)
+        path.regular_degree
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,10 +159,10 @@ def test_regularity_names_the_vertex_the_degree_counts_name(case):
     elif deg[0] < 2:
         message = f"degree {deg[0]} below required minimum 2"
     else:
-        assert _require_regular(g) == deg[0]
+        assert g.regular_degree == deg[0]
         return
     with pytest.raises(RegularityError, match=message):
-        _require_regular(g)
+        g.regular_degree
 
 
 @pytest.mark.parametrize("graph,expected", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 import tracemalloc
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pairing_multigraph, trivial_color
-from nbspectra import nbmatrix
-from nbspectra.multigraph import (MultiGraph, RegularityError, brute_walk_counts,
+from nbspectra import multigraph, nbmatrix
+from nbspectra.multigraph import (GraphError, MultiGraph, RegularityError, brute_walk_counts,
                                   build_from_edge_list, complete_graph,
                                   cycle_graph, girth, petersen_graph,
                                   walk_census)
@@ -429,10 +430,61 @@ def test_trace_identity_triangle_free(petersen):
     assert walk_census(petersen, 3).c[3] == 0
 
 
-def test_trace_identities_reuse_census(petersen):
-    census = walk_census(petersen, 8)
-    rep = trace_identities_report(petersen, 8, census=census)
+def test_trace_identities_reuse_census(petersen, monkeypatch):
+    # f and c come off the traces, as in walk_census, with no circle enumeration
+    def no_circles(g, r_max):
+        raise AssertionError("trace identities enumerated circles")
+
+    monkeypatch.setattr(multigraph, "enumerate_circles", no_circles)
+    rep = trace_identities_report(petersen, 8)
     assert rep.max_deviation <= 1e-8
+
+
+def test_negative_lengths_are_rejected(petersen):
+    # the exact counts, and the identities read off them, reject a negative length
+    for call in (nb_trace_sequence, circuit_count_sequence, trace_identities_report):
+        with pytest.raises(GraphError, match="r_max must be nonnegative, got -1"):
+            call(petersen, -1)
+
+
+# -- one degree computation per graph -------------------------------------------------------
+
+@pytest.fixture
+def degree_computations(monkeypatch):
+    """Runs of the ``MultiGraph.regular_degree`` body, keyed by graph id."""
+    counts = {}
+    real = vars(MultiGraph)["regular_degree"]
+
+    def counted(g):
+        counts[id(g)] = counts.get(id(g), 0) + 1
+        return real.func(g)
+
+    spy = copy.copy(real)  # caches as the real descriptor does
+    spy.func = counted
+    monkeypatch.setattr(MultiGraph, "regular_degree", spy)
+    return counts
+
+
+def test_census_pool_computes_each_degree_once(degree_computations):
+    # the benchmark's census pool classes: six (n, d) at r_max 12, one at 38
+    classes = [(40, 4, 12), (40, 3, 12), (36, 3, 12), (32, 4, 12), (28, 3, 12), (24, 4, 12),
+               (64, 4, 38)]
+    pool = [(pairing_multigraph(n, d, 1000 * n + 10 * d), r_max) for n, d, r_max in classes]
+    for g, r_max in pool:
+        walk_census(g, r_max)
+    assert sorted(degree_computations.values()) == [1] * 7
+
+
+def test_layers_compute_the_degree_once(degree_computations):
+    calls = [lambda g: circuit_count_sequence(g, 10),
+             lambda g: trace_identities_report(g, 10),
+             lambda g: verify_friedman_identity(g, 10),
+             lambda g: [spectral_measure(g, haar_unitary_color(g, 4, RngStream(t)))
+                        for t in range(3)]]
+    graphs = [petersen_graph() for _ in calls]
+    for g, call in zip(graphs, calls):
+        call(g)
+    assert [degree_computations[id(g)] for g in graphs] == [1] * len(calls)
 
 
 # -- colors -----------------------------------------------------------------------------------

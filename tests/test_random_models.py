@@ -68,11 +68,12 @@ def test_sampler_parameter_validation():
         sample_regular_graph(4, 0, RngStream(0))
 
 
-def test_sampler_retry_budget_error():
+def test_sampler_retry_budget_error(monkeypatch):
+    monkeypatch.setattr(random_models, "DEFAULT_RETRY_BUDGET", 1)
     with pytest.raises(RetryBudgetError, match="attempts"):
         # budget 1 at d = 5 fails with overwhelming probability; seed chosen
         # so the first pairing is not simple
-        sample_regular_graph(12, 5, RngStream(0), retry_budget=1)
+        sample_regular_graph(12, 5, RngStream(0))
 
 
 def test_sampler_irregular_build_is_an_internal_error(monkeypatch):

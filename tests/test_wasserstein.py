@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance as scipy_w1
 
 from nbspectra.multigraph import complete_graph
-from nbspectra.random_models import RngStream, haar_unitary_color
+from nbspectra.random_models import RngStream, haar_unitary_color, sample_lift
 from nbspectra.spectra import (DiscreteSpectralMeasure, WassersteinError,
                                arcsine, cycle_spectral_measure, kesten_mckay,
                                semicircle, spectral_measure, wasserstein_p)
@@ -93,6 +93,46 @@ def test_monotone_in_p():
     vals = [wasserstein_p(fixed, sc, p) for p in orders]
     for lo, hi in zip(vals, vals[1:]):
         assert lo <= hi + 1e-7
+
+
+def _engine_cases():
+    """One pair per engine, and W_3, W_4, W_8 as the direct |diff|^p sum gave them."""
+    k4 = complete_graph(4)
+    _, lifted = sample_lift(k4, 128, RngStream(0))
+    stair = DiscreteSpectralMeasure(np.linspace(-1.5, 1.5, 7))
+    return {
+        "lift-km": (spectral_measure(lifted), kesten_mckay(2.0),
+                    (0.017429130336702004, 0.02747234068871266, 0.05956103943981007)),
+        "k4-km": (spectral_measure(k4), kesten_mckay(2.0),
+                  (0.9713106433037527, 1.0506247549548111, 1.2622127727882968)),
+        "law-law": (kesten_mckay(1.01), semicircle(),
+                    (0.4847879446065582, 0.5022860007159333, 0.5409429598401587)),
+        "discrete": (stair, DiscreteSpectralMeasure([-2.0, -0.3, 0.1, 0.4, 1.9]),
+                     (0.5676229254030076, 0.6155337630552129, 0.739332334701095)),
+    }
+
+
+@pytest.mark.parametrize("name", ["lift-km", "k4-km", "law-law", "discrete"])
+def test_large_finite_p_stays_finite_and_below_w_inf(name):
+    # the direct |diff|^p sum read 0 from W_400 on (lift-km) and W_2000 on
+    # (law-law), and inf from W_2000 on (k4-km)
+    a, b, small = _engine_cases()[name]
+    for p, want in zip((3, 4, 8), small):
+        assert wasserstein_p(a, b, p) == pytest.approx(want, rel=1e-13)
+    large = [wasserstein_p(a, b, p) for p in (8, 400, 2000, 1e308)]
+    w_inf = wasserstein_p(a, b, INF)
+    assert all(math.isfinite(v) and v > 0.0 for v in large)
+    assert all(lo <= hi for lo, hi in zip(large, large[1:]))
+    assert large[-1] <= w_inf
+
+
+def test_large_finite_p_between_shifted_measures():
+    # every atom 0.5 apart: W_p = 0.5 at every p (the direct sum read 0 from W_1100)
+    stair = np.linspace(-1.5, 1.5, 7)
+    a, b = DiscreteSpectralMeasure(stair), DiscreteSpectralMeasure(stair + 0.5)
+    for p in (3, 400, 1100, 2000, 1e308):
+        assert wasserstein_p(a, b, p) == pytest.approx(0.5, rel=1e-15)
+    assert wasserstein_p(a, a, 1e308) == 0.0
 
 
 def test_w1_matches_scipy_on_discrete_pairs():
