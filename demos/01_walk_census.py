@@ -5,14 +5,16 @@ identities tying the three counts together on regular graphs.
 """
 
 from nbspectra.multigraph import (brute_walk_counts, build_from_edge_list,
-                                  census_to_csv, complete_graph, cycle_graph,
-                                  girth, petersen_graph, walk_census)
+                                  complete_graph, cycle_graph, girth,
+                                  petersen_graph, walk_census)
 
 for name, g in [("K4", complete_graph(4)), ("C4", cycle_graph(4)),
                 ("Petersen", petersen_graph())]:
     census = walk_census(g, 8)
     print(f"== {name}: girth {girth(g)}")
-    print(census_to_csv(census), end="")
+    print("r,f,c,z")
+    for r in range(9):
+        print(f"{r},{census.f[r]},{census.c[r]},{census.z[r]}")
     # a closed NBW is a circuit with a tail at its start, checked on the
     # brute-force counts, which the census does not derive from each other
     f, c, q = *brute_walk_counts(g, 8), census.q

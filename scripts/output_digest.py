@@ -65,7 +65,8 @@ INVOCATIONS = ([LIFT_POOL + str(seed) for seed in range(32)]
                   for color in ("haar", "trivial")]
                + ["laws", "lift {k4} --N 2 --N 8 --trials 3 --rmax 4 --format json",
                   "census {heawood} --rmax 10",
-                  "lift {k4} --N 2 --N 8 --p 3 --p 400 --trials 3 --rmax 4"])
+                  "lift {k4} --N 2 --N 8 --p 3 --p 400 --trials 3 --rmax 4",
+                  "census {petersen} --rmax 16"])  # past BRUTE_R_CAP: no z
 
 
 def digest(invocation: str) -> str:

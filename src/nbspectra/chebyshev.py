@@ -116,7 +116,7 @@ def eval_X_table(r_max: int, x) -> np.ndarray:
 def xrq_from_x(table: np.ndarray, q: float) -> np.ndarray:
     """Map a stacked table of X_r values to X_{r,q} = X_r - X_{r-2} / q.
 
-    ``table[r]`` holds X_r at any stack of points, traces or matrices, for
+    ``table[r]`` holds X_r at any stack of points or traces, for
     r = 0..r_max; the result has the same shape (q = 1 gives Y_r).
     """
     family = np.array(table)

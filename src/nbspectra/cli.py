@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .multigraph import (MultiGraph, census_to_csv,
-                         enumerate_circles, girth, load_graph_file, walk_census)
+from .multigraph import (MultiGraph, enumerate_circles, girth, load_graph_file,
+                         walk_census)
 from .random_models import (DEFAULT_RETRY_BUDGET, STREAM_POLICY, RngStream,
                             haar_unitary_color, sample_lift, sample_regular_graph,
                             trial_means)
@@ -207,14 +207,12 @@ def run_census(args) -> int:
     census = walk_census(g, args.rmax)  # raises CensusInvariantError on a failed bound
     manifest = ExperimentManifest(
         "census", {"graph": Path(args.graph).name, "r_max": args.rmax}, None)
-    tables = []
-    if args.out:
-        rows = [[r, census.f[r], census.c[r],
-                 census.z[r] if census.z is not None else ""]
-                for r in range(census.r_max + 1)]
-        tables.append(("census", ["r", "f", "c", "z"], rows))
-    else:
-        sys.stdout.write(census_to_csv(census))
+    header = ["r", "f", "c", "z"]
+    rows = [[r, census.f[r], census.c[r], census.z[r] if census.z is not None else ""]
+            for r in range(census.r_max + 1)]
+    tables = [("census", header, rows)] if args.out else []
+    if not args.out:
+        print(*(",".join(map(_fmt, cells)) for cells in [header, *rows]), sep="\n")
     # walk_census has raised if any circle bound failed
     checks = [(f"circle bounds r={r}", True)
               for r in range(1, census.r_max + 1) if census.z is not None]

@@ -465,14 +465,6 @@ def walk_census(g: MultiGraph, r_max: int) -> WalkCensus:
     return census
 
 
-def census_to_csv(census: WalkCensus) -> str:
-    lines = ["r,f,c,z"]
-    for r in range(census.r_max + 1):
-        zval = "" if census.z is None else str(census.z[r])
-        lines.append(f"{r},{census.f[r]},{census.c[r]},{zval}")
-    return "\n".join(lines) + "\n"
-
-
 # convenient named graphs (used by tests, demos, and docs)
 
 def cycle_graph(m: int) -> MultiGraph:

@@ -70,6 +70,8 @@ def _nb_recurrence(a: np.ndarray, q: int, r_max: int, times_a) -> list[np.ndarra
     """A_0..A_{r_max} from A_0 = I, A_1 = A, A_2 = A^2 - (q+1) I and
     A_r = A A_{r-1} - q A_{r-2} for r >= 3, with ``times_a(A_{r-1}, r)``
     giving A A_{r-1}, which is A_{r-1} A: both are polynomials in A."""
+    if r_max < 0:
+        raise GraphError(f"r_max must be nonnegative, got {r_max}")
     eye = np.eye(a.shape[0], dtype=a.dtype)
     seq = [eye]
     if r_max >= 1:
@@ -104,7 +106,7 @@ def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
     A_j sums to (q+1) q^(j-1): its entries sum to n (q+1) q^(j-1), the bound
     ``_pair_trace`` takes.
     """
-    if r_max < 0:
+    if r_max < 0:  # (r_max + 1) // 2 is 0 at r_max = -1
         raise GraphError(f"r_max must be nonnegative, got {r_max}")
     q = g.regular_degree - 1
     seq = nb_matrix_sequence(g, (r_max + 1) // 2)
@@ -148,17 +150,6 @@ def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
     return _circuits_from_traces(nb_trace_sequence(g, r_max), g.regular_degree - 1)
 
 
-def _chebyshev_matrix_table(m: np.ndarray, r_max: int) -> np.ndarray:
-    """Stacked float X_0(M)..X_{r_max}(M) via the matrix three-term recurrence."""
-    table = np.empty((r_max + 1,) + m.shape, dtype=m.dtype)
-    table[0] = np.eye(m.shape[0])
-    if r_max >= 1:
-        table[1] = m
-    for r in range(2, r_max + 1):
-        table[r] = m @ table[r - 1] - table[r - 2]
-    return table
-
-
 def _require_float_walks(q: int, r_max: int) -> None:
     """Reject an r_max at which an A_r entry, colored or not, can pass the largest
     float: it is at most (q+1) q^(r-1), the NB walks of length r from a vertex."""
@@ -170,11 +161,17 @@ def _require_float_walks(q: int, r_max: int) -> None:
 
 def _friedman_deviations(a: np.ndarray, q: int, seq: list[np.ndarray]) -> list[float]:
     """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| at each r, NaN where a
-    deviation is NaN: the left side in floating point through the polynomial
-    recurrence, the right side the sequence built by ``_nb_recurrence``."""
-    family = xrq_from_x(_chebyshev_matrix_table(a / math.sqrt(q), len(seq) - 1), q)
-    return [float(np.abs(q ** (r / 2.0) * family[r] - np.asarray(m, dtype=family.dtype)).max())
-            for r, m in enumerate(seq)]
+    deviation is NaN: the left side in floating point, X_r(M) walked by
+    X_r = M X_{r-1} - X_{r-2} beside ``seq`` (built by ``_nb_recurrence``),
+    so only X_{r-2}, X_{r-1} and X_r are held."""
+    m = a / math.sqrt(q)
+    devs, older, old = [], None, None
+    for r, a_r in enumerate(seq):
+        x = np.eye(len(m), dtype=m.dtype) if r == 0 else m if r == 1 else m @ old - older
+        dev = q ** (r / 2.0) * (x - older / q if r >= 2 else x)  # X_{r,q} = X_r - X_{r-2} / q
+        devs.append(float(np.abs(dev - np.asarray(a_r, dtype=m.dtype)).max()))
+        older, old = old, x
+    return devs
 
 
 def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:

@@ -61,6 +61,26 @@ def test_census_stdout_when_no_out(k4_file, capsys):
     assert out.startswith("r,f,c,z")
 
 
+def test_census_csv_format(tmp_path, capsys):
+    # stdout carries the rows of the --out CSV without its manifest_hash
+    # column; past BRUTE_R_CAP (r_max = 16) the z cells are empty strings
+    path = tmp_path / "c4.txt"
+    save_graph_file(cycle_graph(4), path)
+    printed = {}
+    for rmax in (4, 16):
+        out = tmp_path / str(rmax)
+        assert main(["census", str(path), "--rmax", str(rmax), "--out", str(out)]) == 0
+        assert main(["census", str(path), "--rmax", str(rmax)]) == 0
+        lines = capsys.readouterr().out.split("girth = 4\n", 1)[1].splitlines()  # after --out
+        filed = [row.split(",", 1)[1] for row in (out / "census.csv").read_text().splitlines()]
+        assert len(filed) == rmax + 2 and lines[:rmax + 2] == filed
+        printed[rmax] = lines
+    assert printed[16][17] == "16,8,8," and printed[16][-1] == "girth = 4"
+    assert printed[4][0] == "r,f,c,z"
+    assert printed[4][1] == "0,4,0,0"
+    assert printed[4][5] == "4,8,8,1"
+
+
 def test_census_json_needs_out(k4_file, capsys):
     # stdout carries CSV only, so a json request without a directory is refused
     assert main(["census", str(k4_file), "--rmax", "4", "--format", "json"]) == 2

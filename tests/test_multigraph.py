@@ -19,7 +19,7 @@ from nbspectra import multigraph
 from nbspectra.multigraph import (BRUTE_R_CAP, CapExceededError, GraphError,
                                   GraphFormatError, MultiGraph, RegularityError,
                                   build_from_edge_list, brute_walk_counts,
-                                  census_to_csv, complete_graph, cycle_graph,
+                                  complete_graph, cycle_graph,
                                   enumerate_circles,
                                   format_graph_text, girth, parse_graph_text,
                                   petersen_graph, walk_census)
@@ -437,15 +437,6 @@ def test_census_multigraph_with_loops():
     assert list(census.f) == f
     assert list(census.c) == c
     assert census.z[1] == 1 and census.z[2] == 1
-
-
-def test_census_csv_format(c4):
-    census = walk_census(c4, 4)
-    text = census_to_csv(census)
-    lines = text.strip().splitlines()
-    assert lines[0] == "r,f,c,z"
-    assert lines[1] == "0,4,0,0"
-    assert lines[-1] == "4,8,8,1"
 
 
 def test_frzr_right_bound_tightness(k4):

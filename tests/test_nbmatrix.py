@@ -270,6 +270,18 @@ def test_nb_sequence_base_relations(k4):
     assert (seq[2] + 3 * np.eye(4, dtype=np.int64) == a @ a).all()
 
 
+@pytest.mark.parametrize("r_max", [-1, -2])
+@pytest.mark.parametrize("fn", [
+    nb_matrix_sequence, verify_friedman_identity,
+    lambda g, r_max: colored_nb_sequence(g, trivial_color(g), r_max),
+    nb_trace_sequence, circuit_count_sequence, trace_identities_report, walk_census],
+    ids=["nb_matrix_sequence", "verify_friedman_identity", "colored_nb_sequence",
+         "nb_trace_sequence", "circuit_count_sequence", "trace_identities_report", "walk_census"])
+def test_negative_r_max_is_rejected(petersen, fn, r_max):
+    with pytest.raises(GraphError, match=f"r_max must be nonnegative, got {r_max}"):
+        fn(petersen, r_max)
+
+
 def test_nb_traces_equal_brute(k4, c4):
     assert int(np.trace(nb_matrix_sequence(k4, 3)[3])) == 24
     assert int(np.trace(nb_matrix_sequence(c4, 4)[4])) == 8
@@ -404,6 +416,62 @@ def test_friedman_deviation_keeps_nan(k4):
     devs = nbmatrix._friedman_deviations(adjacency(k4), 2, seq)
     assert [math.isnan(dev) for dev in devs] == [False, False, False, True, False]
     assert math.isnan(np.max(devs))
+
+
+def _stacked_friedman_deviations(a, q, seq) -> list[float]:
+    """The earlier deviation pass: every X_r(A/sqrt(q)) stacked into one
+    (r_max + 1) x n x n table, then the whole X_{r,q} table beside it."""
+    m, r_max = a / math.sqrt(q), len(seq) - 1
+    table = np.empty((r_max + 1,) + m.shape, dtype=m.dtype)
+    table[0] = np.eye(m.shape[0])
+    if r_max >= 1:
+        table[1] = m
+    for r in range(2, r_max + 1):
+        table[r] = m @ table[r - 1] - table[r - 2]
+    family = np.array(table)
+    family[2:] -= table[:-2] / q
+    return [float(np.abs(q ** (r / 2.0) * family[r] - np.asarray(s, dtype=family.dtype)).max())
+            for r, s in enumerate(seq)]
+
+
+def _assert_deviations_match_the_stacked_pass(a, q, seq):
+    got = nbmatrix._friedman_deviations(a, q, seq)
+    assert np.array(got).tobytes() == np.array(_stacked_friedman_deviations(a, q, seq)).tobytes()
+
+
+@pytest.mark.parametrize("r_max", [0, 1, 2, 12])
+def test_friedman_deviations_match_the_stacked_pass(named_graphs, regular_corpus, r_max):
+    for _, g in [*named_graphs, *regular_corpus[::25]]:
+        _assert_deviations_match_the_stacked_pass(
+            adjacency(g), g.regular_degree - 1, nb_matrix_sequence(g, r_max))
+
+
+def test_friedman_deviations_match_the_stacked_pass_at_r_max_1023(k4):
+    _assert_deviations_match_the_stacked_pass(adjacency(k4), 2, nb_matrix_sequence(k4, 1023))
+
+
+@pytest.mark.parametrize("fold", [4, 16])
+def test_colored_friedman_deviations_match_the_stacked_pass(named_graphs, fold):
+    for _, g in named_graphs:
+        a = colored_adjacency(g, haar_unitary_color(g, fold, RngStream(fold)))
+        q = g.regular_degree - 1
+        _assert_deviations_match_the_stacked_pass(
+            a, q, nbmatrix._nb_recurrence(a, q, 30, lambda m, r: m @ a))
+
+
+@pytest.mark.parametrize("fold, r_max", [(32, 12), (64, 30)])
+def test_friedman_deviations_hold_a_few_matrices(k4, fold, r_max):
+    # X_{r-2}, X_{r-1}, X_r, A / sqrt(q) and the terms of one deviation; the
+    # stacked pass held 3 (r_max + 1) - 2 matrices
+    a = colored_adjacency(k4, haar_unitary_color(k4, fold, RngStream(0)))
+    seq = nbmatrix._nb_recurrence(a, 2, r_max, lambda m, r: m @ a)
+    assert _traced_peak(nbmatrix._friedman_deviations, a, 2, seq) <= 8 * a.nbytes
+
+
+def test_friedman_check_peak_at_n_256():
+    # 13 int64 A_r, the adjacency, and the few matrices of the deviation pass
+    g = sample_regular_graph(256, 4, RngStream(1))
+    assert _traced_peak(verify_friedman_identity, g, 12) <= 22 * 256 ** 2 * 8
 
 
 def test_colored_sequence_rejects_a_nan_deviation(k4, monkeypatch):
