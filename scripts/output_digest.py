@@ -66,7 +66,8 @@ INVOCATIONS = ([LIFT_POOL + str(seed) for seed in range(32)]
                + ["laws", "lift {k4} --N 2 --N 8 --trials 3 --rmax 4 --format json",
                   "census {heawood} --rmax 10",
                   "lift {k4} --N 2 --N 8 --p 3 --p 400 --trials 3 --rmax 4",
-                  "census {petersen} --rmax 16"])  # past BRUTE_R_CAP: no z
+                  "census {petersen} --rmax 16",  # past BRUTE_R_CAP: no z
+                  "census {loops} --rmax 60"])  # A_j products pass 2^63 from j = 28
 
 
 def digest(invocation: str) -> str:

@@ -455,7 +455,7 @@ def walk_census(g: MultiGraph, r_max: int) -> WalkCensus:
     brute cap."""
     from . import nbmatrix  # deferred: nbmatrix imports MultiGraph from here
 
-    f = nbmatrix.nb_trace_sequence(g, r_max)  # checks r_max, then regularity
+    f = nbmatrix.nb_trace_sequence(g, r_max)  # checks regularity, then r_max
     q = g.regular_degree - 1
     c = nbmatrix._circuits_from_traces(f, q)
     z = tuple(enumerate_circles(g, r_max)) if r_max <= BRUTE_R_CAP else None

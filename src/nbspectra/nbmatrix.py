@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,29 +67,27 @@ def adjacency(g: MultiGraph, dtype=np.int64) -> np.ndarray:
     return a
 
 
-def _nb_recurrence(a: np.ndarray, q: int, r_max: int, times_a) -> list[np.ndarray]:
-    """A_0..A_{r_max} from A_0 = I, A_1 = A, A_2 = A^2 - (q+1) I and
-    A_r = A A_{r-1} - q A_{r-2} for r >= 3, with ``times_a(A_{r-1}, r)``
-    giving A A_{r-1}, which is A_{r-1} A: both are polynomials in A."""
+def _nb_recurrence(a: np.ndarray, q: int, r_max: int, times_a) -> Iterator[np.ndarray]:
+    """Yield A_0..A_{r_max}, each as the caller reads it, from A_0 = I, A_1 = A,
+    A_2 = A^2 - (q+1) I and A_r = A A_{r-1} - q A_{r-2} for r >= 3, holding only
+    A_{r-2}, A_{r-1} and the product ``times_a(A_{r-1}, r)``: that is A A_{r-1},
+    which is A_{r-1} A, both polynomials in A."""
     if r_max < 0:
         raise GraphError(f"r_max must be nonnegative, got {r_max}")
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    seq = [eye]
+    older = np.eye(a.shape[0], dtype=a.dtype)
+    yield older
     if r_max >= 1:
-        seq.append(a.copy())
-    if r_max >= 2:
-        seq.append(times_a(a, 2) - (q + 1) * eye)
-    for r in range(3, r_max + 1):
-        prod = times_a(seq[-1], r)  # q * A_{r-2} may pass int64 once prod is object
-        seq.append(prod - q * seq[-2].astype(prod.dtype))
-    return seq
+        yield (old := a.copy())
+    for r in range(2, r_max + 1):
+        prod = times_a(old, r)  # q * A_{r-2} may pass int64 once prod is object
+        prod -= (q + 1 if r == 2 else q) * older.astype(prod.dtype, copy=False)
+        older, old = old, prod
+        yield prod
 
 
-def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
-    """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph.
-
-    A_{r-1} is symmetric with rows summing to (q+1) q^(r-2), so (q+1) q^(r-2)
-    max A bounds the product A A_{r-1}."""
+def _nb_matrices(g: MultiGraph, r_max: int) -> Iterator[np.ndarray]:
+    """The exact A_0, A_1, .. on a regular graph: A_{r-1} is symmetric with rows
+    summing to (q+1) q^(r-2), so (q+1) q^(r-2) max A bounds the product A A_{r-1}."""
     q = g.regular_degree - 1
     a = adjacency(g)
     heads, top = g.head[g._out_table], int(a.max())
@@ -96,24 +95,31 @@ def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
                           lambda m, r: exact_int_dot(heads, m, (q + 1) * q ** (r - 2) * top))
 
 
+def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
+    """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph."""
+    return list(_nb_matrices(g, r_max))
+
+
 def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
-    """Closed-NBW counts f_0..f_{r_max}, f_r = tr(A_r), from A_0..A_{ceil(r_max/2)}.
+    """Closed-NBW counts f_0..f_{r_max}, f_r = tr(A_r), from A_0..A_{ceil(r_max/2)} as they stream.
 
     For 1 <= j <= k, A_j A_k = A_{j+k} + sum_{i=1}^{j-1} (q-1) q^(i-1) A_{j+k-2i}
     + c_j A_{k-j}, with c_j = q^j if j < k and (q+1) q^(j-1) if j = k, so f_r
     is tr(A_j A_k) at j = r // 2, k = r - j, less the traces of the lower
-    terms.  Entries of A_j count walks, so they are nonnegative, and a row of
-    A_j sums to (q+1) q^(j-1): its entries sum to n (q+1) q^(j-1), the bound
-    ``_pair_trace`` takes.
+    terms: f_{2k-1} and f_{2k} read A_{k-1} and A_k, so two A_j are held.  Entries
+    of A_j count walks, so they are nonnegative, and a row of A_j sums to
+    (q+1) q^(j-1): its entries sum to n (q+1) q^(j-1), the bound ``_pair_trace`` takes.
     """
-    if r_max < 0:  # (r_max + 1) // 2 is 0 at r_max = -1
-        raise GraphError(f"r_max must be nonnegative, got {r_max}")
     q = g.regular_degree - 1
-    seq = nb_matrix_sequence(g, (r_max + 1) // 2)
-    f = [int(np.trace(m, dtype=object)) for m in seq[:2]]
-    for r in range(2, r_max + 1):
+    stream = _nb_matrices(g, r_max)
+    f, a_k = [], next(stream)  # reading A_0 checks r_max
+    for r in range(r_max + 1):
         j, k = r // 2, r - r // 2
-        total = _pair_trace(seq[j], seq[k], g.n_vertices * (q + 1) * q ** (j - 1))
+        a_j, a_k = (a_k, next(stream)) if r % 2 else (a_k, a_k)
+        if r < 2:  # f_0 = tr(A_0), f_1 = tr(A_1)
+            f.append(int(np.trace(a_k, dtype=object)))
+            continue
+        total = _pair_trace(a_j, a_k, g.n_vertices * (q + 1) * q ** (j - 1))
         lower = sum((q - 1) * q ** (i - 1) * f[r - 2 * i] for i in range(1, j))
         c_j = q ** j if j < k else (q + 1) * q ** (j - 1)
         f.append(total - lower - c_j * f[k - j])
@@ -159,11 +165,11 @@ def _require_float_walks(q: int, r_max: int) -> None:
                          f"the largest allowed r_max is {largest}")
 
 
-def _friedman_deviations(a: np.ndarray, q: int, seq: list[np.ndarray]) -> list[float]:
+def _friedman_deviations(a: np.ndarray, q: int, seq: Iterable[np.ndarray]) -> list[float]:
     """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| at each r, NaN where a
     deviation is NaN: the left side in floating point, X_r(M) walked by
-    X_r = M X_{r-1} - X_{r-2} beside ``seq`` (built by ``_nb_recurrence``),
-    so only X_{r-2}, X_{r-1} and X_r are held."""
+    X_r = M X_{r-1} - X_{r-2} as ``seq`` (a list, or ``_nb_recurrence``'s stream)
+    yields A_r, so only X_{r-2}, X_{r-1}, X_r and the A_r read are held."""
     m = a / math.sqrt(q)
     devs, older, old = [], None, None
     for r, a_r in enumerate(seq):
@@ -176,10 +182,10 @@ def _friedman_deviations(a: np.ndarray, q: int, seq: list[np.ndarray]) -> list[f
 
 def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:
     """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over r <= r_max,
-    against the exact integer matrices A_r."""
+    against the exact integer matrices A_r, streamed one r at a time."""
     q = g.regular_degree - 1
     _require_float_walks(q, r_max)
-    return float(np.max(_friedman_deviations(adjacency(g), q, nb_matrix_sequence(g, r_max))))
+    return float(np.max(_friedman_deviations(adjacency(g), q, _nb_matrices(g, r_max))))
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,7 @@ class TraceIdentityReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(max(self.dev_nbw), max(self.dev_geometric), max(self.dev_circuit))
+        return max(self.dev_nbw + self.dev_geometric + self.dev_circuit)  # dev_nbw holds r = 0
 
 
 def trace_identities_report(g: MultiGraph, r_max: int) -> TraceIdentityReport:
@@ -270,7 +276,7 @@ def colored_nb_sequence(g: MultiGraph, color: np.ndarray, r_max: int):
     q = g.regular_degree - 1
     _require_float_walks(q, r_max)
     a_sigma = colored_adjacency(g, color)
-    seq = _nb_recurrence(a_sigma, q, r_max, lambda m, r: m @ a_sigma)
+    seq = list(_nb_recurrence(a_sigma, q, r_max, lambda m, r: m @ a_sigma))
     devs = _friedman_deviations(a_sigma, q, seq)
     for r, dev in enumerate(devs):  # a NaN deviation fails too
         if not dev <= COLOR_IDENTITY_TOL * max(1, (q + 1) * q ** (r - 1)):

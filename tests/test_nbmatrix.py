@@ -456,7 +456,7 @@ def test_colored_friedman_deviations_match_the_stacked_pass(named_graphs, fold):
         a = colored_adjacency(g, haar_unitary_color(g, fold, RngStream(fold)))
         q = g.regular_degree - 1
         _assert_deviations_match_the_stacked_pass(
-            a, q, nbmatrix._nb_recurrence(a, q, 30, lambda m, r: m @ a))
+            a, q, list(nbmatrix._nb_recurrence(a, q, 30, lambda m, r: m @ a)))
 
 
 @pytest.mark.parametrize("fold, r_max", [(32, 12), (64, 30)])
@@ -464,14 +464,24 @@ def test_friedman_deviations_hold_a_few_matrices(k4, fold, r_max):
     # X_{r-2}, X_{r-1}, X_r, A / sqrt(q) and the terms of one deviation; the
     # stacked pass held 3 (r_max + 1) - 2 matrices
     a = colored_adjacency(k4, haar_unitary_color(k4, fold, RngStream(0)))
-    seq = nbmatrix._nb_recurrence(a, 2, r_max, lambda m, r: m @ a)
+    seq = list(nbmatrix._nb_recurrence(a, 2, r_max, lambda m, r: m @ a))
     assert _traced_peak(nbmatrix._friedman_deviations, a, 2, seq) <= 8 * a.nbytes
 
 
 def test_friedman_check_peak_at_n_256():
-    # 13 int64 A_r, the adjacency, and the few matrices of the deviation pass
+    # A_{r-2}, A_{r-1} and A_r as they stream, two adjacencies and the few
+    # matrices of the deviation pass, whatever r_max; the whole A_r list held
+    # 21 matrices at r_max 12 and 39 at r_max 30
     g = sample_regular_graph(256, 4, RngStream(1))
-    assert _traced_peak(verify_friedman_identity, g, 12) <= 22 * 256 ** 2 * 8
+    for r_max in (12, 30):
+        assert _traced_peak(verify_friedman_identity, g, r_max) <= 12 * 256 ** 2 * 8, r_max
+
+
+def test_nb_traces_hold_a_few_matrices():
+    # two A_j of the stream, the product being built and its terms; the list
+    # A_0..A_6 held 10
+    g = pairing_multigraph(1024, 8, 0)
+    assert _traced_peak(nb_trace_sequence, g, 12) <= 6 * 1024 ** 2 * 8
 
 
 def test_colored_sequence_rejects_a_nan_deviation(k4, monkeypatch):
@@ -484,6 +494,7 @@ def test_colored_sequence_rejects_a_nan_deviation(k4, monkeypatch):
 
 def test_trace_identities_named(k4, c4):
     assert trace_identities_report(k4, 8).max_deviation <= 1e-8
+    assert trace_identities_report(k4, 0).max_deviation <= 1e-10  # no circuit term at r = 0
     rep = trace_identities_report(c4, 4)
     assert rep.max_deviation <= 1e-10
     # q = 1 on C4 at r = 4: Tr Y_4(A) = c_4 = 8, no even-term correction
