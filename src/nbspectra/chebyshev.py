@@ -103,6 +103,8 @@ def eval_X_table(r_max: int, x) -> np.ndarray:
     satisfy |X_r| <= r + 1, so the recurrence does not amplify rounding the
     way the explicit binomial sum does.
     """
+    if r_max < 0:
+        raise PolynomialError(f"r_max must be nonnegative, got {r_max}")
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty((r_max + 1,) + xs.shape)
     out[0] = 1.0

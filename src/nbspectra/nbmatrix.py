@@ -9,7 +9,8 @@ a regular graph the circuit counts c_r = tr(B^r) of the dart matrix B follow
 from them in closed form, so B itself is never multiplied.
 
 A unitary coloring is a complex (edges, N, N) array: row k is the block of
-edge k's even dart, and the twin dart carries its adjoint.
+edge k's even dart, and the twin dart carries its adjoint; no coloring is
+the coloring by 1 x 1 identity blocks, with exact A_r.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class ColorError(ValueError):
 
 
 class ColorInvariantError(RuntimeError):
-    """A colored matrix broke an identity its construction guarantees
+    """An A_r, colored or not, broke an identity its construction guarantees
     (internal bug trap)."""
 
 
@@ -85,19 +86,19 @@ def _nb_recurrence(a: np.ndarray, q: int, r_max: int, times_a) -> Iterator[np.nd
         yield prod
 
 
-def _nb_matrices(g: MultiGraph, r_max: int) -> Iterator[np.ndarray]:
-    """The exact A_0, A_1, .. on a regular graph: A_{r-1} is symmetric with rows
-    summing to (q+1) q^(r-2), so (q+1) q^(r-2) max A bounds the product A A_{r-1}."""
+def nb_matrix_sequence(g: MultiGraph, r_max: int, color=None) -> Iterator[np.ndarray]:
+    """Stream A_0..A_{r_max} of a regular graph.  With no ``color``, the exact A_r:
+    A_{r-1} is symmetric with rows summing to (q+1) q^(r-2), so (q+1) q^(r-2) max A
+    bounds the product A A_{r-1}.  Else the complex A_r of ``colored_adjacency``."""
     q = g.regular_degree - 1
+    if color is not None:
+        _require_float_walks(q, r_max)
+        a = colored_adjacency(g, color)
+        return _nb_recurrence(a, q, r_max, lambda m, r: m @ a)
     a = adjacency(g)
     heads, top = g.head[g._out_table], int(a.max())
     return _nb_recurrence(a, q, r_max,
                           lambda m, r: exact_int_dot(heads, m, (q + 1) * q ** (r - 2) * top))
-
-
-def nb_matrix_sequence(g: MultiGraph, r_max: int) -> list[np.ndarray]:
-    """Exact non-backtracking matrices A_0..A_{r_max} on a regular graph."""
-    return list(_nb_matrices(g, r_max))
 
 
 def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
@@ -111,7 +112,7 @@ def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
     (q+1) q^(j-1): its entries sum to n (q+1) q^(j-1), the bound ``_pair_trace`` takes.
     """
     q = g.regular_degree - 1
-    stream = _nb_matrices(g, r_max)
+    stream = nb_matrix_sequence(g, r_max)
     f, a_k = [], next(stream)  # reading A_0 checks r_max
     for r in range(r_max + 1):
         j, k = r // 2, r - r // 2
@@ -165,27 +166,34 @@ def _require_float_walks(q: int, r_max: int) -> None:
                          f"the largest allowed r_max is {largest}")
 
 
-def _friedman_deviations(a: np.ndarray, q: int, seq: Iterable[np.ndarray]) -> list[float]:
+def _friedman_deviations(q: int, seq: Iterable[np.ndarray]) -> list[float]:
     """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| at each r, NaN where a
-    deviation is NaN: the left side in floating point, X_r(M) walked by
-    X_r = M X_{r-1} - X_{r-2} as ``seq`` (a list, or ``_nb_recurrence``'s stream)
-    yields A_r, so only X_{r-2}, X_{r-1}, X_r and the A_r read are held."""
-    m = a / math.sqrt(q)
-    devs, older, old = [], None, None
+    deviation is NaN: the left side in floating point, X_r(M) of M = A_1/sqrt(q)
+    walked by X_r = M X_{r-1} - X_{r-2} as ``seq`` (a list, or ``nb_matrix_sequence``)
+    yields A_r, so only M, X_{r-2}, X_{r-1}, X_r and the A_r read are held."""
+    devs, older, old, m = [], None, None, None
     for r, a_r in enumerate(seq):
-        x = np.eye(len(m), dtype=m.dtype) if r == 0 else m if r == 1 else m @ old - older
+        m = a_r / math.sqrt(q) if r == 1 else m
+        x = (m @ old - older if r >= 2 else m if r == 1
+             else np.eye(len(a_r), dtype=np.result_type(a_r, 1.0)))
         dev = q ** (r / 2.0) * (x - older / q if r >= 2 else x)  # X_{r,q} = X_r - X_{r-2} / q
-        devs.append(float(np.abs(dev - np.asarray(a_r, dtype=m.dtype)).max()))
+        devs.append(float(np.abs(dev - np.asarray(a_r, dtype=x.dtype)).max()))
         older, old = old, x
     return devs
 
 
-def verify_friedman_identity(g: MultiGraph, r_max: int) -> float:
-    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over r <= r_max,
-    against the exact integer matrices A_r, streamed one r at a time."""
+def verify_friedman_identity(g: MultiGraph, r_max: int, color=None) -> float:
+    """Max entrywise |q^{r/2} X_{r,q}(A/sqrt(q)) - A_r| over r <= r_max against
+    ``nb_matrix_sequence(g, r_max, color)``, streamed one r at a time.  A deviation
+    past ``COLOR_IDENTITY_TOL`` times max(1, (q+1) q^(r-1)), the bound
+    ``_require_float_walks`` puts on an A_r entry, or a NaN one, raises ColorInvariantError."""
     q = g.regular_degree - 1
     _require_float_walks(q, r_max)
-    return float(np.max(_friedman_deviations(adjacency(g), q, _nb_matrices(g, r_max))))
+    devs = _friedman_deviations(q, nb_matrix_sequence(g, r_max, color))
+    for r, dev in enumerate(devs):  # a NaN deviation fails too
+        if not dev <= COLOR_IDENTITY_TOL * max(1, (q + 1) * q ** (r - 1)):
+            raise ColorInvariantError(f"polynomial identity deviates by {dev:.3e} at r={r}")
+    return float(np.max(devs))
 
 
 @dataclass(frozen=True)
@@ -206,8 +214,10 @@ class TraceIdentityReport:
 def trace_identities_report(g: MultiGraph, r_max: int) -> TraceIdentityReport:
     """Check the three trace identities against the exact closed-NBW counts f
     (``nb_trace_sequence``) and the circuit counts c read off them, each
-    Tr X_r(A/sqrt(q)) summed over the spectrum as the moment statistics are."""
+    Tr X_r(A/sqrt(q)) summed over the spectrum as the moment statistics are; a count
+    is divided by q^(r//2) exactly before it is rounded, so none passes float range."""
     q = g.regular_degree - 1
+    _require_float_walks(q, r_max)
     f = nb_trace_sequence(g, r_max)
     c = _circuits_from_traces(f, q)
     eigs = np.linalg.eigvalsh(adjacency(g, np.float64))
@@ -217,13 +227,13 @@ def trace_identities_report(g: MultiGraph, r_max: int) -> TraceIdentityReport:
 
     dev_nbw, dev_geo, dev_circ = [], [], []
     for r in range(r_max + 1):
-        scale = q ** (-r / 2.0)
-        dev_nbw.append(abs(t_xrq[r] - scale * f[r]))
+        half, odd = q ** (r // 2), q ** (-(r % 2) / 2.0)  # q^{-r/2} = odd / half
+        dev_nbw.append(abs(t_xrq[r] - f[r] / half * odd))
         approx_sum = sum(f[r - 2 * k] for k in range(r // 2 + 1))
-        dev_geo.append(abs(traces[r] - scale * approx_sum))
+        dev_geo.append(abs(traces[r] - approx_sum / half * odd))
         if r >= 1:
-            correction = (q - 1) * scale * g.n_vertices if (r % 2 == 0 and r >= 2) else 0.0
-            dev_circ.append(abs(t_y[r] - (scale * c[r] - correction)))
+            correction = (q - 1) * g.n_vertices / half * odd if (r % 2 == 0 and r >= 2) else 0.0
+            dev_circ.append(abs(t_y[r] - (c[r] / half * odd - correction)))
     return TraceIdentityReport(r_max=r_max, q=q, dev_nbw=tuple(dev_nbw),
                                dev_geometric=tuple(dev_geo), dev_circuit=tuple(dev_circ))
 
@@ -263,22 +273,3 @@ def colored_adjacency(g: MultiGraph, color: np.ndarray) -> np.ndarray:
     out += out.conj().T
     return out
 
-
-def colored_nb_sequence(g: MultiGraph, color: np.ndarray, r_max: int):
-    """Colored non-backtracking matrices A_r^sigma with the polynomial check.
-
-    Returns (sequence, max polynomial deviation).  The sequence follows the
-    non-backtracking recurrence on the colored adjacency A^s; each term is
-    compared against q^{r/2} X_{r,q}(A^s / sqrt(q)) and the run rejects a
-    deviation past ``COLOR_IDENTITY_TOL`` times max(1, (q+1) q^(r-1)), the
-    bound ``_require_float_walks`` puts on an A_r entry.
-    """
-    q = g.regular_degree - 1
-    _require_float_walks(q, r_max)
-    a_sigma = colored_adjacency(g, color)
-    seq = list(_nb_recurrence(a_sigma, q, r_max, lambda m, r: m @ a_sigma))
-    devs = _friedman_deviations(a_sigma, q, seq)
-    for r, dev in enumerate(devs):  # a NaN deviation fails too
-        if not dev <= COLOR_IDENTITY_TOL * max(1, (q + 1) * q ** (r - 1)):
-            raise ColorInvariantError(f"colored polynomial identity deviates by {dev:.3e} at r={r}")
-    return seq, float(np.max(devs))

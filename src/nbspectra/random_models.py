@@ -59,6 +59,10 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:  # refused here, before numpy's unnamed one at the first draw
+            raise SamplerError(f"seed must be nonnegative, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed,
                                     spawn_key=(self.stream_id,))

@@ -26,8 +26,7 @@ from nbspectra.cli import growing_degree, lift_convergence
 from nbspectra.multigraph import (brute_walk_counts, complete_graph,
                                   cycle_graph, enumerate_circles, girth,
                                   petersen_graph, walk_census)
-from nbspectra.nbmatrix import (colored_nb_sequence, trace_identities_report,
-                                verify_friedman_identity)
+from nbspectra.nbmatrix import trace_identities_report, verify_friedman_identity
 from nbspectra.random_models import (RetryBudgetError, RngStream,
                                      cycle_moment_estimate, haar_unitary_color,
                                      nica_trace_estimate, permutation_color,
@@ -81,11 +80,11 @@ def test_criterion_02_friedman_identity(graph_set):
     for name, g in colored_targets:
         for fold in (4, 16):
             perms, _ = sample_lift(g, fold, RngStream(seed=90 + fold))
-            _, dev = colored_nb_sequence(g, permutation_color(g, perms), 12)
+            dev = verify_friedman_identity(g, 12, permutation_color(g, perms))
             assert dev <= 1e-8, (name, "permutation", fold)
         for fold in (2, 4):
             color = haar_unitary_color(g, fold, RngStream(seed=70 + fold))
-            _, dev = colored_nb_sequence(g, color, 12)
+            dev = verify_friedman_identity(g, 12, color)
             assert dev <= 1e-8, (name, "haar", fold)
     elapsed = time.time() - t0
     assert elapsed < 60.0

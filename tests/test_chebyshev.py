@@ -15,6 +15,7 @@ from nbspectra.chebyshev import (ExactPolynomial, PolynomialError,
                                  eval_X_table, generating_function_residual,
                                  poly_X, poly_Xrq,
                                  xrq_from_x)
+from nbspectra.spectra import DiscreteSpectralMeasure
 
 
 def test_base_cases():
@@ -149,6 +150,17 @@ def test_generating_function_domain_rejections():
         generating_function_residual(10, 1.0, 0.5, 3)
     with pytest.raises(PolynomialError):
         generating_function_residual(10, 2.5, 0.1, 3)
+
+
+@pytest.mark.parametrize("r_max", [-1, -2])
+@pytest.mark.parametrize("fn", [
+    lambda r_max: eval_X_table(r_max, [0.5, 1.0]),
+    lambda r_max: DiscreteSpectralMeasure(points=np.array([0.5, 1.0]), q=2.0).family_moments(r_max, 2.0),
+    lambda r_max: generating_function_residual(r_max, 1.0, 0.2, 3)],
+    ids=["eval_X_table", "family_moments", "generating_function_residual"])
+def test_negative_r_max_is_a_polynomial_error(fn, r_max):
+    with pytest.raises(PolynomialError, match=f"r_max must be nonnegative, got {r_max}"):
+        fn(r_max)
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,7 +28,7 @@ from nbspectra.cli import (CliInputError, ExperimentManifest, build_parser,
 from nbspectra.multigraph import (CensusInvariantError, WalkCensus,
                                   build_from_edge_list, complete_graph,
                                   cycle_graph, save_graph_file, walk_census)
-from nbspectra.nbmatrix import colored_nb_sequence
+from nbspectra.nbmatrix import nb_matrix_sequence
 from nbspectra.random_models import RngStream, haar_unitary_color
 from nbspectra.spectra import measures
 
@@ -309,6 +309,11 @@ def test_grow_parity_error_exit_code(capsys):
      "N=1048576 has 4194304 atoms: its X_r table passes 4194304 entries at every --rmax"),
     (["grow", "--n", "5000000", "--schedule", "fixed", "--q", "3"],
      "n=5000000 has 5000000 atoms: its X_r table passes 4194304 entries at every --rmax"),
+    (["lift", "{k4}", "--N", "2", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["lift", "{k4}", "--color", "trivial", "--N", "2", "--seed", "-3"],
+     "seed must be nonnegative, got -3"),
+    (["grow", "--n", "16", "--schedule", "fixed", "--q", "2", "--trials", "1", "--seed", "-5"],
+     "seed must be nonnegative, got -5"),
 ])
 def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
     argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
@@ -414,7 +419,7 @@ def test_haar_residuals_are_normalized_colored_traces():
                               p_list=[1.0], color="haar")
     # the stream of trial 0 of the fold's cell
     color = haar_unitary_color(base, fold, RngStream(seed).child(fold).child(0))
-    seq, _ = colored_nb_sequence(base, color, r_max)
+    seq = list(nb_matrix_sequence(base, r_max, color))
     q, n = 2, base.n_vertices
     for r, got in enumerate(_residuals(result), start=1):
         want = q ** (-r / 2.0) * np.trace(seq[r]).real / (n * fold)

@@ -21,7 +21,7 @@ from nbspectra.multigraph import (GraphError, MultiGraph, RegularityError, brute
 from nbspectra.nbmatrix import (ColorError,
                                 ColorInvariantError, adjacency,
                                 circuit_count_sequence, colored_adjacency,
-                                colored_nb_sequence, exact_int_dot,
+                                exact_int_dot,
                                 nb_matrix_sequence,
                                 nb_trace_sequence,
                                 trace_identities_report,
@@ -227,7 +227,7 @@ def test_bouquet_counts_match_closed_forms_across_int64(loops):
     # so c_r = q^r + loops + (loops - 1)(-1)^r.  Both pass 2^63 by r = 60.
     g = build_from_edge_list([(0, 0)] * loops, 1)
     q = 2 * loops - 1
-    assert [int(m[0, 0]) for m in nb_matrix_sequence(g, 60)[1:]] == [
+    assert [int(m[0, 0]) for m in list(nb_matrix_sequence(g, 60))[1:]] == [
         (q + 1) * q ** (r - 1) for r in range(1, 61)]
     assert circuit_count_sequence(g, 60) == [0] + [
         q ** r + loops + (loops - 1) * (-1) ** r for r in range(1, 61)]
@@ -263,7 +263,7 @@ def test_census_across_int64_matches_object_products(g, monkeypatch):
 # -- non-backtracking sequences ----------------------------------------------------
 
 def test_nb_sequence_base_relations(k4):
-    seq = nb_matrix_sequence(k4, 4)
+    seq = list(nb_matrix_sequence(k4, 4))
     a = adjacency(k4)
     assert (seq[0] == np.eye(4, dtype=np.int64)).all()
     assert (seq[1] == a).all()
@@ -272,8 +272,8 @@ def test_nb_sequence_base_relations(k4):
 
 @pytest.mark.parametrize("r_max", [-1, -2])
 @pytest.mark.parametrize("fn", [
-    nb_matrix_sequence, verify_friedman_identity,
-    lambda g, r_max: colored_nb_sequence(g, trivial_color(g), r_max),
+    lambda g, r_max: list(nb_matrix_sequence(g, r_max)), verify_friedman_identity,
+    lambda g, r_max: verify_friedman_identity(g, r_max, trivial_color(g)),
     nb_trace_sequence, circuit_count_sequence, trace_identities_report, walk_census],
     ids=["nb_matrix_sequence", "verify_friedman_identity", "colored_nb_sequence",
          "nb_trace_sequence", "circuit_count_sequence", "trace_identities_report", "walk_census"])
@@ -283,8 +283,8 @@ def test_negative_r_max_is_rejected(petersen, fn, r_max):
 
 
 def test_nb_traces_equal_brute(k4, c4):
-    assert int(np.trace(nb_matrix_sequence(k4, 3)[3])) == 24
-    assert int(np.trace(nb_matrix_sequence(c4, 4)[4])) == 8
+    assert int(np.trace(list(nb_matrix_sequence(k4, 3))[3])) == 24
+    assert int(np.trace(list(nb_matrix_sequence(c4, 4))[4])) == 8
     for g in (k4, c4, petersen_graph()):
         traces = nb_trace_sequence(g, 7)
         f, _ = brute_walk_counts(g, 7)
@@ -337,7 +337,7 @@ def test_nb_sequence_row_sums(petersen, c4):
     # exactly (q+1) q^(r-1) NBWs of length r leave each vertex, which also
     # dominates the operator norm of A_r
     for g, q in ((petersen, 2), (c4, 1)):
-        seq = nb_matrix_sequence(g, 8)
+        seq = list(nb_matrix_sequence(g, 8))
         for r in range(1, 9):
             assert (seq[r].sum(axis=1) == (q + 1) * q ** (r - 1)).all()
 
@@ -391,13 +391,20 @@ def test_friedman_identity_random_regular():
 
 
 def test_friedman_check_refuses_r_max_past_float_range(k4):
-    # A_r entries of K4 reach 3 * 2^(r-1), past the largest float at r = 1024
+    # A_r entries of K4 reach 3 * 2^(r-1), past the largest float at r = 1024;
+    # the trace identities scale f_r and c_r, which pass it too, before rounding
     for r_max in (1024, 1100):
         with pytest.raises(ValueError, match="largest allowed r_max is 1023"):
             verify_friedman_identity(k4, r_max)
+        with pytest.raises(ValueError, match="largest allowed r_max is 1023"):
+            trace_identities_report(k4, r_max)
     with pytest.raises(ValueError, match="largest allowed r_max is 1023"):
-        colored_nb_sequence(k4, trivial_color(k4, 2), 1024)
+        nb_matrix_sequence(k4, 1024, trivial_color(k4, 2))
+    with pytest.raises(ValueError, match="largest allowed r_max is 1023"):
+        verify_friedman_identity(k4, 1024, trivial_color(k4, 2))
     assert math.isfinite(verify_friedman_identity(k4, 1023))
+    with np.errstate(all="raise"):
+        assert math.isfinite(trace_identities_report(k4, 1023).max_deviation)
 
 
 @pytest.mark.parametrize("q", [2, 3, 7, 1000])
@@ -410,10 +417,10 @@ def test_float_walk_bound_names_the_exact_largest_r_max(q):
 
 
 def test_friedman_deviation_keeps_nan(k4):
-    seq = nb_matrix_sequence(k4, 4)
+    seq = list(nb_matrix_sequence(k4, 4))
     seq[3] = seq[3].astype(np.float64)
     seq[3][0, 1] = np.nan
-    devs = nbmatrix._friedman_deviations(adjacency(k4), 2, seq)
+    devs = nbmatrix._friedman_deviations(2, seq)
     assert [math.isnan(dev) for dev in devs] == [False, False, False, True, False]
     assert math.isnan(np.max(devs))
 
@@ -435,7 +442,7 @@ def _stacked_friedman_deviations(a, q, seq) -> list[float]:
 
 
 def _assert_deviations_match_the_stacked_pass(a, q, seq):
-    got = nbmatrix._friedman_deviations(a, q, seq)
+    got = nbmatrix._friedman_deviations(q, seq)
     assert np.array(got).tobytes() == np.array(_stacked_friedman_deviations(a, q, seq)).tobytes()
 
 
@@ -443,11 +450,11 @@ def _assert_deviations_match_the_stacked_pass(a, q, seq):
 def test_friedman_deviations_match_the_stacked_pass(named_graphs, regular_corpus, r_max):
     for _, g in [*named_graphs, *regular_corpus[::25]]:
         _assert_deviations_match_the_stacked_pass(
-            adjacency(g), g.regular_degree - 1, nb_matrix_sequence(g, r_max))
+            adjacency(g), g.regular_degree - 1, list(nb_matrix_sequence(g, r_max)))
 
 
 def test_friedman_deviations_match_the_stacked_pass_at_r_max_1023(k4):
-    _assert_deviations_match_the_stacked_pass(adjacency(k4), 2, nb_matrix_sequence(k4, 1023))
+    _assert_deviations_match_the_stacked_pass(adjacency(k4), 2, list(nb_matrix_sequence(k4, 1023)))
 
 
 @pytest.mark.parametrize("fold", [4, 16])
@@ -465,7 +472,7 @@ def test_friedman_deviations_hold_a_few_matrices(k4, fold, r_max):
     # stacked pass held 3 (r_max + 1) - 2 matrices
     a = colored_adjacency(k4, haar_unitary_color(k4, fold, RngStream(0)))
     seq = list(nbmatrix._nb_recurrence(a, 2, r_max, lambda m, r: m @ a))
-    assert _traced_peak(nbmatrix._friedman_deviations, a, 2, seq) <= 8 * a.nbytes
+    assert _traced_peak(nbmatrix._friedman_deviations, 2, seq) <= 8 * a.nbytes
 
 
 def test_friedman_check_peak_at_n_256():
@@ -484,10 +491,24 @@ def test_nb_traces_hold_a_few_matrices():
     assert _traced_peak(nb_trace_sequence, g, 12) <= 6 * 1024 ** 2 * 8
 
 
+def test_colored_friedman_check_holds_a_few_matrices(k4):
+    # the stream's A_{r-2}, A_{r-1}, A_r and colored adjacency beside the deviation
+    # pass, which reads M off A_1; the whole A_r^sigma list held 39 at r_max 30
+    color = haar_unitary_color(k4, 64, RngStream(0))
+    assert _traced_peak(verify_friedman_identity, k4, 30, color) <= 11 * (4 * 64) ** 2 * 16
+
+
 def test_colored_sequence_rejects_a_nan_deviation(k4, monkeypatch):
-    monkeypatch.setattr(nbmatrix, "_friedman_deviations", lambda a, q, seq: [math.nan] * len(seq))
+    monkeypatch.setattr(nbmatrix, "_friedman_deviations", lambda q, seq: [math.nan for _ in seq])
     with pytest.raises(ColorInvariantError, match="nan"):
-        colored_nb_sequence(k4, trivial_color(k4), 4)
+        verify_friedman_identity(k4, 4, trivial_color(k4))
+
+
+def test_plain_friedman_check_rejects_a_nan_deviation(k4, monkeypatch):
+    # the trap holds every r, colored or not
+    monkeypatch.setattr(nbmatrix, "_friedman_deviations", lambda q, seq: [math.nan for _ in seq])
+    with pytest.raises(ColorInvariantError, match="nan"):
+        verify_friedman_identity(k4, 4)
 
 
 # -- trace identities ---------------------------------------------------------------------
@@ -635,26 +656,21 @@ def test_loop_coloring_diagonal_block():
     h = colored_adjacency(g, color)
     assert h.shape == (1, 1)
     assert h[0, 0] == pytest.approx(2.0 * math.cos(theta), abs=1e-14)
-    seq, dev = colored_nb_sequence(g, color, 6)
-    assert dev <= 1e-8
+    assert verify_friedman_identity(g, 6, color) <= 1e-8
 
 
 def test_colored_sequence_trivial_matches_integer(k4):
     color = trivial_color(k4)
-    seq, dev = colored_nb_sequence(k4, color, 8)
-    exact = nb_matrix_sequence(k4, 8)
-    assert dev <= 1e-8
-    for got, want in zip(seq, exact):
+    assert verify_friedman_identity(k4, 8, color) <= 1e-8
+    for got, want in zip(nb_matrix_sequence(k4, 8, color), nb_matrix_sequence(k4, 8)):
         assert np.abs(got - want).max() <= 1e-8
 
 
 def test_colored_sequence_permutation_matches_lift(k4):
     perms, lifted = sample_lift(k4, 4, RngStream(21))
     color = permutation_color(k4, perms)
-    seq, dev = colored_nb_sequence(k4, color, 8)
-    assert dev <= 1e-8
-    lift_seq = nb_matrix_sequence(lifted, 8)
-    for got, want in zip(seq, lift_seq):
+    assert verify_friedman_identity(k4, 8, color) <= 1e-8
+    for got, want in zip(nb_matrix_sequence(k4, 8, color), nb_matrix_sequence(lifted, 8)):
         assert np.abs(got - want).max() <= 1e-7
         assert np.abs(got.imag).max() <= 1e-9
 
@@ -663,7 +679,7 @@ def test_colored_block_trace_bound(petersen):
     census = walk_census(petersen, 8)
     for fold, seed in ((3, 5), (2, 6)):
         color = haar_unitary_color(petersen, fold, RngStream(seed))
-        seq, _ = colored_nb_sequence(petersen, color, 8)
+        seq = list(nb_matrix_sequence(petersen, 8, color))
         for r in range(1, 9):
             assert abs(np.trace(seq[r])) <= fold * census.f[r] + 1e-6
 
@@ -672,14 +688,14 @@ def test_colored_rejects_non_regular():
     path = build_from_edge_list([(0, 1), (1, 2)], 3)
     color = trivial_color(path)
     with pytest.raises(RegularityError):
-        colored_nb_sequence(path, color, 3)
+        nb_matrix_sequence(path, 3, color)
 
 
 def test_colored_identity_failure_is_an_internal_error(k4, monkeypatch):
     monkeypatch.setattr(nbmatrix, "COLOR_IDENTITY_TOL", -1.0)
     color = trivial_color(k4)
     with pytest.raises(ColorInvariantError, match="polynomial identity"):
-        colored_nb_sequence(k4, color, 4)
+        verify_friedman_identity(k4, 4, color)
     assert issubclass(ColorInvariantError, RuntimeError)
     assert not issubclass(ColorInvariantError, ValueError)
 
@@ -693,15 +709,14 @@ def test_colored_identity_holds_to_r_max_60_relative_to_the_walk_count(g, monkey
     bound = nbmatrix.COLOR_IDENTITY_TOL * 3 * 2 ** 59
     colors = [trivial_color(g), haar_unitary_color(g, 4, RngStream(0))]
     for color in colors:
-        seq, dev = colored_nb_sequence(g, color, 60)
-        assert len(seq) == 61
-        assert nbmatrix.COLOR_IDENTITY_TOL < dev <= bound
+        assert len(list(nb_matrix_sequence(g, 60, color))) == 61
+        assert nbmatrix.COLOR_IDENTITY_TOL < verify_friedman_identity(g, 60, color) <= bound
     # a term off by 1e-6 of its walk count still raises at r = 60
     real = nbmatrix._nb_recurrence
     monkeypatch.setattr(nbmatrix, "_nb_recurrence", lambda a, q, r_max, times_a: [
         m + 1e-6 * 3 * 2 ** 59 * (r == 60) for r, m in enumerate(real(a, q, r_max, times_a))])
     with pytest.raises(ColorInvariantError, match="polynomial identity .* at r=60"):
-        colored_nb_sequence(g, colors[1], 60)
+        verify_friedman_identity(g, 60, colors[1])
 
 
 # -- one buffer per spectral matrix ---------------------------------------------------------
