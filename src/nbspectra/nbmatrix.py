@@ -216,11 +216,12 @@ def trace_identities_report(g: MultiGraph, r_max: int) -> TraceIdentityReport:
     (``nb_trace_sequence``) and the circuit counts c read off them, each
     Tr X_r(A/sqrt(q)) summed over the spectrum as the moment statistics are; a count
     is divided by q^(r//2) exactly before it is rounded, so none passes float range."""
+    from .spectra.eigen import eigenvalues_symmetric  # deferred: spectra.measures imports nbmatrix
     q = g.regular_degree - 1
     _require_float_walks(q, r_max)
     f = nb_trace_sequence(g, r_max)
     c = _circuits_from_traces(f, q)
-    eigs = np.linalg.eigvalsh(adjacency(g, np.float64))
+    eigs = eigenvalues_symmetric(adjacency(g, np.float64))
     traces = eval_X_table(r_max, eigs / math.sqrt(q)).sum(axis=1)
     t_xrq = xrq_from_x(traces, q)
     t_y = xrq_from_x(traces, 1.0)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+
 import numpy as np
 
 SYMMETRY_RTOL = 1e-10
 HERMITIAN_ATOL = 1e-10
+_SERIAL_MAX_ORDER = 512  # solves up to this order run on one BLAS thread
 
 
 class EigenError(ValueError):
@@ -34,6 +38,21 @@ def _asymmetry(m: np.ndarray) -> tuple[float, float]:
     return float(np.max(scales)), float(np.max(devs))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the ILP64 OpenBLAS that numpy.linalg
+    calls, found through its LAPACK extension's dependencies (never scipy's
+    LP64 copy), or None where numpy has no such build."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric or complex Hermitian matrix,
     ascending with multiplicity.
@@ -41,6 +60,11 @@ def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
     Real input may deviate from its transpose by ``SYMMETRY_RTOL`` times its
     largest entry, complex input from its adjoint by ``HERMITIAN_ATOL``; NaN
     or infinite entries are rejected.
+
+    A solve of order up to ``_SERIAL_MAX_ORDER`` holds numpy's OpenBLAS at
+    one thread, then restores the caller's count, so its result does not
+    depend on that count.  The count is process-global; the library solves
+    from one thread.
     """
     m = np.asarray(m)
     hermitian = np.iscomplexobj(m)
@@ -56,4 +80,13 @@ def eigenvalues_symmetric(m: np.ndarray) -> np.ndarray:
             raise EigenError(f"matrix deviates from Hermitian by {dev:.3e}")
     elif dev > SYMMETRY_RTOL * max(scale, 1e-300):
         raise EigenError(f"matrix asymmetry {dev:.3e} exceeds {SYMMETRY_RTOL:g} * max|entry|")
-    return np.linalg.eigvalsh(m)
+    threads = _openblas_threads() if m.shape[0] <= _SERIAL_MAX_ORDER else None
+    if threads is None:
+        return np.linalg.eigvalsh(m)
+    get, set_ = threads
+    default = get()
+    set_(1)
+    try:
+        return np.linalg.eigvalsh(m)
+    finally:
+        set_(default)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from nbspectra.spectra import eigen
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "output_digest.py"
 
@@ -50,3 +52,17 @@ def test_header_names_the_blas_thread_count(output_digest, monkeypatch, capsys):
     done = subprocess.run([sys.executable, "-c", load], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "blas_threads 1, OPENBLAS_NUM_THREADS=1," in done.stdout
+
+
+def test_lift_digests_do_not_depend_on_the_blas_thread_count(output_digest, monkeypatch):
+    # every lift solve here is of order 512 or less, so it runs on one BLAS
+    # thread whatever OPENBLAS_NUM_THREADS says
+    if eigen._openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count is not reachable")
+    invocation = output_digest.LIFT_POOL + "0"
+    assert "--N 128" in invocation  # K4 at N = 128: order 512
+    digests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        digests.append(output_digest.digest(invocation))
+    assert digests[0] == digests[1]

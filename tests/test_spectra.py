@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import ctypes
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from nbspectra.spectra import (DiscreteSpectralMeasure, LawError, MeasureError,
                                eigenvalues_symmetric, kesten_mckay,
                                moment_criterion_report, orthogonality_check,
                                semicircle, spectral_measure)
+from nbspectra.spectra import eigen
 from nbspectra.spectra.eigen import (HERMITIAN_ATOL, SYMMETRY_RTOL, EigenError)
 
 from conftest import cycle_idf_closed_form, trivial_color
@@ -177,6 +184,91 @@ def test_non_finite_input_is_rejected(m):
     # test, and an inf one passes the relative rule against an inf scale
     with pytest.raises(EigenError, match="non-finite"):
         eigenvalues_symmetric(m)
+
+
+@pytest.fixture
+def openblas():
+    """(get, set) of the thread count of numpy's OpenBLAS; skips without one."""
+    threads = eigen._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's OpenBLAS thread count is not reachable")
+    return threads
+
+
+def test_solves_up_to_order_512_run_on_one_blas_thread(openblas, monkeypatch):
+    # a spy in the solve reads the count; the caller's count is back after a
+    # solve of either size and after a solve that raises
+    get, set_ = openblas
+    caller = get()
+    set_(max(caller, 2))  # a caller's count above one tells the two rules apart
+    try:
+        default, seen = get(), []
+
+        def spy(m):
+            seen.append(get())
+            return np.zeros(len(m))
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for n in (512, 513, 1024):
+            eigenvalues_symmetric(np.eye(n))
+            assert get() == default
+        assert seen == [1, default, default]
+
+        def failing(m):
+            seen.append(get())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            eigenvalues_symmetric(np.eye(4))
+        assert seen[-1] == 1 and get() == default
+    finally:
+        set_(caller)
+
+
+def test_without_the_handle_the_solve_is_numpys(monkeypatch):
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((96, 96))
+    herm = real + 1j * rng.standard_normal((96, 96))
+    monkeypatch.setattr(eigen, "_openblas_threads", lambda: None)
+    for m in (real + real.T, herm + herm.conj().T):
+        assert np.array_equal(eigenvalues_symmetric(m), np.linalg.eigvalsh(m))
+
+
+_HANDLE_LIBRARIES = """
+import ctypes, json
+import scipy.linalg
+from nbspectra.spectra import eigen
+
+def library(function):
+    address = ctypes.cast(function, ctypes.c_void_p).value
+    for line in open("/proc/self/maps"):
+        span, *_, path = line.split()
+        lo, hi = (int(x, 16) for x in span.split("-"))
+        if lo <= address < hi:
+            return path
+
+scipy_lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+print(json.dumps([library(eigen._openblas_threads()[0]),
+                  library(scipy_lib.scipy_openblas_get_num_threads)]))
+"""
+
+
+def test_the_handle_is_numpys_with_scipy_loaded_first(openblas):
+    # scipy's LP64 OpenBLAS, loaded first, has its own thread count; the
+    # handle must set the count of the ILP64 library numpy.linalg calls
+    pytest.importorskip("scipy.linalg")
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to map a function to its library")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _HANDLE_LIBRARIES], env=env,
+                          capture_output=True, text=True)
+    if "AttributeError" in done.stderr:
+        pytest.skip("scipy carries no scipy-openblas of its own")
+    assert done.returncode == 0, done.stderr
+    handle_lib, scipy_lib = json.loads(done.stdout)
+    assert handle_lib is not None and handle_lib != scipy_lib
+    assert hasattr(ctypes.CDLL(handle_lib), "scipy_openblas_get_num_threads64_")
 
 
 @pytest.mark.parametrize("build, error, message", [
