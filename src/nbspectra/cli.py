@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .multigraph import (MultiGraph, enumerate_circles, girth, load_graph_file,
-                         walk_census)
+from .multigraph import (MultiGraph, enumerate_circles, format_graph_text, girth,
+                         load_graph_file, walk_census)
 from .random_models import (DEFAULT_RETRY_BUDGET, STREAM_POLICY, RngStream,
                             haar_unitary_color, sample_lift, sample_regular_graph,
                             trial_means)
@@ -197,6 +197,12 @@ def _trend_checks(means: dict, ladder: str) -> list[tuple[str, bool]]:
              all(a > b for a, b in zip(seq, seq[1:]))) for p, seq in means.items()]
 
 
+def _graph_parameters(path: str, g: MultiGraph) -> dict:
+    """The graph file's name and the sha256 of the graph as loaded, edge order kept."""
+    return {"graph": Path(path).name,
+            "graph_sha256": hashlib.sha256(format_graph_text(g).encode()).hexdigest()}
+
+
 # ---------------------------------------------------------------------------
 # census
 
@@ -206,7 +212,7 @@ def run_census(args) -> int:
     g = load_graph_file(args.graph)
     census = walk_census(g, args.rmax)  # raises CensusInvariantError on a failed bound
     manifest = ExperimentManifest(
-        "census", {"graph": Path(args.graph).name, "r_max": args.rmax}, None)
+        "census", {**_graph_parameters(args.graph, g), "r_max": args.rmax}, None)
     header = ["r", "f", "c", "z"]
     rows = [[r, census.f[r], census.c[r], census.z[r] if census.z is not None else ""]
             for r in range(census.r_max + 1)]
@@ -272,7 +278,7 @@ def run_lift(args) -> int:
     result = lift_convergence(base, args.N, args.trials, args.seed,
                               args.rmax, args.p, args.color)
     manifest = ExperimentManifest(
-        "lift", {"graph": Path(args.graph).name, "color": args.color,
+        "lift", {**_graph_parameters(args.graph, base), "color": args.color,
                  "N": args.N, "trials": args.trials, "r_max": args.rmax,
                  "p": args.p},
         args.seed)

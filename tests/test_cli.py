@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -373,6 +374,32 @@ def test_manifest_document_records_stream_policy(tmp_path, k4_file):
     assert "pcg64" in doc["stream_policy"]
     assert doc["package_version"]
     assert doc["parameters"]["color"] == "trivial"
+
+
+def test_manifests_name_the_graph_they_read(tmp_path):
+    # K4 and K_{3,3}, each saved as g.txt, gave byte-identical manifests when
+    # only the file name was recorded; the sha256 of the graph as loaded
+    # tells them apart
+    k33 = build_from_edge_list([(u, v) for u in range(3) for v in range(3, 6)], 6)
+    docs, files = [], []
+    for name, g in (("k4", complete_graph(4)), ("k33", k33)):
+        path = tmp_path / name / "g.txt"
+        path.parent.mkdir()
+        save_graph_file(g, path)
+        out = tmp_path / name / "out"
+        assert main(["lift", str(path), "--N", "2", "--trials", "2", "--rmax", "3",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert main(["census", str(path), "--rmax", "4", "--out", str(out)]) == 0
+        docs.append({f: (out / f).read_text() for f in
+                     ("census_manifest.json", "lift_distances_manifest.json")})
+        files.append(path.read_bytes())
+    for f in docs[0]:
+        assert docs[0][f] != docs[1][f], f
+    for side, text in zip(docs, files):
+        for doc in side.values():
+            params = json.loads(doc)["parameters"]
+            assert params["graph"] == "g.txt"
+            assert params["graph_sha256"] == hashlib.sha256(text).hexdigest()
 
 
 def test_trivial_color_matches_uncolored():
