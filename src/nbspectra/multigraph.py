@@ -148,8 +148,7 @@ class MultiGraph:
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges in construction order as (origin, head) of the even dart."""
-        return [(int(self.origin[2 * k]), int(self.head[2 * k]))
-                for k in range(self.n_edges)]
+        return list(zip(self.head[1::2].tolist(), self.head[0::2].tolist()))
 
     def canonical_edge_list(self) -> list[tuple[int, int]]:
         return sorted((min(u, v), max(u, v)) for u, v in self.edge_list())
