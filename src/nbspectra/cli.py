@@ -1,8 +1,8 @@
 """Experiment harness: census checks and convergence experiments.
 
-Every run serializes a manifest (experiment id, parameters, seed) next to its
-data files, and every CSV row carries the manifest hash, so outputs can be
-replayed byte-for-byte from the manifest alone.  Subcommands:
+Every run serializes one manifest (experiment id, parameters, seed) that lists
+all of its data files, and every row carries the manifest hash, so outputs can
+be replayed byte-for-byte from the manifest alone.  Subcommands:
 
 * ``census``   exact walk census of a regular graph file plus identity checks
 * ``lift``     Kesten-McKay convergence of random N-lifts along an N ladder
@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,66 +70,63 @@ class ExperimentManifest:
     seed: int | None
 
     def canonical_json(self) -> str:
-        payload = {"experiment": self.experiment, "parameters": self.parameters,
-                   "seed": self.seed}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @property
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def document(self, outputs: list[str]) -> str:
-        payload = {"experiment": self.experiment, "parameters": self.parameters,
-                   "seed": self.seed, "manifest_hash": self.hash,
-                   "stream_policy": STREAM_POLICY, "outputs": outputs,
-                   "package_version": __version__}
+        payload = {**asdict(self), "manifest_hash": self.hash, "stream_policy": STREAM_POLICY,
+                   "outputs": outputs, "package_version": __version__}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_outputs(out_dir, name: str, header: list[str], rows: list[list],
-                  manifest: ExperimentManifest, fmt: str = "csv") -> list[Path]:
-    """Write the data file, a row at a time, and its manifest; returns the written paths."""
+def write_outputs(out_dir, tables: list, manifest: ExperimentManifest,
+                  fmt: str = "csv") -> list[Path]:
+    """Write each ``(name, header, rows)`` table a row at a time, then one manifest, named
+    after the first table, that lists every data file in table order; return the data paths."""
     if fmt not in ("csv", "json"):
         raise CliInputError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tagged_header = ["manifest_hash"] + header
-    tag = manifest.hash
-    formatted = ([tag] + [_fmt(v) for v in row] for row in rows)
-    data_path = out / f"{name}.{fmt}"
-    with data_path.open("w", encoding="utf-8") as data:
-        if fmt == "csv":
-            data.write(",".join(tagged_header) + "\n")
-            for cells in formatted:
-                data.write(",".join(cells) + "\n")
-        else:
-            sep = "[\n  "
-            for cells in formatted:
-                record = json.dumps(dict(zip(tagged_header, cells)), sort_keys=True, indent=2)
-                data.write(sep + record.replace("\n", "\n  "))
-                sep = ",\n  "
-            data.write("[]\n" if sep == "[\n  " else "\n]\n")
-    manifest_path = out / f"{name}_manifest.json"
-    manifest_path.write_text(manifest.document([data_path.name]), encoding="utf-8")
-    return [data_path, manifest_path]
+    tag, paths = manifest.hash, []
+    for name, header, rows in tables:
+        tagged_header = ["manifest_hash"] + header
+        formatted = ([tag] + [_fmt(v) for v in row] for row in rows)
+        paths.append(out / f"{name}.{fmt}")
+        with paths[-1].open("w", encoding="utf-8") as data:
+            if fmt == "csv":
+                data.write(",".join(tagged_header) + "\n")
+                for cells in formatted:
+                    data.write(",".join(cells) + "\n")
+            else:
+                sep = "[\n  "
+                for cells in formatted:
+                    record = json.dumps(dict(zip(tagged_header, cells)), sort_keys=True, indent=2)
+                    data.write(sep + record.replace("\n", "\n  "))
+                    sep = ",\n  "
+                data.write("[]\n" if sep == "[\n  " else "\n]\n")
+    (out / f"{tables[0][0]}_manifest.json").write_text(
+        manifest.document([path.name for path in paths]), encoding="utf-8")
+    return paths
 
 
 def _report(out_dir, fmt: str, manifest: ExperimentManifest, tables: list,
             checks: list[tuple[str, bool]]) -> None:
-    """Write each ``(name, header, rows)`` table, name the first data file,
-    and print one PASS/FAIL line per ``(label, ok)`` check."""
-    paths = [write_outputs(out_dir, name, header, rows, manifest, fmt)[0]
-             for name, header, rows in tables]
-    if paths:
-        print(f"wrote {paths[0]}")
+    """Write the run's tables, if any, name its first data file, and print one
+    PASS/FAIL line per ``(label, ok)`` check."""
+    if tables:
+        print(f"wrote {write_outputs(out_dir, tables, manifest, fmt)[0]}")
     for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
 
 
-def _require_distinct(flag: str, values: list) -> None:
+def _require_distinct(flag: str, values: list) -> list:
     for i, v in enumerate(values):
         if v in values[:i]:
             raise CliInputError(f"{flag} {v:g} given more than once")
+    return values
 
 
 def _require_finite_moments(r_range: range, q: int, atoms: int, trials: int, cell: str) -> None:
@@ -194,7 +191,8 @@ def _ladder(seed: int, cells: list[tuple], trials: int, p_list: list[float], tar
 
 def _trend_checks(means: dict, ladder: str) -> list[tuple[str, bool]]:
     return [(f"W_{p:g} decreasing along {ladder} ladder",
-             all(a > b for a, b in zip(seq, seq[1:]))) for p, seq in means.items()]
+             all(a > b for a, b in zip(seq, seq[1:])))
+            for p, seq in means.items() if len(seq) > 1]
 
 
 def _graph_parameters(path: str, g: MultiGraph) -> dict:
@@ -257,8 +255,7 @@ def lift_convergence(base: MultiGraph, folds: list[int], trials: int, seed: int,
     for fold in folds:
         if fold < 1:
             raise CliInputError(f"block dimension N must be at least 1, got {fold}")
-    _require_distinct("--N", folds)
-    for fold in folds:
+    for fold in _require_distinct("--N", folds):
         _require_finite_moments(range(1, r_max + 1), q, base.n_vertices * fold, trials,
                                 f"N={fold}")
     target = kesten_mckay(float(q)) if q >= 2 else arcsine()
@@ -392,7 +389,7 @@ def _density_gap(q: float) -> float:
 def law_convergence(q_ladder: list[float], m_ladder: list[int]) -> dict:
     sc = semicircle()
     q_rows, m_rows = [], []
-    for q in q_ladder:
+    for q in _require_distinct("--q", q_ladder):
         if not q > 2.0:
             raise CliInputError(f"density bound needs q > 2, got {q}")
         km = kesten_mckay(q)
@@ -400,7 +397,7 @@ def law_convergence(q_ladder: list[float], m_ladder: list[int]) -> dict:
         winf = wasserstein_p(km, sc, math.inf)
         q_rows.append([q, gap, bound, gap <= bound, winf])
     ar = arcsine()
-    for m in m_ladder:
+    for m in _require_distinct("--m", m_ladder):
         if m < 3:
             raise CliInputError(f"cycle size must be >= 3, got {m}")
         winf = wasserstein_p(cycle_spectral_measure(m), ar, math.inf)

@@ -106,14 +106,15 @@ def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
 
     For 1 <= j <= k, A_j A_k = A_{j+k} + sum_{i=1}^{j-1} (q-1) q^(i-1) A_{j+k-2i}
     + c_j A_{k-j}, with c_j = q^j if j < k and (q+1) q^(j-1) if j = k, so f_r
-    is tr(A_j A_k) at j = r // 2, k = r - j, less the traces of the lower
-    terms: f_{2k-1} and f_{2k} read A_{k-1} and A_k, so two A_j are held.  Entries
-    of A_j count walks, so they are nonnegative, and a row of A_j sums to
-    (q+1) q^(j-1): its entries sum to n (q+1) q^(j-1), the bound ``_pair_trace`` takes.
+    is tr(A_j A_k) at j = r // 2, k = r - j, less the lower terms' traces, carried by parity
+    as L_r = (q-1) f_{r-2} + q L_{r-2} from r = 4 (L_2 = L_3 = 0): f_{2k-1} and f_{2k} read
+    A_{k-1} and A_k, so two A_j are held.  Entries of A_j count walks, so they are nonnegative,
+    and a row of A_j sums to (q+1) q^(j-1): its entries sum to n (q+1) q^(j-1), the bound
+    ``_pair_trace`` takes.
     """
     q = g.regular_degree - 1
     stream = nb_matrix_sequence(g, r_max)
-    f, a_k = [], next(stream)  # reading A_0 checks r_max
+    f, lower, a_k = [], [0, 0], next(stream)  # reading A_0 checks r_max
     for r in range(r_max + 1):
         j, k = r // 2, r - r // 2
         a_j, a_k = (a_k, next(stream)) if r % 2 else (a_k, a_k)
@@ -121,9 +122,9 @@ def nb_trace_sequence(g: MultiGraph, r_max: int) -> list[int]:
             f.append(int(np.trace(a_k, dtype=object)))
             continue
         total = _pair_trace(a_j, a_k, g.n_vertices * (q + 1) * q ** (j - 1))
-        lower = sum((q - 1) * q ** (i - 1) * f[r - 2 * i] for i in range(1, j))
+        lower[r % 2] = (q - 1) * f[r - 2] + q * lower[r % 2] if r >= 4 else 0
         c_j = q ** j if j < k else (q + 1) * q ** (j - 1)
-        f.append(total - lower - c_j * f[k - j])
+        f.append(total - lower[r % 2] - c_j * f[k - j])
     return f
 
 
@@ -138,11 +139,12 @@ def _pair_trace(x: np.ndarray, y: np.ndarray, x_sum: int) -> int:
 
 
 def _circuits_from_traces(f: list[int], q: int) -> list[int]:
-    """c_0..c_r from f_0..f_r by c_0 = 0 and
-    c_r = f_r - (q-1) sum_{1 <= i < r/2} q^(i-1) c_{r-2i}, in Python ints."""
-    c = [0]
-    for r in range(1, len(f)):
-        c.append(f[r] - (q - 1) * sum(q ** (i - 1) * c[r - 2 * i] for i in range(1, (r + 1) // 2)))
+    """c_0..c_r from f_0..f_r in Python ints: f_r = c_r + (q-1) S_r, where the tail sum S_r
+    of ``circuit_count_sequence`` is 0 at r <= 2 and c_{r-2} + q S_{r-2} from r = 3, so c_0 = 0,
+    c_r = f_r at r = 1, 2 and c_r = f_r - q f_{r-2} + c_{r-2} from r = 3."""
+    c = [0] + f[1:3]
+    for r in range(3, len(f)):
+        c.append(f[r] - q * f[r - 2] + c[r - 2])
     return c
 
 
@@ -150,8 +152,8 @@ def circuit_count_sequence(g: MultiGraph, r_max: int) -> list[int]:
     """Circuit counts c_0..c_{r_max}, c_r = tr(B^r), of a (q+1)-regular graph.
 
     A closed NBW that is not a circuit is a circuit of length r - 2i with one
-    of (q-1) q^(i-1) tails of length i >= 1 hung at its start, so
-    f_r = c_r + (q-1) sum_{1 <= i < r/2} q^(i-1) c_{r-2i}, and c is read off f
+    of (q-1) q^(i-1) tails of length i >= 1 hung at its start, so f_r = c_r + (q-1) S_r
+    with the tail sum S_r = sum_{1 <= i < r/2} q^(i-1) c_{r-2i}, and c is read off f
     exactly.  The tail count needs q+1 darts at every vertex: like
     ``nb_trace_sequence``, this raises RegularityError on an irregular graph."""
     return _circuits_from_traces(nb_trace_sequence(g, r_max), g.regular_degree - 1)
@@ -226,12 +228,12 @@ def trace_identities_report(g: MultiGraph, r_max: int) -> TraceIdentityReport:
     t_xrq = xrq_from_x(traces, q)
     t_y = xrq_from_x(traces, 1.0)
 
-    dev_nbw, dev_geo, dev_circ = [], [], []
+    dev_nbw, dev_geo, dev_circ, geo = [], [], [], [0, 0]  # geo[r % 2] = sum_k f_{r-2k}
     for r in range(r_max + 1):
         half, odd = q ** (r // 2), q ** (-(r % 2) / 2.0)  # q^{-r/2} = odd / half
         dev_nbw.append(abs(t_xrq[r] - f[r] / half * odd))
-        approx_sum = sum(f[r - 2 * k] for k in range(r // 2 + 1))
-        dev_geo.append(abs(traces[r] - approx_sum / half * odd))
+        geo[r % 2] += f[r]
+        dev_geo.append(abs(traces[r] - geo[r % 2] / half * odd))
         if r >= 1:
             correction = (q - 1) * g.n_vertices / half * odd if (r % 2 == 0 and r >= 2) else 0.0
             dev_circ.append(abs(t_y[r] - (c[r] / half * odd - correction)))

@@ -212,6 +212,69 @@ def test_replay_is_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def _data_rows(path: Path) -> list[dict]:
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with path.open(encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["census", "{k4}", "--rmax", "4"], ["census.csv"]),
+    (["lift", "{k4}", "--N", "2", "--N", "4", "--trials", "2", "--rmax", "3", "--seed", "1"],
+     ["lift_distances.csv", "lift_residuals.csv"]),
+    (["lift", "{k4}", "--N", "2", "--trials", "1", "--rmax", "2", "--format", "json"],
+     ["lift_distances.json", "lift_residuals.json"]),
+    (["grow", "--n", "16", "--n", "32", "--schedule", "fixed", "--q", "2", "--trials", "2",
+      "--rmax", "2", "--seed", "3"], ["grow_distances.csv", "grow_circuits.csv"]),
+    (["laws", "--q", "5", "--m", "10"], ["laws_density.csv", "laws_cycles.csv"]),
+], ids=["census", "lift", "lift-json", "grow", "laws"])
+def test_a_run_writes_one_manifest_listing_every_data_file(argv, outputs, k4_file, tmp_path):
+    out = tmp_path / "out"
+    assert main([a.format(k4=k4_file) for a in argv] + ["--out", str(out)]) == 0
+    manifest, = out.glob("*_manifest.json")
+    assert manifest.name == outputs[0].rsplit(".", 1)[0] + "_manifest.json"
+    doc = json.loads(manifest.read_text())
+    assert doc["outputs"] == outputs
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + [manifest.name])
+    for name in outputs:
+        rows = _data_rows(out / name)
+        assert rows and all(row["manifest_hash"] == doc["manifest_hash"] for row in rows)
+
+
+def test_grow_replays_from_its_manifest_alone(tmp_path):
+    # the invocation is rebuilt from the manifest's parameters and seed, and
+    # every file the manifest lists, and the manifest, come back byte for byte
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["grow", "--n", "16", "--n", "32", "--schedule", "fixed", "--q", "2",
+                 "--trials", "2", "--p", "2", "--p", "1", "--rmax", "3", "--seed", "4",
+                 "--out", str(out_a)]) == 0
+    manifest = out_a / "grow_distances_manifest.json"
+    doc = json.loads(manifest.read_text())
+    par = doc["parameters"]
+    argv = (["grow"] + _repeat("--n", par["n"]) + ["--schedule", par["schedule"]]
+            + (["--q", str(par["q"])] if par["q"] is not None else []) + _repeat("--p", par["p"])
+            + ["--trials", str(par["trials"]), "--rmax", str(par["r_max"]),
+               "--seed", str(doc["seed"]), "--out", str(out_b)])
+    assert main(argv) == 0
+    assert sorted(p.name for p in out_a.iterdir()) == sorted(doc["outputs"] + [manifest.name])
+    for name in doc["outputs"] + [manifest.name]:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("folds, lines", [(["2"], 0), (["2", "4"], 2)], ids=["one", "two"])
+def test_trend_lines_need_two_cells(folds, lines, k4_file, tmp_path, capsys):
+    # a one-cell ladder has no trend to check, so it prints no trend line
+    argv = ["lift", str(k4_file), "--color", "trivial", "--p", "1", "--p", "2",
+            "--trials", "1", "--rmax", "2", "--out", str(tmp_path)] + _repeat("--N", folds)
+    assert main(argv) == 0
+    trend = [line for line in capsys.readouterr().out.splitlines()
+             if "decreasing along N ladder" in line]
+    assert len(trend) == lines
+    assert [line.split("  ", 1)[1] for line in trend] == [
+        f"W_{p} decreasing along N ladder" for p in (1, 2)][:lines]
+
+
 def test_json_format_output(tmp_path, k4_file):
     assert main(["lift", str(k4_file), "--color", "trivial", "--N", "2",
                  "--trials", "1", "--out", str(tmp_path), "--format", "json",
@@ -315,6 +378,8 @@ def test_grow_parity_error_exit_code(capsys):
      "seed must be nonnegative, got -3"),
     (["grow", "--n", "16", "--schedule", "fixed", "--q", "2", "--trials", "1", "--seed", "-5"],
      "seed must be nonnegative, got -5"),
+    (["laws", "--q", "5", "--q", "10", "--q", "5"], "--q 5 given more than once"),
+    (["laws", "--m", "10", "--m", "10"], "--m 10 given more than once"),
 ])
 def test_bad_counts_are_input_errors(argv, message, k4_file, tmp_path, capsys):
     argv = [a.format(k4=k4_file) for a in argv] + ["--out", str(tmp_path)]
@@ -590,7 +655,8 @@ def cli_cases(draw):
         ["-1", "1", "2", "2.5", "50", "1e18", "1e308", "inf", "nan"]), max_size=2))
     ms = draw(st.lists(st.integers(-2, 200), max_size=2))
     argv = ["laws"] + _repeat("--q", qs) + _repeat("--m", ms)
-    valid = all(2.0 < float(q) < math.inf for q in qs) and all(m >= 3 for m in ms)
+    valid = (all(2.0 < float(q) < math.inf for q in qs) and all(m >= 3 for m in ms)
+             and len(set(qs)) == len(qs) and len(set(ms)) == len(ms))
     return argv, valid
 
 

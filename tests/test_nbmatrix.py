@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pairing_multigraph, trivial_color
+from conftest import nbw_circuit_identity, pairing_multigraph, trivial_color
 from nbspectra import multigraph, nbmatrix
 from nbspectra.multigraph import (GraphError, MultiGraph, RegularityError, brute_walk_counts,
                                   build_from_edge_list, complete_graph,
@@ -231,6 +231,19 @@ def test_bouquet_counts_match_closed_forms_across_int64(loops):
         (q + 1) * q ** (r - 1) for r in range(1, 61)]
     assert circuit_count_sequence(g, 60) == [0] + [
         q ** r + loops + (loops - 1) * (-1) ** r for r in range(1, 61)]
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), pairing_multigraph(12, 4, 0)],
+                         ids=["K4", "pairing12"])
+def test_running_tail_sums_keep_the_counts_exact_to_r_200(g):
+    # f carries its lower terms and c its tail sum from r - 2 to r; against
+    # the traces of the streamed A_r and the tail identity summed afresh at
+    # every r, both exact far past 2^63
+    q, r_max = g.regular_degree - 1, 200
+    f, c = nb_trace_sequence(g, r_max), circuit_count_sequence(g, r_max)
+    assert f == [int(np.trace(a, dtype=object)) for a in nb_matrix_sequence(g, r_max)]
+    assert f[r_max] > 2 ** 63
+    assert all(nbw_circuit_identity(f, c, q, r) for r in range(1, r_max + 1))
 
 
 def test_circuit_counts_take_half_the_products(monkeypatch):
